@@ -83,6 +83,7 @@ from .sequences import (
     check_v_from_u,
     make_params,
     u_at,
+    u_pair_exact,
     u_pair_mod,
     v_at,
 )

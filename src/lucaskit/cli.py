@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .congruences import (
     FAMILIES,
@@ -37,7 +37,7 @@ from .primality import (
     remark_check,
 )
 from .residues import ResidueClass, TrivialModulus
-from .sequences import make_params, u_at, u_pair_mod, v_at
+from .sequences import _u_term_reserve, make_params, u_pair_exact, u_pair_mod
 
 PRIMETEST_METHODS = (
     "mersenne-sum",
@@ -120,9 +120,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.with_v:
             record["v"] = str((2 * u_next - args.p * u_res) % args.mod)
     else:
-        record["u"] = str(u_at(params, args.n))
+        u_n, u_next = u_pair_exact(params, args.n)
+        record["u"] = str(u_n)
         if args.with_v:
-            record["v"] = str(v_at(params, args.n))
+            record["v"] = str(2 * u_next - args.p * u_n)
     _emit(record, args)
     return 0
 
@@ -201,7 +202,7 @@ def cmd_primetest(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scan machinery: items, per-item checks, parallel driver
+# Scan machinery: units of work, their checks, the parallel runner
 # ---------------------------------------------------------------------------
 
 
@@ -218,68 +219,90 @@ class ScanReport:
     wall_time: float
 
 
-def _scan_items(method: str, lo: int, hi: int) -> Iterable[Any]:
-    if method == "congruence-grid":
-        items = []
-        for p, q in COEFFICIENT_GRID:
-            for k in range(max(lo, 1), hi + 1):
-                for n in range(max(lo, 0), hi + 1):
-                    for family in ("lemma1", "lemma2", "cor6", "cor7", "main"):
-                        items.append((family, p, q, k, n, None))
-                    for r in SHIFT_R_RANGE:
-                        items.append(("shift", p, q, k, n, r))
-        return items
-    return range(lo, hi + 1)
+# A unit of scan work returns its items' outcomes in scan order: one mark per
+# item ("-" skipped, "+" held, "x" mismatch) and the (n, detail) of each
+# mismatch.
+Outcomes = tuple[str, tuple[tuple[int, str], ...]]
+_SKIPPED: Outcomes = ("-", ())
+_HELD: Outcomes = ("+", ())
+
+# The congruence-grid checks these family variants, in this order, at each n.
+GRID_VARIANTS = tuple(
+    (family, None) for family in ("lemma1", "lemma2", "cor6", "cor7", "main")
+) + tuple(("shift", r) for r in SHIFT_R_RANGE)
 
 
-def _scan_check(method: str, item: Any) -> tuple[int, Optional[bool], str]:
-    """Check one scan item; ok=None means the item was skipped (precondition)."""
-    if method == "congruence-grid":
-        family, p, q, k, n, r = item
-        if family == "main" and n < 1:
-            return n, None, ""
-        report = evaluate_congruence(family, p=p, q=q, k=k, n=n, r=r)
-        if isinstance(report.rhs, TrivialModulus):
-            return n, None, ""
-        detail = f"family={family} p={p} q={q} k={k} n={n}" + (
-            f" r={r}" if r is not None else ""
-        )
-        return n, report.holds, detail
-    n = item
+def _grid_batch(unit: tuple[int, int, int, int, int]) -> Outcomes:
+    """Check every n and family variant of one (P, Q, k); details only for mismatches."""
+    p, q, k, n_lo, hi = unit
+    # No index of the (P, Q) grid exceeds hi*hi + max r: one table extension
+    # serves every batch of this pair.
+    _u_term_reserve(make_params(p, q), hi * hi + SHIFT_R_RANGE[-1])
+    marks = []
+    failed = []
+    for n in range(n_lo, hi + 1):
+        for family, r in GRID_VARIANTS:
+            if family == "main" and n < 1:
+                marks.append("-")
+                continue
+            report = evaluate_congruence(family, p=p, q=q, k=k, n=n, r=r)
+            if isinstance(report.rhs, TrivialModulus):
+                marks.append("-")
+            elif report.holds:
+                marks.append("+")
+            else:
+                marks.append("x")
+                failed.append(
+                    (n, f"family={family} p={p} q={q} k={k} n={n}" + (
+                        f" r={r}" if r is not None else ""
+                    ))
+                )
+    return "".join(marks), tuple(failed)
+
+
+def _mismatch(n: int, detail: str) -> Outcomes:
+    return "x", ((n, detail),)
+
+
+def _scan_check(method: str, n: int) -> Outcomes:
+    """Check one value of a per-value scan; a failed precondition skips it.
+
+    The detail is formatted for every checked value, not only mismatches, so
+    a residue wider than Python's 4300-digit str limit still stops a
+    mersenne-sum scan with exit 2 from about n = 14,300 on.
+    """
     if method == "mersenne-sum":
         if n < 2:
-            return n, None, ""
+            return _SKIPPED
         verdict = mersenne_primality_test(n)
-        return (
-            n,
-            verdict.agree,
+        detail = (
             f"residue={verdict.sum_residue.value} criterion={verdict.criterion_says_prime} "
-            f"oracle={verdict.oracle_says_prime}",
+            f"oracle={verdict.oracle_says_prime}"
         )
+        return _HELD if verdict.agree else _mismatch(n, detail)
     if method == "fib-sum":
         if n % 4 != 1 or n < 5 or n in (9, 25):
-            return n, None, ""
+            return _SKIPPED
         verdict = fibonacci_primality_test(n)
-        return (
-            n,
-            verdict.agree,
+        detail = (
             f"residue={verdict.sum_residue.value} criterion={verdict.criterion_says_prime} "
-            f"oracle={verdict.oracle_says_prime}",
+            f"oracle={verdict.oracle_says_prime}"
         )
+        return _HELD if verdict.agree else _mismatch(n, detail)
     if method == "remark":
         if n % 4 != 3 or n < 3:
-            return n, None, ""
-        ok = remark_check(n)
-        return n, ok, "" if ok else "nonzero sum residue"
+            return _SKIPPED
+        return _HELD if remark_check(n) else _mismatch(n, "nonzero sum residue")
     if method == "divisor-sum":
         if n < 2:
-            return n, None, ""
+            return _SKIPPED
         breakdown = divisor_sum_breakdown(n)
         oracle = is_prime_oracle(n)
         ok = breakdown.is_integer == oracle and (
             not oracle or breakdown.total == n - 1
         )
-        return n, ok, f"total={breakdown.total} oracle={oracle}"
+        detail = f"total={breakdown.total} oracle={oracle}"
+        return _HELD if ok else _mismatch(n, detail)
     raise ValueError(f"unknown scan method {method!r}")
 
 
@@ -297,7 +320,10 @@ def _resolve_workers(flag_value: Optional[int]) -> int:
         if value < 1:
             raise ValueError("LUCAS_WORKERS must be >= 1")
         return value
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def run_scan(
@@ -308,36 +334,47 @@ def run_scan(
         raise ValueError(f"--from {lo} exceeds --to {hi}")
     if method not in SCAN_METHODS:
         raise ValueError(f"unknown scan method {method!r}")
-    items = list(_scan_items(method, lo, hi))
     per_value_scan = method != "congruence-grid"
+    units: list[Any]
+    if per_value_scan:
+        units = list(range(lo, hi + 1))
+        check = partial(_scan_check, method)
+    else:
+        # One (P, Q, k, first n, last n) batch per coefficient pair and k.
+        units = [
+            (p, q, k, max(lo, 0), hi)
+            for p, q in COEFFICIENT_GRID
+            for k in range(max(lo, 1), hi + 1)
+        ]
+        check = _grid_batch
     started = time.perf_counter()
     checked = 0
     skipped = 0
     skipped_values: list[int] = []
     mismatches: list[tuple[int, str]] = []
-    check = partial(_scan_check, method)
 
-    def consume(results: Iterator[tuple[int, Optional[bool], str]]) -> None:
+    def consume(results: Iterator[Outcomes]) -> None:
         nonlocal checked, skipped
-        for key, ok, detail in results:
-            if ok is None:
-                skipped += 1
-                if per_value_scan:
-                    skipped_values.append(key)
-                continue
-            checked += 1
-            if not ok:
-                mismatches.append((key, detail))
-                if fail_fast:
-                    return
+        for unit, (marks, failed) in zip(units, results):
+            if fail_fast and failed:
+                marks = marks[: marks.index("x") + 1]
+                failed = failed[:1]
+            unit_skipped = marks.count("-")
+            skipped += unit_skipped
+            checked += len(marks) - unit_skipped
+            if per_value_scan and unit_skipped:
+                skipped_values.append(unit)
+            mismatches.extend(failed)
+            if fail_fast and failed:
+                return
 
     if workers <= 1:
-        consume(map(check, items))
+        consume(map(check, units))
     else:
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            chunk = max(1, len(items) // (workers * 8))
-            consume(pool.map(check, items, chunksize=chunk))
+            chunk = max(1, len(units) // (workers * 8))
+            consume(pool.map(check, units, chunksize=chunk))
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -436,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: LUCAS_WORKERS or the CPU count)",
+        help="worker processes (default: LUCAS_WORKERS or the usable CPU count)",
     )
     p_scan.add_argument("--fail-fast", action="store_true", help="stop at first mismatch")
     add_output_flags(p_scan)

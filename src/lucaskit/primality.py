@@ -24,7 +24,7 @@ from .errors import (
     WrongResidueClass,
 )
 from .residues import ResidueClass, exact_div
-from .sequences import FIBONACCI_PARAMS, LucasParams, _u_term, u_pair_mod
+from .sequences import FIBONACCI_PARAMS, LucasParams, _u_term, u_pair_exact, u_pair_mod
 
 
 class BitWidthProbe:
@@ -332,7 +332,7 @@ def fibonacci_sum_residue_fast(n: int) -> ResidueClass:
         raise WrongResidueClass(f"n = {n} is not congruent to 1 mod 4")
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
-    f_n = _fib(n)
+    f_n = u_pair_exact(FIBONACCI_PARAMS, n)[0]
     total = 0
     for d in proper_divisors(n):
         term = d * exact_div(f_n, _fib(d)) % f_n
@@ -416,7 +416,7 @@ def primitive_prime_divisor(
         )
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    target = abs(_u_term(params, n))
+    target = abs(u_pair_exact(params, n)[0])
     if target <= 1:
         return None
     for p in sorted(_factorize(target, cap=cap)):

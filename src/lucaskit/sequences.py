@@ -1,15 +1,16 @@
 """Lucas sequences of the first and second kind.
 
-Exact term evaluation by the defining recurrence, fast modular evaluation by
-index doubling, and the classical identities the sequences satisfy, exposed
-as exact checks.
+Exact term evaluation by the defining recurrence, exact and modular
+evaluation by index doubling, and the classical identities the sequences
+satisfy, exposed as exact checks.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .errors import BadModulus, CoprimalityViolation, ZeroPair
 
@@ -37,9 +38,24 @@ class LucasParams:
         object.__setattr__(self, "discriminant", self.p_coeff**2 - 4 * self.q_coeff)
 
 
+# make_params keeps one validated instance per (P, Q); past this many pairs it
+# starts over, so a long session over many pairs stays bounded.
+_PARAMS_LIMIT = 4096
+_params: dict[tuple[int, int], LucasParams] = {}
+
+
 def make_params(p: int, q: int) -> LucasParams:
-    """Validate and build the coefficient pair for U_n(P, Q) and V_n(P, Q)."""
-    return LucasParams(p, q)
+    """Validate and build the coefficient pair for U_n(P, Q) and V_n(P, Q).
+
+    Each (P, Q) is validated once; later calls return the same instance.
+    """
+    params = _params.get((p, q))
+    if params is None:
+        params = LucasParams(p, q)
+        if len(_params) >= _PARAMS_LIMIT:
+            _params.clear()
+        _params[(p, q)] = params
+    return params
 
 
 class OpCounter:
@@ -78,12 +94,12 @@ def v_at(params: LucasParams, n: int, counter: OpCounter | None = None) -> int:
     return a
 
 
-def u_pair_mod(
-    params: LucasParams, n: int, m: int, counter: OpCounter | None = None
+def _u_pair(
+    params: LucasParams, n: int, m: int | None, counter: OpCounter | None
 ) -> tuple[int, int]:
-    """(U_n mod m, U_{n+1} mod m) by index doubling, O(log n) modular multiplications.
+    """(U_n, U_{n+1}) by index doubling, reduced mod m at every step unless m is None.
 
-    Doubling steps, everything reduced mod m:
+    Doubling steps:
 
         U_{2j}   = U_j * (2*U_{j+1} - P*U_j)
         U_{2j+1} = U_{j+1}^2 - Q*U_j^2
@@ -91,19 +107,22 @@ def u_pair_mod(
     The first uses V_j expressed through consecutive U-terms, so the whole
     walk needs only the (U_j, U_{j+1}) window.
     """
-    if m <= 1:
-        raise BadModulus(f"modulus must exceed 1, got {m}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     p, q = params.p_coeff, params.q_coeff
     a, b = 0, 1
     for i in range(n.bit_length() - 1, -1, -1):
-        doubled = a * (2 * b - p * a) % m
-        succ = (b * b - q * a * a) % m
+        doubled = a * (2 * b - p * a)
+        succ = b * b - q * a * a
+        if m is not None:
+            doubled %= m
+            succ %= m
         if counter is not None:
             counter.add(5)
         if (n >> i) & 1:
-            a, b = succ, (p * succ - q * doubled) % m
+            a, b = succ, p * succ - q * doubled
+            if m is not None:
+                b %= m
             if counter is not None:
                 counter.add(2)
         else:
@@ -111,10 +130,128 @@ def u_pair_mod(
     return a, b
 
 
-@lru_cache(maxsize=None)
+def u_pair_mod(
+    params: LucasParams, n: int, m: int, counter: OpCounter | None = None
+) -> tuple[int, int]:
+    """(U_n mod m, U_{n+1} mod m) by index doubling, O(log n) modular multiplications."""
+    if m <= 1:
+        raise BadModulus(f"modulus must exceed 1, got {m}")
+    return _u_pair(params, n, m, counter)
+
+
+def u_pair_exact(params: LucasParams, n: int) -> tuple[int, int]:
+    """Exact (U_n, U_{n+1}) by index doubling, O(log n) big-int multiplications.
+
+    For single large terms. The brute-force oracles read terms from the
+    recurrence instead, so they never share this formula.
+    """
+    return _u_pair(params, n, None, None)
+
+
+# ---------------------------------------------------------------------------
+# Exact term table
+# ---------------------------------------------------------------------------
+
+# One prefix table [U_0, U_1, ...] per (P, Q), grown by the recurrence. Each
+# stored term is charged its bit length plus SLOT_BITS, the size of a small
+# int object and its list slot, so tables of tiny terms stay bounded too. A
+# table stores no term that would take it past TABLE_BITS, or all tables
+# together past CACHE_BITS; larger indices are walked from its tail and not
+# kept. A new (P, Q) that finds less than TABLE_BITS of room left clears all
+# tables first.
+TABLE_BITS = 1 << 21  # 256 KiB
+CACHE_BITS = 1 << 23  # 1 MiB
+SLOT_BITS = 8 * 36
+
+_tables: dict[tuple[int, int], list[int]] = {}
+_table_bits: dict[tuple[int, int], int] = {}
+_stored_bits = 0
+_hits = 0
+_misses = 0
+_grow_lock = threading.Lock()
+
+
+class TermCacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    currsize: int  # stored terms, over all tables
+
+
 def _u_term(params: LucasParams, n: int) -> int:
-    """Cached exact U_n; the congruence and primality layers hit the same small indices often."""
-    return u_at(params, n)
+    """Exact U_n, read from the (P, Q) recurrence table (see TABLE_BITS)."""
+    global _hits
+    terms = _tables.get((params.p_coeff, params.q_coeff))
+    if terms is not None and 0 <= n < len(terms):
+        _hits += 1
+        return terms[n]
+    return _u_term_miss(params, n)
+
+
+def _u_term_miss(params: LucasParams, n: int) -> int:
+    """Extend the (P, Q) table towards n, then walk on past its end without storing."""
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    terms = _u_term_reserve(params, n)
+    stored = len(terms)  # tables only grow, so this window stays consistent
+    if n < stored:
+        return terms[n]
+    p, q = params.p_coeff, params.q_coeff
+    a, b = terms[stored - 2], terms[stored - 1]
+    for _ in range(n - stored + 1):
+        a, b = b, p * b - q * a
+    return b
+
+
+def _u_term_reserve(params: LucasParams, n: int) -> list[int]:
+    """Store the (P, Q) table up to index n, or as far as the budgets allow; returns it.
+
+    Creating a table or growing one counts as a term-cache miss.
+    """
+    global _misses, _stored_bits
+    key = (params.p_coeff, params.q_coeff)
+    with _grow_lock:
+        terms = _tables.get(key)
+        if terms is None:
+            if CACHE_BITS - _stored_bits < TABLE_BITS:
+                _tables.clear()
+                _table_bits.clear()
+                _stored_bits = 0
+            terms = _tables[key] = [0, 1]
+            _table_bits[key] = 1 + 2 * SLOT_BITS
+            _stored_bits += _table_bits[key]
+        elif n < len(terms):
+            return terms
+        _misses += 1
+        p, q = key
+        a, b = terms[-2], terms[-1]
+        room = min(TABLE_BITS - _table_bits[key], CACHE_BITS - _stored_bits)
+        used = 0
+        for _ in range(n - len(terms) + 1):
+            a, b = b, p * b - q * a
+            cost = b.bit_length() + SLOT_BITS
+            if used + cost > room:
+                break
+            terms.append(b)
+            used += cost
+        _table_bits[key] += used
+        _stored_bits += used
+    return terms
+
+
+def _term_cache_info() -> TermCacheInfo:
+    return TermCacheInfo(_hits, _misses, sum(len(t) for t in _tables.values()))
+
+
+def _term_cache_clear() -> None:
+    global _stored_bits
+    with _grow_lock:
+        _tables.clear()
+        _table_bits.clear()
+        _stored_bits = 0
+
+
+_u_term.cache_info = _term_cache_info  # type: ignore[attr-defined]
+_u_term.cache_clear = _term_cache_clear  # type: ignore[attr-defined]
 
 
 FIBONACCI_PARAMS = make_params(1, -1)

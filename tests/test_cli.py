@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+import lucaskit.cli as cli_module
+import lucaskit.congruences as congruences_module
+from lucaskit import ResidueClass, make_params, u_at, v_at
 from lucaskit.cli import main
 
 
@@ -40,6 +43,17 @@ class TestEval:
         assert code == 0
         record = parse_lines(out)[0]
         assert record["u"] == "44" and record["v"] == "22"  # 144, 322 mod 100
+
+    @pytest.mark.parametrize("p, q, n", [(1, -1, 0), (1, -1, 1), (-4, 7, 300), (5, -3, 2000)])
+    def test_exact_with_v_matches_recurrence(self, capsys, p, q, n):
+        code, out, _ = run_cli(
+            capsys, "eval", "-p", str(p), "-q", str(q), "-n", str(n), "--with-v"
+        )
+        assert code == 0
+        record = parse_lines(out)[0]
+        params = make_params(p, q)
+        assert record["u"] == str(u_at(params, n))
+        assert record["v"] == str(v_at(params, n))
 
     def test_non_coprime_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "eval", "-p", "2", "-q", "4", "-n", "3")
@@ -190,6 +204,27 @@ class TestScan:
         assert record["mismatches"] == [] and record["checked"] > 0
         assert "skipped_values" not in record  # grid skips are counted, not listed
 
+    @pytest.mark.parametrize(
+        "lo, hi, workers, counts",
+        [
+            ("1", "8", "1", '"checked":14592,"skipped":4608'),
+            ("1", "8", "2", '"checked":14592,"skipped":4608'),
+            ("0", "5", "1", '"checked":5893,"skipped":3107'),
+        ],
+    )
+    def test_congruence_grid_record_is_pinned(self, capsys, lo, hi, workers, counts):
+        # Recorded with the one-item-per-task scan, before grid batches.
+        code, out, _ = run_cli(
+            capsys,
+            "scan", "--method", "congruence-grid", "--from", lo, "--to", hi,
+            "--workers", workers, "--no-timing",
+        )
+        assert code == 0
+        assert out == (
+            f'{{"method":"congruence-grid","from":{lo},"to":{hi},{counts},'
+            f'"mismatches":[],"workers":{workers}}}\n'
+        )
+
     def test_parallel_workers_give_same_answer(self, capsys):
         code1, out1, _ = run_cli(
             capsys,
@@ -222,6 +257,12 @@ class TestScan:
             "--workers", "1", "--no-timing",
         )
         assert code == 0 and parse_lines(out)[0]["workers"] == 1
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("LUCAS_WORKERS", raising=False)
+        monkeypatch.setattr(cli_module.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 64)
+        assert cli_module._resolve_workers(None) == 3
 
     def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("LUCAS_WORKERS", "many")
@@ -311,3 +352,54 @@ class TestOutputContract:
         assert len(record["mismatches"]) == 1
         assert record["mismatches"][0]["n"] == 2  # first prime disagrees
         assert record["checked"] < 49  # stopped early
+
+
+def _break_two_families(monkeypatch):
+    """Make `shift` wrong at (2, -1, k=3, n=2) and `cor6` at (3, -1, k=2, n=4)."""
+    shift = congruences_module.general_shift_rhs
+    ratio = congruences_module.corollary_ratio_rhs
+
+    def off_by_one(outcome):
+        return ResidueClass.reduce(outcome.value + 1, outcome.modulus)
+
+    def bad_shift(params, k, n, r):
+        out = shift(params, k, n, r)
+        hit = (params.p_coeff, params.q_coeff, k, n) == (2, -1, 3, 2)
+        return off_by_one(out) if hit else out
+
+    def bad_ratio(params, k, n):
+        out = ratio(params, k, n)
+        hit = (params.p_coeff, params.q_coeff, k, n) == (3, -1, 2, 4)
+        return off_by_one(out) if hit else out
+
+    monkeypatch.setattr(congruences_module, "general_shift_rhs", bad_shift)
+    monkeypatch.setattr(congruences_module, "corollary_ratio_rhs", bad_ratio)
+
+
+GRID_1_8 = ["scan", "--method", "congruence-grid", "--from", "1", "--to", "8",
+            "--workers", "1", "--no-timing"]
+
+
+class TestGridMismatches:
+    # Expected records were produced by the one-item-per-task scan, before
+    # grid batches, with the same two families broken.
+
+    def test_mismatches_keep_order_and_detail(self, capsys, monkeypatch):
+        _break_two_families(monkeypatch)
+        code, out, _ = run_cli(capsys, *GRID_1_8)
+        assert code == 1
+        record = parse_lines(out)[0]
+        assert (record["checked"], record["skipped"]) == (14592, 4608)
+        assert record["mismatches"] == [
+            {"n": 2, "detail": f"family=shift p=2 q=-1 k=3 n=2 r={r}"} for r in range(7)
+        ] + [{"n": 4, "detail": "family=cor6 p=3 q=-1 k=2 n=4"}]
+
+    def test_fail_fast_counts(self, capsys, monkeypatch):
+        _break_two_families(monkeypatch)
+        code, out, _ = run_cli(capsys, *GRID_1_8, "--fail-fast")
+        assert code == 1
+        assert out == (
+            '{"method":"congruence-grid","from":1,"to":8,"checked":3383,"skipped":2971,'
+            '"mismatches":[{"n":2,"detail":"family=shift p=2 q=-1 k=3 n=2 r=0"}],'
+            '"workers":1}\n'
+        )

@@ -1,9 +1,12 @@
+import sys
+import threading
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lucaskit.sequences as sequences
 from lucaskit import (
     BadModulus,
     CoprimalityViolation,
@@ -17,9 +20,11 @@ from lucaskit import (
     check_v_from_u,
     make_params,
     u_at,
+    u_pair_exact,
     u_pair_mod,
     v_at,
 )
+from lucaskit.sequences import _u_term
 
 PELL = make_params(2, -1)
 
@@ -43,6 +48,12 @@ def coprime_pairs(draw, lo=-20, hi=20):
     return p // g, q // g
 
 
+# The wider differential space: every coprime (P, Q) with P in -8..8, Q in -9..9.
+WIDE_PAIRS = [
+    (p, q) for p in range(-8, 9) for q in range(-9, 10) if gcd(abs(p), abs(q)) == 1
+]
+
+
 class TestMakeParams:
     def test_fibonacci_discriminant(self):
         assert make_params(1, -1).discriminant == 5
@@ -60,6 +71,13 @@ class TestMakeParams:
     def test_zero_pair_rejected(self):
         with pytest.raises(ZeroPair):
             make_params(0, 0)
+
+    def test_one_instance_per_pair(self):
+        assert make_params(4, -7) is make_params(4, -7)
+        with pytest.raises(CoprimalityViolation):
+            make_params(6, 9)
+        with pytest.raises(CoprimalityViolation):
+            make_params(6, 9)  # a rejected pair is not remembered
 
     def test_negative_coefficients_use_absolute_gcd(self):
         with pytest.raises(CoprimalityViolation):
@@ -213,3 +231,125 @@ class TestOperationCounts:
         u_pair_mod(FIBONACCI_PARAMS, 1 << 40, 10**9 + 7, large)
         # doubling the bit length at most doubles the multiplication count
         assert large.mults <= 2 * small.mults + 7
+
+
+@pytest.fixture
+def fresh_tables():
+    _u_term.cache_clear()
+    yield
+    _u_term.cache_clear()
+
+
+def stored_bits():
+    # Recount what the tables hold, by the same charge the table uses.
+    return sum(
+        sum(t.bit_length() + sequences.SLOT_BITS for t in terms)
+        for terms in sequences._tables.values()
+    )
+
+
+class TestTermTable:
+    @settings(deadline=None, max_examples=300)
+    @given(pq=st.sampled_from(WIDE_PAIRS), n=st.integers(0, 300))
+    def test_table_and_doubling_agree_with_recurrence(self, pq, n):
+        params = make_params(*pq)
+        assert _u_term(params, n) == u_at(params, n)
+        assert u_pair_exact(params, n) == (u_at(params, n), u_at(params, n + 1))
+
+    @pytest.mark.parametrize("pq", [(1, -1), (-3, 2), (0, 1), (1, 0), (2, 1), (-8, -9)])
+    def test_first_indices_on_a_cold_table(self, fresh_tables, pq):
+        params = make_params(*pq)
+        for n in (2, 1, 0):
+            assert _u_term(params, n) == u_at(params, n)
+        assert u_pair_exact(params, 0) == (0, 1)
+        assert u_pair_exact(params, 1) == (1, pq[0])
+        assert u_pair_exact(params, 2) == (pq[0], u_at(params, 3))
+
+    def test_negative_index_rejected(self, fresh_tables):
+        _u_term(FIBONACCI_PARAMS, 10)
+        with pytest.raises(ValueError):
+            _u_term(FIBONACCI_PARAMS, -1)
+        with pytest.raises(ValueError):
+            u_pair_exact(FIBONACCI_PARAMS, -1)
+
+    @pytest.mark.parametrize("pq", [(1, -1), (-7, 3), (1, 1)])
+    def test_per_table_budget_and_tail_walk(self, fresh_tables, monkeypatch, pq):
+        monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
+        params = make_params(*pq)
+        assert _u_term(params, 5000) == u_at(params, 5000)  # walked past the table
+        terms = sequences._tables[pq]
+        stored = len(terms)
+        assert stored < 5000
+        assert stored_bits() <= sequences.TABLE_BITS
+        next_cost = u_at(params, stored).bit_length() + sequences.SLOT_BITS
+        assert stored_bits() + next_cost > sequences.TABLE_BITS  # the table is full
+        for n in (stored - 2, stored - 1, stored, stored + 1, 2 * stored):
+            assert _u_term(params, n) == u_at(params, n), n
+        assert len(terms) == stored  # unstored terms stay unstored
+
+    def test_global_budget_clears_on_new_pair(self, fresh_tables, monkeypatch):
+        monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
+        monkeypatch.setattr(sequences, "CACHE_BITS", 50_000)
+        # Open several small tables, then grow them all: the later ones must
+        # stop storing at the global budget, not at their own.
+        for pq in WIDE_PAIRS[:8]:
+            _u_term(make_params(*pq), 10)
+        for pq in WIDE_PAIRS[:8]:
+            params = make_params(*pq)
+            assert _u_term(params, 400) == u_at(params, 400)
+            assert stored_bits() == sequences._stored_bits <= sequences.CACHE_BITS
+        assert len(sequences._tables) == 8
+        seen = []
+        for pq in WIDE_PAIRS[:40]:
+            params = make_params(*pq)
+            assert _u_term(params, 400) == u_at(params, 400)
+            assert _u_term(params, 37) == u_at(params, 37)
+            seen.append(pq)
+            assert stored_bits() == sequences._stored_bits <= sequences.CACHE_BITS
+        assert len(sequences._tables) < len(seen)  # some clear happened
+        assert list(sequences._tables) == seen[-len(sequences._tables):]
+        for pq in seen:  # cleared pairs rebuild their tables correctly
+            params = make_params(*pq)
+            assert _u_term(params, 123) == u_at(params, 123)
+            assert stored_bits() <= sequences.CACHE_BITS
+
+    def test_concurrent_growth_keeps_tables_exact(self, fresh_tables):
+        # Threads grow the same cold tables step by step at once; a lost or
+        # doubled append would shift every later term.
+        pairs = [make_params(*pq) for pq in ((1, -1), (3, -5), (-2, 7))]
+        errors = []
+        barrier = threading.Barrier(6, timeout=60)
+
+        def grower(seed):
+            for round_ in range(4):
+                barrier.wait()
+                for n in range(2, 400):
+                    params = pairs[(seed + n) % len(pairs)]
+                    if _u_term(params, n) != naive_u(params.p_coeff, params.q_coeff, n):
+                        errors.append((round_, params, n))
+                barrier.wait()
+                if seed == 0:
+                    _u_term.cache_clear()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grower, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_cache_info_counts(self, fresh_tables):
+        start = _u_term.cache_info()
+        _u_term(FIBONACCI_PARAMS, 50)
+        _u_term(FIBONACCI_PARAMS, 20)
+        _u_term(FIBONACCI_PARAMS, 50)
+        info = _u_term.cache_info()
+        assert info.hits - start.hits == 2
+        assert info.misses - start.misses == 1
+        assert info.currsize == 51
