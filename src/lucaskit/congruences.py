@@ -3,7 +3,10 @@
 Every family answers the same kind of question: what is U_{kn}/U_k (or a
 shifted term U_{kn+r}) modulo some sequence term, expressed without ever
 building the huge numerator? Each evaluator here is paired with a brute-force
-oracle that does build the numerator, so the two can be compared on a grid.
+oracle that reaches the numerator's index the slow way, so the two can be
+compared on a grid: the general and Fibonacci oracles walk the defining
+recurrence, reduced past the stored term table, and the Mersenne one builds
+2^{kn} - 1 in full.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .residues import (
     exact_div,
     pow_signed_mod,
 )
-from .sequences import FIBONACCI_PARAMS, LucasParams, _u_term, make_params
+from .sequences import FIBONACCI_PARAMS, LucasParams, _u_term, _u_term_mod, make_params
 
 
 def parity_indicator(x: int) -> int:
@@ -167,7 +170,7 @@ def repetition_law_check(params: LucasParams, k: int, n: int, i: int) -> bool:
     u_k = _u_term(params, k)
     if u_k % hypothesis:
         raise NotApplicable(f"{n}^{i} does not divide U_{k} = {u_k}")
-    return _u_term(params, k * n) % (hypothesis * n) == 0
+    return _u_term_mod(params, k * n, hypothesis * n) == 0
 
 
 def main_theorem_rhs(params: LucasParams, n: int, k: int) -> tuple[Outcome, CaseTag]:
@@ -277,34 +280,48 @@ def mersenne_ratio_rhs(n: int, k: int) -> ResidueClass:
 # ---------------------------------------------------------------------------
 
 
+def _ratio_mod(params: LucasParams, k: int, n: int, m: int) -> int:
+    """U_{kn}/U_k mod m, read from U_{kn} mod |U_k|*m by the recurrence.
+
+    U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as
+    exact_div does, a zero U_k included) and sgn(U_k) times the quotient is
+    congruent to U_{kn}/U_k mod m. No term wider than |U_k|*m is built past
+    the stored table.
+    """
+    u_k = _u_term(params, k)
+    if u_k == 0:
+        raise InternalInvariantViolation("exact division by a zero term")
+    width = abs(u_k)
+    quotient = exact_div(_u_term_mod(params, k * n, width * m), width)
+    return quotient if u_k > 0 else -quotient
+
+
 def ratio_lhs_exact(params: LucasParams, k: int, n: int) -> Outcome:
-    """U_{kn}/U_k mod |U_k| via full terms and exact division; the slow oracle."""
+    """U_{kn}/U_k mod |U_k| by the recurrence and an asserted exact division; the slow oracle."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     modulus = abs(_u_term(params, k))
     if modulus <= 1:
         return TRIVIAL_MODULUS
-    quotient = exact_div(_u_term(params, k * n), _u_term(params, k))
-    return ResidueClass.reduce(quotient, modulus)
+    return ResidueClass.reduce(_ratio_mod(params, k, n, modulus), modulus)
 
 
 def shifted_lhs_exact(params: LucasParams, k: int, n: int, r: int = 1) -> Outcome:
-    """U_{kn+r} mod |U_k| via the full term; the slow oracle."""
+    """U_{kn+r} mod |U_k| by the recurrence, reduced past the stored table; the slow oracle."""
     modulus = abs(_u_term(params, k))
     if modulus <= 1:
         return TRIVIAL_MODULUS
-    return ResidueClass.reduce(_u_term(params, k * n + r), modulus)
+    return ResidueClass(_u_term_mod(params, k * n + r, modulus), modulus)
 
 
 def main_lhs_exact(params: LucasParams, n: int, k: int) -> Outcome:
-    """U_{kn}/U_k mod |U_n| via full terms and exact division; the slow oracle."""
+    """U_{kn}/U_k mod |U_n| by the recurrence and an asserted exact division; the slow oracle."""
     if n < 1 or k < 1:
         raise ValueError(f"indices must be >= 1, got n = {n}, k = {k}")
     modulus = abs(_u_term(params, n))
     if modulus <= 1:
         return TRIVIAL_MODULUS
-    quotient = exact_div(_u_term(params, k * n), _u_term(params, k))
-    return ResidueClass.reduce(quotient, modulus)
+    return ResidueClass.reduce(_ratio_mod(params, k, n, modulus), modulus)
 
 
 def mersenne_ratio_lhs_exact(n: int, k: int) -> ResidueClass:

@@ -202,6 +202,32 @@ def _u_term_miss(params: LucasParams, n: int) -> int:
     return b
 
 
+def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
+    """U_n mod m by the defining recurrence, for m >= 1.
+
+    A stored term is read from the (P, Q) table and reduced. Past the table's
+    end the recurrence walks on from its last two terms, reduced at every
+    step, so no term wider than m is built. Never uses the doubling formula:
+    the congruence oracles rely on this independence.
+    """
+    global _hits
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    terms = _tables.get((params.p_coeff, params.q_coeff))
+    if terms is not None and n < len(terms):
+        _hits += 1
+        return terms[n] % m
+    terms = _u_term_reserve(params, n)
+    stored = len(terms)
+    if n < stored:
+        return terms[n] % m
+    p, q = params.p_coeff, params.q_coeff
+    a, b = terms[stored - 2] % m, terms[stored - 1] % m
+    for _ in range(n - stored + 1):
+        a, b = b, (p * b - q * a) % m
+    return b
+
+
 def _u_term_reserve(params: LucasParams, n: int) -> list[int]:
     """Store the (P, Q) table up to index n, or as far as the budgets allow; returns it.
 

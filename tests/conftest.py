@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from lucaskit import make_params
+from lucaskit.sequences import _u_term
 
 # P in 1..5, Q in -3..3, coprime pairs only: the shared coefficient grid.
 
@@ -15,3 +16,11 @@ def param_grid():
         for q in range(-3, 4)
         if gcd(p, abs(q)) == 1
     ]
+
+
+@pytest.fixture
+def fresh_tables():
+    # Empty term tables before and after the test, so budgets start from zero.
+    _u_term.cache_clear()
+    yield
+    _u_term.cache_clear()

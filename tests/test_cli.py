@@ -326,6 +326,30 @@ class TestOutputContract:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["u"] == "144"
 
+    def test_one_parser_per_process_leaks_nothing_between_calls(self, capsys):
+        # The parser is built once and shared; each call must still print
+        # exactly what a fresh process prints for the same argv. Congruence
+        # records carry no timing field.
+        calls = [
+            ["eval", "-p", "1", "-q", "-1", "-n", "12", "--mod", "7", "--with-v", "--no-timing"],
+            ["congruence", "--family", "lemma1", "-p", "1", "-q", "-1", "-k", "4"],
+            ["congruence", "--family", "lemma1", "-p", "1", "-q", "-1", "-k", "4", "-n", "3"],
+            ["eval", "-p", "1", "-q", "-1", "-n", "12", "--no-timing"],
+        ]
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "lucaskit", *argv], capture_output=True, text=True
+            )
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+        assert cli_module._parser() is cli_module._parser()
+
     def test_mismatch_exit_code_is_1(self, capsys, monkeypatch):
         # Force a disagreement by lying about the oracle; the exit-code path
         # for mathematical mismatches is otherwise unreachable.

@@ -1,14 +1,17 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import lucaskit.congruences as congruences
+import lucaskit.sequences as sequences
 from lucaskit import (
     FIBONACCI_PARAMS,
     MERSENNE_PARAMS,
     CaseTag,
     FibFamily,
+    InternalInvariantViolation,
     NotApplicable,
     ResidueClass,
     TRIVIAL_MODULUS,
@@ -34,8 +37,14 @@ from lucaskit import (
     shifted_lhs_exact,
     u_at,
 )
+from lucaskit.sequences import _u_term_mod
 
 PELL = make_params(2, -1)
+
+# The wider differential space: every coprime (P, Q) with P in -8..8, Q in -9..9.
+WIDE_PAIRS = [
+    (p, q) for p in range(-8, 9) for q in range(-9, 10) if gcd(abs(p), abs(q)) == 1
+]
 
 
 def test_parity_indicator():
@@ -383,3 +392,161 @@ def test_exact_div_flags_nonzero_remainder():
         exact_div(7, 2)
     with pytest.raises(InternalInvariantViolation):
         exact_div(7, 0)
+
+
+# ---------------------------------------------------------------------------
+# Reduced oracles against full-width terms
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def small_tables(fresh_tables, monkeypatch):
+    # About 60 stored terms per (P, Q), so indices up to 150 walk past the table.
+    monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
+
+
+def full_width_ratio(params, k, n, modulus):
+    # U_kn/U_k reduced mod modulus, from full terms by u_at alone.
+    if modulus <= 1:
+        return TRIVIAL_MODULUS
+    quotient = exact_div(u_at(params, k * n), u_at(params, k))
+    return ResidueClass(quotient % modulus, modulus)
+
+
+def check_reduced_oracles(pq, k, n, r):
+    params = make_params(*pq)
+    u_k = u_at(params, k)
+    width = abs(u_k)
+    assert shifted_lhs_exact(params, k, n, r) == (
+        ResidueClass(u_at(params, k * n + r) % width, width) if width > 1 else TRIVIAL_MODULUS
+    )
+    if k < 1:
+        with pytest.raises(ValueError):
+            ratio_lhs_exact(params, k, n)
+        return
+    assert ratio_lhs_exact(params, k, n) == full_width_ratio(params, k, n, width)
+    if n < 1:
+        with pytest.raises(ValueError):
+            main_lhs_exact(params, n, k)
+        return
+    modulus = abs(u_at(params, n))
+    assert main_lhs_exact(params, n, k) == full_width_ratio(params, k, n, modulus)
+    if u_k % n:
+        with pytest.raises(NotApplicable):
+            repetition_law_check(params, k, n, 1)
+    else:
+        assert repetition_law_check(params, k, n, 1) == (u_at(params, k * n) % n**2 == 0)
+
+
+oracle_cases = given(
+    pq=st.sampled_from(WIDE_PAIRS),
+    k=st.integers(0, 12),
+    n=st.integers(0, 12),
+    r=st.integers(0, 6),
+)
+
+
+def edge_examples(test):
+    # k = 0 and n = 0, and a negative U_k (U_2 = P = -3), every run.
+    for pq, k, n, r in [
+        ((1, -1), 0, 5, 2),
+        ((-3, 2), 4, 0, 0),
+        ((-3, 2), 2, 5, 1),
+        ((-8, -9), 11, 12, 6),
+    ]:
+        test = example(pq=pq, k=k, n=n, r=r)(test)
+    return test
+
+
+class TestReducedOracles:
+    @settings(deadline=None, max_examples=300)
+    @oracle_cases
+    @edge_examples
+    def test_match_full_width_terms(self, pq, k, n, r):
+        check_reduced_oracles(pq, k, n, r)
+
+    @settings(
+        deadline=None,
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @oracle_cases
+    @edge_examples
+    def test_match_full_width_terms_past_the_table(self, small_tables, pq, k, n, r):
+        check_reduced_oracles(pq, k, n, r)
+
+    def test_small_tables_walk_past_their_end(self, small_tables):
+        check_reduced_oracles((-8, -9), 12, 12, 6)
+        assert len(sequences._tables[(-8, -9)]) < 12 * 12
+
+    def test_reader_matches_recurrence_past_the_table(self, small_tables):
+        for pq in [(1, -1), (-7, 3), (1, 1)]:
+            params = make_params(*pq)
+            for n in (0, 1, 59, 60, 61, 500):
+                for m in (1, 2, 97, 2**70 + 1):
+                    assert _u_term_mod(params, n, m) == u_at(params, n) % m, (pq, n, m)
+
+
+class TestReducedOracleInvariants:
+    @pytest.mark.parametrize("oracle", [
+        lambda: ratio_lhs_exact(PELL, 3, 4),  # |U_3| = 5
+        lambda: main_lhs_exact(PELL, 4, 3),  # |U_4| = 12
+    ])
+    def test_non_divisible_residue_raises(self, monkeypatch, oracle):
+        monkeypatch.setattr(
+            congruences, "_u_term_mod", lambda params, n, m: (u_at(params, n) + 1) % m
+        )
+        with pytest.raises(InternalInvariantViolation):
+            oracle()
+
+    def test_zero_divisor_term_raises(self, monkeypatch):
+        real = congruences._u_term
+        monkeypatch.setattr(
+            congruences, "_u_term", lambda params, j: 0 if j == 3 else real(params, j)
+        )
+        with pytest.raises(InternalInvariantViolation):
+            main_lhs_exact(PELL, 4, 3)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_negative_index_raises(self, fresh_tables, warm):
+        if warm:
+            _u_term_mod(FIBONACCI_PARAMS, 10, 7)  # a negative index must not read from the end
+        with pytest.raises(ValueError):
+            _u_term_mod(FIBONACCI_PARAMS, -1, 7)
+        with pytest.raises(ValueError):
+            shifted_lhs_exact(FIBONACCI_PARAMS, 3, 1, -5)
+        with pytest.raises(ValueError):
+            ratio_lhs_exact(FIBONACCI_PARAMS, 3, -1)
+
+
+# ---------------------------------------------------------------------------
+# Long sweeps (pytest -m slow)
+# ---------------------------------------------------------------------------
+
+# k and n spread over 1..200, so kn reaches 40,000, the widest index the CLI
+# query mix asks an oracle for.
+SWEEP_INDICES = (1, 2, 3, 4, 7, 12, 30, 64, 101, 150, 199, 200)
+SWEEP_PAIRS = [(1, -1), (3, 2), (2, -1), (-5, 7), (-8, -9)]
+
+
+@pytest.mark.slow
+class TestQueriesRangeSweep:
+    @pytest.mark.parametrize("pq", SWEEP_PAIRS)
+    def test_closed_forms_match_reduced_oracles(self, pq):
+        p, q = pq
+        for k in SWEEP_INDICES:
+            for n in SWEEP_INDICES:
+                for family, r in [
+                    ("lemma1", None), ("lemma2", None), ("cor6", None), ("cor7", None),
+                    ("shift", 0), ("shift", 3), ("shift", 6), ("main", None),
+                ]:
+                    report = evaluate_congruence(family, p=p, q=q, k=k, n=n, r=r)
+                    assert report.holds, (family, pq, k, n, r)
+                    assert isinstance(report.lhs, TrivialModulus) == isinstance(
+                        report.rhs, TrivialModulus
+                    ), (family, pq, k, n, r)
+
+    @pytest.mark.parametrize("pq", [(1, -1), (-8, -9)])
+    @pytest.mark.parametrize("k, n", [(200, 200), (199, 150), (64, 101)])
+    def test_reduced_oracles_match_full_width_terms(self, pq, k, n):
+        check_reduced_oracles(pq, k, n, 6)

@@ -233,13 +233,6 @@ class TestOperationCounts:
         assert large.mults <= 2 * small.mults + 7
 
 
-@pytest.fixture
-def fresh_tables():
-    _u_term.cache_clear()
-    yield
-    _u_term.cache_clear()
-
-
 def stored_bits():
     # Recount what the tables hold, by the same charge the table uses.
     return sum(
