@@ -4,7 +4,8 @@ Subcommands: eval (sequence terms), congruence (one congruence instance,
 closed form vs oracle), primetest (criterion vs oracle for one n), and scan
 (parallel agreement sweeps). The data stream is JSON lines on stdout with big
 integers as decimal strings; diagnostics go to stderr. Exit codes: 0 all
-checks hold, 1 mathematical mismatch, 2 usage or precondition error.
+checks hold, 1 mathematical mismatch, 2 usage or precondition error, a
+crashed scan worker or exhausted memory.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cache, partial
 from math import gcd
@@ -22,6 +24,7 @@ from typing import Any, Iterator, Optional
 
 from .congruences import (
     FAMILIES,
+    FAMILY_TABLE,
     GENERAL_FAMILIES,
     CongruenceReport,
     evaluate_congruence,
@@ -226,34 +229,52 @@ Outcomes = tuple[str, tuple[tuple[int, str], ...]]
 _SKIPPED: Outcomes = ("-", ())
 _HELD: Outcomes = ("+", ())
 
-# The congruence-grid checks these family variants, in this order, at each n.
+# The congruence-grid checks every general family of the table at each n, in
+# table order, with the shift family last, once per r in SHIFT_R_RANGE.
 GRID_VARIANTS = tuple(
-    (family, None) for family in ("lemma1", "lemma2", "cor6", "cor7", "main")
-) + tuple(("shift", r) for r in SHIFT_R_RANGE)
+    (name, None)
+    for name, family in FAMILY_TABLE.items()
+    if family.forced is None and not family.needs_r
+) + tuple(
+    (name, r)
+    for name, family in FAMILY_TABLE.items()
+    if family.forced is None and family.needs_r
+    for r in SHIFT_R_RANGE
+)
 
 
 def _grid_batch(unit: tuple[int, int, int, int, int]) -> Outcomes:
-    """Check every n and family variant of one (P, Q, k); details only for mismatches."""
+    """Check every n and family variant of one (P, Q, k); details only for mismatches.
+
+    Each item runs its family's domain check and both plain-int kernels. It
+    is skipped when it lies outside the domain (main at n = 0) or the closed
+    form's modulus is trivial, and it holds when the residues are equal.
+    """
     p, q, k, n_lo, hi = unit
+    params = make_params(p, q)
     # No index of the (P, Q) grid exceeds hi*hi + max r: one table extension
     # serves every batch of this pair.
-    _u_term_reserve(make_params(p, q), hi * hi + SHIFT_R_RANGE[-1])
+    _u_term_reserve(params, hi * hi + SHIFT_R_RANGE[-1])
+    variants = [(name, r, FAMILY_TABLE[name]) for name, r in GRID_VARIANTS]
     marks = []
     failed = []
     for n in range(n_lo, hi + 1):
-        for family, r in GRID_VARIANTS:
-            if family == "main" and n < 1:
+        for name, r, family in variants:
+            try:
+                family.check(k, n, r)
+            except ValueError:
                 marks.append("-")
                 continue
-            report = evaluate_congruence(family, p=p, q=q, k=k, n=n, r=r)
-            if isinstance(report.rhs, TrivialModulus):
+            rhs = family.closed_form(params, k, n, r)
+            lhs = family.oracle(params, k, n, r)
+            if rhs is None:
                 marks.append("-")
-            elif report.holds:
+            elif lhs == rhs or lhs is None:
                 marks.append("+")
             else:
                 marks.append("x")
                 failed.append(
-                    (n, f"family={family} p={p} q={q} k={k} n={n}" + (
+                    (n, f"family={name} p={p} q={q} k={k} n={n}" + (
                         f" r={r}" if r is not None else ""
                     ))
                 )
@@ -497,6 +518,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except (LucasKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (BrokenProcessPool, MemoryError) as exc:
+        # A crashed worker or exhausted memory is no mismatch, so never exit 1.
+        detail = " ".join(str(exc).split())
+        message = f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

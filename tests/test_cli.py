@@ -1,13 +1,35 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lucaskit.cli as cli_module
 import lucaskit.congruences as congruences_module
-from lucaskit import ResidueClass, make_params, u_at, v_at
+from lucaskit import (
+    TrivialModulus,
+    corollary_ratio_rhs,
+    corollary_shift_rhs,
+    evaluate_congruence,
+    general_shift_rhs,
+    lemma1_rhs,
+    lemma2_rhs,
+    main_lhs_exact,
+    main_theorem_rhs,
+    make_params,
+    ratio_lhs_exact,
+    shifted_lhs_exact,
+    u_at,
+    v_at,
+)
 from lucaskit.cli import main
+from lucaskit.congruences import FAMILY_TABLE, _outcome
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +247,20 @@ class TestScan:
             f'"mismatches":[],"workers":{workers}}}\n'
         )
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_benchmark_grid_is_pinned(self, capsys, workers):
+        # The benchmark's grid; counts recorded before the family table.
+        code, out, _ = run_cli(
+            capsys,
+            "scan", "--method", "congruence-grid", "--from", "1", "--to", "24",
+            "--workers", workers, "--no-timing",
+        )
+        assert code == 0
+        assert out == (
+            '{"method":"congruence-grid","from":1,"to":24,"checked":149472,'
+            f'"skipped":23328,"mismatches":[],"workers":{workers}}}\n'
+        )
+
     def test_parallel_workers_give_same_answer(self, capsys):
         code1, out1, _ = run_cli(
             capsys,
@@ -378,26 +414,136 @@ class TestOutputContract:
         assert record["checked"] < 49  # stopped early
 
 
+# Every coprime (P, Q) with P in -8..8, Q in -9..9.
+WIDE_PAIRS = [
+    (p, q) for p in range(-8, 9) for q in range(-9, 10) if gcd(abs(p), abs(q)) == 1
+]
+
+# The public closed form and oracle of each grid family, as (params, k, n, r) -> Outcome.
+PUBLIC_SIDES = {
+    "lemma1": (
+        lambda pq, k, n, r: lemma1_rhs(pq, k, n),
+        lambda pq, k, n, r: ratio_lhs_exact(pq, k, n),
+    ),
+    "lemma2": (
+        lambda pq, k, n, r: lemma2_rhs(pq, k, n),
+        lambda pq, k, n, r: shifted_lhs_exact(pq, k, n),
+    ),
+    "cor6": (
+        lambda pq, k, n, r: corollary_ratio_rhs(pq, k, n),
+        lambda pq, k, n, r: ratio_lhs_exact(pq, k, n),
+    ),
+    "cor7": (
+        lambda pq, k, n, r: corollary_shift_rhs(pq, k, n),
+        lambda pq, k, n, r: shifted_lhs_exact(pq, k, n),
+    ),
+    "shift": (general_shift_rhs, shifted_lhs_exact),
+    "main": (
+        lambda pq, k, n, r: main_theorem_rhs(pq, n, k)[0],
+        lambda pq, k, n, r: main_lhs_exact(pq, n, k),
+    ),
+}
+
+
+class TestGridMatchesPublicPath:
+    @settings(deadline=None, max_examples=150)
+    @given(pq=st.sampled_from(WIDE_PAIRS), k=st.integers(1, 12))
+    def test_marks_match_evaluate_congruence(self, pq, k):
+        p, q = pq
+        params = make_params(p, q)
+        marks, failed = cli_module._grid_batch((p, q, k, 0, 12))
+        assert "x" not in marks and failed == ()
+        expected = []
+        for n in range(0, 13):
+            for family, r in cli_module.GRID_VARIANTS:
+                if family == "main" and n == 0:
+                    with pytest.raises(ValueError):
+                        evaluate_congruence(family, p=p, q=q, k=k, n=n, r=r)
+                    expected.append("-")
+                    continue
+                report = evaluate_congruence(family, p=p, q=q, k=k, n=n, r=r)
+                assert report.holds, (family, pq, k, n, r)
+                expected.append("-" if isinstance(report.rhs, TrivialModulus) else "+")
+                entry = FAMILY_TABLE[family]
+                modulus = entry.modulus(params, k, n)
+                closed, oracle = PUBLIC_SIDES[family]
+                assert closed(params, k, n, r) == report.rhs == _outcome(
+                    entry.closed_form(params, k, n, r), modulus
+                )
+                assert oracle(params, k, n, r) == report.lhs == _outcome(
+                    entry.oracle(params, k, n, r), modulus
+                )
+        assert marks == "".join(expected)
+
+    def test_variants_come_from_the_table(self):
+        assert cli_module.GRID_VARIANTS == tuple(
+            (family, None) for family in ("lemma1", "lemma2", "cor6", "cor7", "main")
+        ) + tuple(("shift", r) for r in range(7))
+
+
+def _crash_worker(method, n):
+    os._exit(1)
+
+
+class TestFailureContract:
+    # Exit 1 means a mathematical mismatch only: a broken pool or an
+    # exhausted memory exits 2 with one "error: ..." line on stderr.
+
+    @pytest.mark.parametrize("exc", [
+        BrokenProcessPool("A process in the process pool was terminated abruptly"),
+        MemoryError(),
+        MemoryError("cannot allocate\n 8 GiB"),
+    ])
+    def test_pool_and_memory_failures_exit_2(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "run_scan", fail)
+        code, out, err = run_cli(
+            capsys, "scan", "--method", "remark", "--from", "3", "--to", "15",
+            "--workers", "2", "--no-timing",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {type(exc).__name__}") and err.count("\n") == 1
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="the patched check reaches the workers only when they are forked",
+    )
+    def test_crashed_worker_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "_scan_check", _crash_worker)
+        code, out, err = run_cli(
+            capsys, "scan", "--method", "remark", "--from", "3", "--to", "15",
+            "--workers", "2", "--no-timing",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: BrokenProcessPool: ") and err.count("\n") == 1
+
+
+def _break_kernel(monkeypatch, family, side, hit):
+    """Add 1 to the residue of one side ("closed_form" or "oracle") at one (P, Q, k, n).
+
+    The family table's kernel is replaced, so the grid, evaluate_congruence
+    and the public functions all see the fault.
+    """
+    entry = congruences_module.FAMILY_TABLE[family]
+    kernel = getattr(entry, side)
+
+    def broken(params, k, n, r):
+        value = kernel(params, k, n, r)
+        if (params.p_coeff, params.q_coeff, k, n) == hit:
+            return (value + 1) % entry.modulus(params, k, n)
+        return value
+
+    monkeypatch.setitem(
+        congruences_module.FAMILY_TABLE, family, entry._replace(**{side: broken})
+    )
+
+
 def _break_two_families(monkeypatch):
     """Make `shift` wrong at (2, -1, k=3, n=2) and `cor6` at (3, -1, k=2, n=4)."""
-    shift = congruences_module.general_shift_rhs
-    ratio = congruences_module.corollary_ratio_rhs
-
-    def off_by_one(outcome):
-        return ResidueClass.reduce(outcome.value + 1, outcome.modulus)
-
-    def bad_shift(params, k, n, r):
-        out = shift(params, k, n, r)
-        hit = (params.p_coeff, params.q_coeff, k, n) == (2, -1, 3, 2)
-        return off_by_one(out) if hit else out
-
-    def bad_ratio(params, k, n):
-        out = ratio(params, k, n)
-        hit = (params.p_coeff, params.q_coeff, k, n) == (3, -1, 2, 4)
-        return off_by_one(out) if hit else out
-
-    monkeypatch.setattr(congruences_module, "general_shift_rhs", bad_shift)
-    monkeypatch.setattr(congruences_module, "corollary_ratio_rhs", bad_ratio)
+    _break_kernel(monkeypatch, "shift", "closed_form", (2, -1, 3, 2))
+    _break_kernel(monkeypatch, "cor6", "closed_form", (3, -1, 2, 4))
 
 
 GRID_1_8 = ["scan", "--method", "congruence-grid", "--from", "1", "--to", "8",
@@ -406,7 +552,8 @@ GRID_1_8 = ["scan", "--method", "congruence-grid", "--from", "1", "--to", "8",
 
 class TestGridMismatches:
     # Expected records were produced by the one-item-per-task scan, before
-    # grid batches, with the same two families broken.
+    # grid batches, with the same two families broken; the broken-oracle
+    # records by the per-item scan, before the family table.
 
     def test_mismatches_keep_order_and_detail(self, capsys, monkeypatch):
         _break_two_families(monkeypatch)
@@ -425,5 +572,19 @@ class TestGridMismatches:
         assert out == (
             '{"method":"congruence-grid","from":1,"to":8,"checked":3383,"skipped":2971,'
             '"mismatches":[{"n":2,"detail":"family=shift p=2 q=-1 k=3 n=2 r=0"}],'
+            '"workers":1}\n'
+        )
+
+    @pytest.mark.parametrize("fail_fast, counts", [
+        ([], '"checked":14592,"skipped":4608'),
+        (["--fail-fast"], '"checked":627,"skipped":374'),
+    ])
+    def test_broken_oracle_is_flagged(self, capsys, monkeypatch, fail_fast, counts):
+        _break_kernel(monkeypatch, "main", "oracle", (1, -2, 3, 4))
+        code, out, _ = run_cli(capsys, *GRID_1_8, *fail_fast)
+        assert code == 1
+        assert out == (
+            f'{{"method":"congruence-grid","from":1,"to":8,{counts},'
+            '"mismatches":[{"n":4,"detail":"family=main p=1 q=-2 k=3 n=4"}],'
             '"workers":1}\n'
         )

@@ -37,6 +37,7 @@ from lucaskit import (
     shifted_lhs_exact,
     u_at,
 )
+from lucaskit.congruences import FAMILY_TABLE, _outcome
 from lucaskit.sequences import _u_term_mod
 
 PELL = make_params(2, -1)
@@ -381,6 +382,121 @@ class TestEvaluateCongruence:
         report = evaluate_congruence("fib20", k=4, n=3)
         assert (report.p_coeff, report.q_coeff) == (1, -1)
         assert report.holds
+
+
+# ---------------------------------------------------------------------------
+# One domain per family, on both sides
+# ---------------------------------------------------------------------------
+
+# Each family's public closed form and oracle, as (k, n, r) -> Outcome at (1, -1).
+PUBLIC_PAIRS = {
+    "lemma1": (
+        lambda k, n, r: lemma1_rhs(FIBONACCI_PARAMS, k, n),
+        lambda k, n, r: ratio_lhs_exact(FIBONACCI_PARAMS, k, n),
+    ),
+    "cor6": (
+        lambda k, n, r: corollary_ratio_rhs(FIBONACCI_PARAMS, k, n),
+        lambda k, n, r: ratio_lhs_exact(FIBONACCI_PARAMS, k, n),
+    ),
+    "lemma2": (
+        lambda k, n, r: lemma2_rhs(FIBONACCI_PARAMS, k, n),
+        lambda k, n, r: shifted_lhs_exact(FIBONACCI_PARAMS, k, n),
+    ),
+    "cor7": (
+        lambda k, n, r: corollary_shift_rhs(FIBONACCI_PARAMS, k, n),
+        lambda k, n, r: shifted_lhs_exact(FIBONACCI_PARAMS, k, n),
+    ),
+    "shift": (
+        lambda k, n, r: general_shift_rhs(FIBONACCI_PARAMS, k, n, r),
+        lambda k, n, r: shifted_lhs_exact(FIBONACCI_PARAMS, k, n, r),
+    ),
+    "main": (
+        lambda k, n, r: main_theorem_rhs(FIBONACCI_PARAMS, n, k),
+        lambda k, n, r: main_lhs_exact(FIBONACCI_PARAMS, n, k),
+    ),
+    "mersenne22": (
+        lambda k, n, r: mersenne_ratio_rhs(n, k),
+        lambda k, n, r: mersenne_ratio_lhs_exact(n, k),
+    ),
+}
+
+# (family, k, n, r, the ValueError message both sides give)
+REJECTED = [
+    ("lemma1", 0, 3, None, "k must be >= 1, got 0"),
+    ("lemma1", 1, -1, None, "n must be nonnegative, got -1"),  # |U_1| = 1: trivial
+    ("lemma1", 3, -1, None, "n must be nonnegative, got -1"),
+    ("cor6", 0, 3, None, "k must be >= 1, got 0"),
+    ("cor6", 4, -2, None, "n must be nonnegative, got -2"),
+    ("lemma2", -1, 2, None, "indices must be nonnegative, got k = -1, n = 2"),
+    ("lemma2", 3, -1, None, "indices must be nonnegative, got k = 3, n = -1"),
+    ("cor7", -2, 2, None, "indices must be nonnegative, got k = -2, n = 2"),
+    ("cor7", 4, -3, None, "indices must be nonnegative, got k = 4, n = -3"),
+    ("shift", 3, 2, -1, "r must be nonnegative, got -1"),  # U_5 mod |U_3| before
+    ("shift", 3, -1, 2, "indices must be nonnegative, got k = 3, n = -1"),
+    ("shift", -1, 2, 2, "indices must be nonnegative, got k = -1, n = 2"),
+    ("main", 3, 0, None, "indices must be >= 1, got n = 0, k = 3"),
+    ("main", 0, 4, None, "indices must be >= 1, got n = 4, k = 0"),
+    ("main", 2, -1, None, "indices must be >= 1, got n = -1, k = 2"),
+    ("mersenne22", 3, 1, None, "n must be >= 2, got 1"),
+    ("mersenne22", 0, 5, None, "k must be >= 1, got 0"),
+]
+
+
+class TestOneDomainPerFamily:
+    @pytest.mark.parametrize("family, k, n, r, message", REJECTED)
+    def test_closed_form_and_oracle_reject_alike(self, family, k, n, r, message):
+        for side in PUBLIC_PAIRS[family]:
+            with pytest.raises(ValueError) as exc:
+                side(k, n, r)
+            assert str(exc.value) == message
+        p, q = FAMILY_TABLE[family].forced or (1, -1)
+        with pytest.raises(ValueError) as exc:
+            evaluate_congruence(family, p=p, q=q, k=k, n=n, r=r)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family, k, n, message", [
+        ("fib19", 0, 3, "k must be >= 1, got 0"),
+        ("fib19", 2, -1, "n must be nonnegative, got -1"),
+        ("fib20", 0, 3, "k must be >= 1, got 0"),
+        ("fib20", 3, -1, "n must be nonnegative, got -1"),
+        ("fib21", 3, 0, "indices must be >= 1, got n = 0, k = 3"),
+        ("fib21", 0, 3, "indices must be >= 1, got n = 3, k = 0"),
+    ])
+    def test_fibonacci_families_reject_alike(self, family, k, n, message):
+        fib = {"fib19": FibFamily.SHIFTED, "fib20": FibFamily.RATIO, "fib21": FibFamily.MAIN}
+        for call in (
+            lambda: fibonacci_rhs_family(k, n, fib[family]),
+            lambda: evaluate_congruence(family, k=k, n=n),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_reported_shift_oracle_input(self):
+        # U_{3*2-1} = U_5 = 5 = 1 mod |U_3| = 2 was returned for r = -1.
+        with pytest.raises(ValueError, match="r must be nonnegative"):
+            shifted_lhs_exact(make_params(1, -1), 3, 2, -1)
+
+    def test_specialized_wrappers_equal_their_kernels(self):
+        for family, public in [
+            ("fib19", lambda k, n: fibonacci_rhs_family(k, n, FibFamily.SHIFTED)),
+            ("fib20", lambda k, n: fibonacci_rhs_family(k, n, FibFamily.RATIO)),
+            ("fib21", lambda k, n: fibonacci_rhs_family(k, n, FibFamily.MAIN)),
+            ("mersenne22", lambda k, n: mersenne_ratio_rhs(n, k)),
+        ]:
+            entry = FAMILY_TABLE[family]
+            params = make_params(*entry.forced)
+            for k in range(1, 13):
+                for n in range(2, 13):
+                    modulus = entry.modulus(params, k, n)
+                    closed = _outcome(entry.closed_form(params, k, n, None), modulus)
+                    assert public(k, n) == closed, (family, k, n)
+                    oracle = _outcome(entry.oracle(params, k, n, None), modulus)
+                    if family == "mersenne22":
+                        assert mersenne_ratio_lhs_exact(n, k) == oracle
+                    report = evaluate_congruence(family, k=k, n=n)
+                    assert (report.rhs, report.lhs) == (closed, oracle), (family, k, n)
+                    assert report.holds
 
 
 def test_exact_div_flags_nonzero_remainder():
