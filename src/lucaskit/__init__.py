@@ -50,6 +50,7 @@ from .primality import (
     PrimalityVerdict,
     divisor_sum_breakdown,
     euler_phi,
+    fibonacci_criterion_applies,
     fibonacci_primality_test,
     fibonacci_sum_residue_direct,
     fibonacci_sum_residue_exact,
@@ -62,6 +63,7 @@ from .primality import (
     primitive_prime_divisor,
     proper_divisors,
     rank_of_apparition_fib,
+    remark_applies,
     remark_check,
 )
 from .residues import (

@@ -33,10 +33,12 @@ from .errors import InternalInvariantViolation, LucasKitError
 from .primality import (
     PrimalityVerdict,
     divisor_sum_breakdown,
+    fibonacci_criterion_applies,
     fibonacci_primality_test,
     fibonacci_sum_residue_direct,
     is_prime_oracle,
     mersenne_primality_test,
+    remark_applies,
     remark_check,
 )
 from .residues import ResidueClass, TrivialModulus
@@ -285,33 +287,33 @@ def _mismatch(n: int, detail: str) -> Outcomes:
     return "x", ((n, detail),)
 
 
+def _verdict_outcome(verdict: PrimalityVerdict) -> Outcomes:
+    if verdict.agree:
+        return _HELD
+    return _mismatch(
+        verdict.n,
+        f"residue={verdict.sum_residue.value} criterion={verdict.criterion_says_prime} "
+        f"oracle={verdict.oracle_says_prime}",
+    )
+
+
 def _scan_check(method: str, n: int) -> Outcomes:
     """Check one value of a per-value scan; a failed precondition skips it.
 
-    The detail is formatted for every checked value, not only mismatches, so
-    a residue wider than Python's 4300-digit str limit still stops a
-    mersenne-sum scan with exit 2 from about n = 14,300 on.
+    Only a mismatch formats its detail, so an agreeing value never converts
+    its residue to decimal: that conversion costs more than the criterion for
+    wide residues, and past 4300 digits Python refuses it.
     """
     if method == "mersenne-sum":
         if n < 2:
             return _SKIPPED
-        verdict = mersenne_primality_test(n)
-        detail = (
-            f"residue={verdict.sum_residue.value} criterion={verdict.criterion_says_prime} "
-            f"oracle={verdict.oracle_says_prime}"
-        )
-        return _HELD if verdict.agree else _mismatch(n, detail)
+        return _verdict_outcome(mersenne_primality_test(n))
     if method == "fib-sum":
-        if n % 4 != 1 or n < 5 or n in (9, 25):
+        if not fibonacci_criterion_applies(n):
             return _SKIPPED
-        verdict = fibonacci_primality_test(n)
-        detail = (
-            f"residue={verdict.sum_residue.value} criterion={verdict.criterion_says_prime} "
-            f"oracle={verdict.oracle_says_prime}"
-        )
-        return _HELD if verdict.agree else _mismatch(n, detail)
+        return _verdict_outcome(fibonacci_primality_test(n))
     if method == "remark":
-        if n % 4 != 3 or n < 3:
+        if not remark_applies(n):
             return _SKIPPED
         return _HELD if remark_check(n) else _mismatch(n, "nonzero sum residue")
     if method == "divisor-sum":
@@ -319,11 +321,9 @@ def _scan_check(method: str, n: int) -> Outcomes:
             return _SKIPPED
         breakdown = divisor_sum_breakdown(n)
         oracle = is_prime_oracle(n)
-        ok = breakdown.is_integer == oracle and (
-            not oracle or breakdown.total == n - 1
-        )
-        detail = f"total={breakdown.total} oracle={oracle}"
-        return _HELD if ok else _mismatch(n, detail)
+        if breakdown.is_integer == oracle and (not oracle or breakdown.total == n - 1):
+            return _HELD
+        return _mismatch(n, f"total={breakdown.total} oracle={oracle}")
     raise ValueError(f"unknown scan method {method!r}")
 
 

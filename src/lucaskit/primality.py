@@ -147,6 +147,22 @@ def proper_divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _divisor_classes(n: int) -> list[tuple[int, int]]:
+    """(d, phi(n/d)) for every proper divisor d of n >= 2, ascending in d.
+
+    One factorization of n yields every cofactor e = n/d together with its
+    totient, so no divisor is found or factored again.
+    """
+    cofactors = [(1, 1)]  # (e, phi(e)) for the divisors e of n found so far
+    for p, exponent in _factorize(n).items():
+        cofactors += [
+            (e * p**i, phi * (p - 1) * p ** (i - 1))
+            for e, phi in cofactors
+            for i in range(1, exponent + 1)
+        ]
+    return sorted((n // e, phi) for e, phi in cofactors if e > 1)
+
+
 def legendre_symbol(a: int, p: int) -> int:
     """The Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
     if p == 2 or not is_prime_oracle(p):
@@ -181,25 +197,50 @@ def mersenne_sum_residue_direct(n: int, probe: BitWidthProbe | None = None) -> R
     return ResidueClass(total, modulus)
 
 
+def _repunit(d: int, count: int) -> int:
+    """The quotient (2^{count*d} - 1)/(2^d - 1): count copies of the d-bit block 0...01.
+
+    Built by doubling the pattern along the binary digits of count. The pattern
+    at most doubles per step, so it costs O(count*d) bit operations, where a
+    long division of 2^{count*d} - 1 costs time quadratic in count*d.
+    """
+    pattern, blocks = 1, 1
+    for bit in bin(count)[3:]:
+        pattern |= pattern << (blocks * d)
+        blocks *= 2
+        if bit == "1":
+            pattern = (pattern << d) | 1
+            blocks += 1
+    return pattern
+
+
 def mersenne_sum_residue_fast(n: int, probe: BitWidthProbe | None = None) -> ResidueClass:
     """Divisor-class form of the same sum: phi(n/d) copies of d*(2^n-1)/(2^d-1).
 
     The k < n with gcd(n, k) = d all contribute the same residue, so the sum
-    collapses to one term per proper divisor and no intermediate grows past
-    about 2n bits.
+    collapses to one term per proper divisor d, whose totient comes from one
+    factorization of n. The quotient (2^n-1)/(2^d-1) is the repunit R_d, built
+    by doubling its bit pattern instead of by long division; the exact-division
+    invariant (2^d - 1)*R_d = 2^n - 1 is still asserted, in linear time. Since
+    d*phi(n/d) <= n, each weighted term is below n*2^n: they are summed
+    unreduced and reduced mod 2^n - 1 once, so no intermediate is wider than
+    n + 2*log2(n) bits.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     modulus = (1 << n) - 1
     total = 0
-    for d in proper_divisors(n):
-        quotient = exact_div(modulus, (1 << d) - 1)
-        scaled = d * quotient
-        weighted = euler_phi(n // d) * (scaled % modulus)
-        total = (total + weighted) % modulus
+    for d, phi in _divisor_classes(n):
+        quotient = _repunit(d, n // d)
+        if (quotient << d) - quotient != modulus:
+            raise InternalInvariantViolation(
+                f"(2^{d} - 1) times the repunit R_{d} is not 2^{n} - 1"
+            )
+        weighted = d * phi * quotient
+        total += weighted
         if probe is not None:
-            probe.observe(quotient, scaled, weighted, total)
-    return ResidueClass(total, modulus)
+            probe.observe(quotient, weighted, total)
+    return ResidueClass(total % modulus, modulus)
 
 
 @dataclass(frozen=True)
@@ -264,10 +305,10 @@ def divisor_sum_breakdown(n: int) -> DivisorSumBreakdown:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    terms = []
-    for d in proper_divisors(n):
-        phi = euler_phi(n // d)
-        terms.append(DivisorSumTerm(d, phi, Fraction(d * phi, (1 << d) - 1)))
+    terms = [
+        DivisorSumTerm(d, phi, Fraction(d * phi, (1 << d) - 1))
+        for d, phi in _divisor_classes(n)
+    ]
     total = sum((t.contribution for t in terms), Fraction(0))
     return DivisorSumBreakdown(n, tuple(terms), total, total.denominator == 1)
 
@@ -334,12 +375,22 @@ def fibonacci_sum_residue_fast(n: int) -> ResidueClass:
         raise ValueError(f"n must be >= 5, got {n}")
     f_n = u_pair_exact(FIBONACCI_PARAMS, n)[0]
     total = 0
-    for d in proper_divisors(n):
+    for d, phi in _divisor_classes(n):
         term = d * exact_div(f_n, _fib(d)) % f_n
         if ((n - d) // 2) & 1:
             term = -term % f_n
-        total = (total + euler_phi(n // d) * term) % f_n
+        total = (total + phi * term) % f_n
     return ResidueClass(total, f_n)
+
+
+def fibonacci_criterion_applies(n: int) -> bool:
+    """The Fibonacci criterion's hypotheses: n = 1 mod 4, n >= 5, n not in {9, 25}."""
+    return n % 4 == 1 and n >= 5 and n not in (9, 25)
+
+
+def remark_applies(n: int) -> bool:
+    """The remark's hypotheses: n = 3 mod 4 and n >= 3, so F_n exceeds 1."""
+    return n % 4 == 3 and n >= 3
 
 
 def fibonacci_primality_test(n: int, path: str = "fast") -> PrimalityVerdict:
@@ -351,7 +402,7 @@ def fibonacci_primality_test(n: int, path: str = "fast") -> PrimalityVerdict:
     """
     if path not in ("fast", "direct"):
         raise ValueError(f"path must be 'fast' or 'direct', got {path!r}")
-    if n % 4 != 1 or n < 5 or n in (9, 25):
+    if not fibonacci_criterion_applies(n):
         raise Unsupported(
             f"the Fibonacci sum criterion requires n = 1 mod 4, n >= 5, "
             f"n not in {{9, 25}}; got {n}"
@@ -381,8 +432,10 @@ def remark_check(n: int) -> bool:
     In that residue class the sum should vanish whether or not n is prime, so
     any False here is a mismatch worth reporting.
     """
-    if n % 4 != 3:
-        raise WrongResidueClass(f"n = {n} is not congruent to 3 mod 4")
+    if not remark_applies(n):
+        if n % 4 != 3:
+            raise WrongResidueClass(f"n = {n} is not congruent to 3 mod 4")
+        raise ValueError(f"n must be >= 3 so the modulus F_n exceeds 1, got {n}")
     return fibonacci_sum_residue_direct(n).value == 0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -203,6 +204,19 @@ class TestScan:
         assert code == 0
         record = parse_lines(out)[0]
         assert record["checked"] == 79 and record["mismatches"] == []
+
+    def test_mersenne_scan_past_the_str_limit(self, capsys):
+        # Residues here exceed 4300 decimal digits; agreeing values are never printed.
+        code, out, _ = run_cli(
+            capsys,
+            "scan", "--method", "mersenne-sum", "--from", "14280", "--to", "14300",
+            "--workers", "1", "--no-timing",
+        )
+        assert code == 0
+        assert out == (
+            '{"method":"mersenne-sum","from":14280,"to":14300,"checked":21,"skipped":0,'
+            '"skipped_values":[],"mismatches":[],"workers":1}\n'
+        )
 
     def test_remark_scan_skips_wrong_class(self, capsys):
         code, out, _ = run_cli(
@@ -412,6 +426,76 @@ class TestOutputContract:
         assert len(record["mismatches"]) == 1
         assert record["mismatches"][0]["n"] == 2  # first prime disagrees
         assert record["checked"] < 49  # stopped early
+
+
+def _disagree_at(target, verdict_test):
+    def patched(n, path="fast"):
+        verdict = verdict_test(n, path)
+        if n != target:
+            return verdict
+        return dataclasses.replace(verdict, oracle_says_prime=True, agree=False)
+
+    return patched
+
+
+class TestScanMismatchDetail:
+    # Expected records produced by the scan that formatted every value's
+    # detail, with the same disagreement injected.
+    def test_mersenne_detail(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli_module, "mersenne_primality_test",
+            _disagree_at(12, cli_module.mersenne_primality_test),
+        )
+        argv = ["scan", "--method", "mersenne-sum", "--from", "2", "--to", "30",
+                "--workers", "1", "--no-timing"]
+        detail = '"mismatches":[{"n":12,"detail":"residue=3354 criterion=False oracle=True"}]'
+        assert run_cli(capsys, *argv) == (
+            1,
+            '{"method":"mersenne-sum","from":2,"to":30,"checked":29,"skipped":0,'
+            f'"skipped_values":[],{detail},"workers":1}}\n',
+            "",
+        )
+        assert run_cli(capsys, *argv, "--fail-fast") == (
+            1,
+            '{"method":"mersenne-sum","from":2,"to":30,"checked":11,"skipped":0,'
+            f'"skipped_values":[],{detail},"workers":1}}\n',
+            "",
+        )
+
+    def test_fib_detail(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli_module, "fibonacci_primality_test",
+            _disagree_at(21, cli_module.fibonacci_primality_test),
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "scan", "--method", "fib-sum", "--from", "2", "--to", "30",
+            "--workers", "1", "--no-timing",
+        )
+        assert code == 1
+        assert out == (
+            '{"method":"fib-sum","from":2,"to":30,"checked":5,"skipped":24,'
+            '"skipped_values":[2,3,4,6,7,8,9,10,11,12,14,15,16,18,19,20,22,23,24,'
+            '25,26,27,28,30],"mismatches":[{"n":21,'
+            '"detail":"residue=10104 criterion=False oracle=True"}],"workers":1}\n'
+        )
+
+    def test_divisor_sum_detail(self, capsys, monkeypatch):
+        oracle = cli_module.is_prime_oracle
+        monkeypatch.setattr(
+            cli_module, "is_prime_oracle", lambda n: oracle(n) != (n == 6)
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "scan", "--method", "divisor-sum", "--from", "2", "--to", "30",
+            "--workers", "1", "--no-timing",
+        )
+        assert code == 1
+        assert out == (
+            '{"method":"divisor-sum","from":2,"to":30,"checked":29,"skipped":0,'
+            '"skipped_values":[],"mismatches":[{"n":6,"detail":"total=79/21 oracle=True"}],'
+            '"workers":1}\n'
+        )
 
 
 # Every coprime (P, Q) with P in -8..8, Q in -9..9.

@@ -108,8 +108,18 @@ INSTANCES = [
     ["scan", "--method", "congruence-grid", "--from", "0", "--to", "3", "--pretty"],
 ]
 
+CRITERIA = [
+    ["primetest", "--method", "mersenne-sum", "-n", "360"],  # highly composite
+    ["primetest", "--method", "mersenne-sum", "-n", "5040"],
+    ["primetest", "--method", "mersenne-sum", "-n", "9240"],
+    ["primetest", "--method", "fib-sum", "-n", "4001"],
+    ["primetest", "--method", "divisor-sum", "-n", "2520"],
+    ["scan", "--method", "mersenne-sum", "--from", "2", "--to", "3000"],
+]
+
 GOLDEN_ARGV = [
-    argv + ["--no-timing"] for argv in README_EXAMPLES + ERROR_PATHS + INSTANCES
+    argv + ["--no-timing"]
+    for argv in README_EXAMPLES + ERROR_PATHS + INSTANCES + CRITERIA
 ]
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import lucaskit.primality as primality_module
 from lucaskit import (
     BitWidthProbe,
     CapExceeded,
@@ -11,9 +12,12 @@ from lucaskit import (
     ResidueClass,
     Unsupported,
     UnsupportedDiscriminant,
+    InternalInvariantViolation,
     WrongResidueClass,
     divisor_sum_breakdown,
     euler_phi,
+    exact_div,
+    fibonacci_criterion_applies,
     fibonacci_primality_test,
     fibonacci_sum_residue_direct,
     fibonacci_sum_residue_exact,
@@ -27,8 +31,10 @@ from lucaskit import (
     primitive_prime_divisor,
     proper_divisors,
     rank_of_apparition_fib,
+    remark_applies,
     remark_check,
 )
+from lucaskit.primality import _divisor_classes
 
 
 def sieve(limit):
@@ -76,6 +82,13 @@ class TestProperDivisors:
     def test_exhaustive(self):
         for n in range(2, 300):
             assert proper_divisors(n) == [d for d in range(1, n) if n % d == 0]
+
+
+class TestDivisorClasses:
+    def test_matches_divisors_and_totients(self):
+        for n in range(2, 5001):
+            expected = [(d, euler_phi(n // d)) for d in proper_divisors(n)]
+            assert _divisor_classes(n) == expected, n
 
 
 class TestLegendreSymbol:
@@ -166,6 +179,31 @@ class TestMersenneSum:
         probe = BitWidthProbe()
         mersenne_sum_residue_fast(360, probe)  # highly composite
         assert probe.max_bits <= 2 * 360
+
+    @pytest.mark.parametrize("n", [360, 5040, 14280, 18480, 19999, 20000, 65536, 99991])
+    def test_fast_path_matches_division_formula(self, n):
+        # The divisor-class sum as it was computed before repunits: one long
+        # division per divisor, reduced term by term.
+        modulus = (1 << n) - 1
+        total = 0
+        for d in proper_divisors(n):
+            scaled = d * exact_div(modulus, (1 << d) - 1)
+            total = (total + euler_phi(n // d) * (scaled % modulus)) % modulus
+        assert mersenne_sum_residue_fast(n) == ResidueClass(total, modulus)
+
+    def test_wrong_repunit_breaks_the_invariant(self, monkeypatch):
+        build = primality_module._repunit
+        # Drop bit d, the second block's 1, from every repunit of two or more blocks.
+        monkeypatch.setattr(
+            primality_module, "_repunit", lambda d, count: build(d, count) & ~(1 << d)
+        )
+        with pytest.raises(InternalInvariantViolation):
+            mersenne_sum_residue_fast(12)
+
+    def test_rejects_small(self):
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
+                mersenne_sum_residue_fast(n)
 
     def test_direct_path_width_is_kn_bits(self):
         probe = BitWidthProbe()
@@ -259,6 +297,28 @@ class TestFibonacciCriterion:
                 fibonacci_primality_test(n)
 
 
+class TestCriterionPreconditions:
+    def test_fibonacci_rule(self):
+        for n in range(-40, 400):
+            expected = n % 4 == 1 and n >= 5 and n not in (9, 25)
+            assert fibonacci_criterion_applies(n) == expected, n
+
+    def test_remark_rule(self):
+        for n in range(-40, 400):
+            assert remark_applies(n) == (n % 4 == 3 and n >= 3), n
+
+    def test_messages(self):
+        with pytest.raises(Unsupported, match=r"n not in \{9, 25\}; got -3$"):
+            fibonacci_primality_test(-3)
+        with pytest.raises(WrongResidueClass, match="^n = 4 is not congruent to 3 mod 4$"):
+            remark_check(4)
+        # -1 = 3 mod 4 but F_-1 is no modulus: the direct sum's own message.
+        with pytest.raises(
+            ValueError, match="^n must be >= 3 so the modulus F_n exceeds 1, got -1$"
+        ):
+            remark_check(-1)
+
+
 class TestRemark:
     def test_prime_instance(self):
         assert remark_check(7)
@@ -334,3 +394,20 @@ class TestRankOfApparition:
                 continue
             rank = rank_of_apparition_fib(p)
             assert (p - legendre_symbol(5, p)) % rank == 0
+
+
+# ---------------------------------------------------------------------------
+# Long sweeps (pytest -m slow)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.slow
+class TestCriterionSweeps:
+    def test_mersenne_criterion_over_the_benchmark_range(self):
+        for n in range(2, 20001):
+            assert mersenne_primality_test(n).agree, n
+
+    def test_fibonacci_criterion_up_to_4000(self):
+        for n in range(5, 4001):
+            if fibonacci_criterion_applies(n):
+                assert fibonacci_primality_test(n).agree, n
