@@ -30,29 +30,12 @@ from .congruences import (
     evaluate_congruence,
 )
 from .errors import InternalInvariantViolation, LucasKitError
-from .primality import (
-    PrimalityVerdict,
-    divisor_sum_breakdown,
-    fibonacci_criterion_applies,
-    fibonacci_primality_test,
-    fibonacci_sum_residue_direct,
-    is_prime_oracle,
-    mersenne_primality_test,
-    remark_applies,
-    remark_check,
-)
+from .primality import CRITERION_TABLE, run_criterion
 from .residues import ResidueClass, TrivialModulus
 from .sequences import _u_term_reserve, make_params, u_pair_exact, u_pair_mod
 
-PRIMETEST_METHODS = (
-    "mersenne-sum",
-    "mersenne-sum-direct",
-    "fib-sum",
-    "fib-sum-direct",
-    "divisor-sum",
-    "oracle",
-)
-SCAN_METHODS = ("mersenne-sum", "fib-sum", "remark", "divisor-sum", "congruence-grid")
+PRIMETEST_METHODS = tuple(name for name, c in CRITERION_TABLE.items() if c.fields)
+SCAN_METHODS = tuple(name for name, c in CRITERION_TABLE.items() if c.scan) + ("congruence-grid",)
 
 # Coefficient grid shared by the congruence-grid scan: P in 1..5, Q in -3..3,
 # coprime pairs only.
@@ -83,19 +66,6 @@ def _encode_report(report: CongruenceReport) -> dict[str, Any]:
         "rhs": _encode_outcome(report.rhs),
         "case_tag": report.case_tag.value if report.case_tag else None,
         "holds": report.holds,
-    }
-
-
-def _encode_verdict(verdict: PrimalityVerdict) -> dict[str, Any]:
-    return {
-        "n": verdict.n,
-        "method": verdict.method,
-        "residue": str(verdict.sum_residue.value),
-        "modulus": str(verdict.sum_residue.modulus),
-        "criterion_says_prime": verdict.criterion_says_prime,
-        "oracle_says_prime": verdict.oracle_says_prime,
-        "agree": verdict.agree,
-        "elapsed": verdict.elapsed,
     }
 
 
@@ -142,68 +112,16 @@ def cmd_congruence(args: argparse.Namespace) -> int:
 
 
 def cmd_primetest(args: argparse.Namespace) -> int:
-    n = args.n
-    method = args.method
-    if method == "oracle":
-        started = time.perf_counter()
-        prime = is_prime_oracle(n)
-        _emit(
-            {
-                "n": n,
-                "method": "oracle",
-                "prime": prime,
-                "elapsed": time.perf_counter() - started,
-            },
-            args,
-        )
-        return 0
-    if method == "divisor-sum":
-        started = time.perf_counter()
-        breakdown = divisor_sum_breakdown(n)
-        elapsed = time.perf_counter() - started
-        oracle = is_prime_oracle(n)
-        agree = breakdown.is_integer == oracle
-        _emit(
-            {
-                "n": n,
-                "method": "divisor-sum",
-                "total": str(breakdown.total),
-                "is_integer": breakdown.is_integer,
-                "criterion_says_prime": breakdown.is_integer,
-                "oracle_says_prime": oracle,
-                "agree": agree,
-                "elapsed": elapsed,
-            },
-            args,
-        )
-        return 0 if agree else 1
-    if method in ("fib-sum", "fib-sum-direct") and args.diagnostic:
-        # Residue report only, outside the criterion's hypotheses; no verdict.
-        started = time.perf_counter()
-        residue = fibonacci_sum_residue_direct(n)
-        _emit(
-            {
-                "n": n,
-                "method": method,
-                "diagnostic": True,
-                "residue": str(residue.value),
-                "modulus": str(residue.modulus),
-                "oracle_says_prime": is_prime_oracle(n),
-                "elapsed": time.perf_counter() - started,
-            },
-            args,
-        )
-        return 0
-    if method.startswith("mersenne-sum"):
-        verdict = mersenne_primality_test(
-            n, path="direct" if method.endswith("direct") else "fast"
-        )
-    else:
-        verdict = fibonacci_primality_test(
-            n, path="direct" if method.endswith("direct") else "fast"
-        )
-    _emit(_encode_verdict(verdict), args)
-    return 0 if verdict.agree else 1
+    criterion = CRITERION_TABLE[args.method]
+    if args.diagnostic:
+        if criterion.diagnostic is None:
+            takes = "/".join(name for name, c in CRITERION_TABLE.items() if c.diagnostic)
+            raise ValueError(f"--diagnostic applies to {takes} only, not {args.method}")
+        criterion = criterion.diagnostic
+    result, oracle, agree, elapsed = run_criterion(criterion, args.n)
+    fields = criterion.fields(result, oracle, agree)
+    _emit({"n": args.n, "method": args.method, **fields, "elapsed": elapsed}, args)
+    return 0 if agree else 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +201,6 @@ def _grid_batch(unit: tuple[int, int, int, int, int]) -> Outcomes:
     return "".join(marks), tuple(failed)
 
 
-def _mismatch(n: int, detail: str) -> Outcomes:
-    return "x", ((n, detail),)
-
-
-def _verdict_outcome(verdict: PrimalityVerdict) -> Outcomes:
-    if verdict.agree:
-        return _HELD
-    return _mismatch(
-        verdict.n,
-        f"residue={verdict.sum_residue.value} criterion={verdict.criterion_says_prime} "
-        f"oracle={verdict.oracle_says_prime}",
-    )
-
-
 def _scan_check(method: str, n: int) -> Outcomes:
     """Check one value of a per-value scan; a failed precondition skips it.
 
@@ -304,27 +208,11 @@ def _scan_check(method: str, n: int) -> Outcomes:
     its residue to decimal: that conversion costs more than the criterion for
     wide residues, and past 4300 digits Python refuses it.
     """
-    if method == "mersenne-sum":
-        if n < 2:
-            return _SKIPPED
-        return _verdict_outcome(mersenne_primality_test(n))
-    if method == "fib-sum":
-        if not fibonacci_criterion_applies(n):
-            return _SKIPPED
-        return _verdict_outcome(fibonacci_primality_test(n))
-    if method == "remark":
-        if not remark_applies(n):
-            return _SKIPPED
-        return _HELD if remark_check(n) else _mismatch(n, "nonzero sum residue")
-    if method == "divisor-sum":
-        if n < 2:
-            return _SKIPPED
-        breakdown = divisor_sum_breakdown(n)
-        oracle = is_prime_oracle(n)
-        if breakdown.is_integer == oracle and (not oracle or breakdown.total == n - 1):
-            return _HELD
-        return _mismatch(n, f"total={breakdown.total} oracle={oracle}")
-    raise ValueError(f"unknown scan method {method!r}")
+    criterion = CRITERION_TABLE[method]
+    if not criterion.applies(n):
+        return _SKIPPED
+    result, oracle, agree, _ = run_criterion(criterion, n)
+    return _HELD if agree else ("x", ((n, criterion.detail(result, oracle)),))
 
 
 def _resolve_workers(flag_value: Optional[int]) -> int:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Optional
+from math import isqrt
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import (
     CapExceeded,
@@ -214,23 +214,18 @@ def _repunit(d: int, count: int) -> int:
     return pattern
 
 
-def mersenne_sum_residue_fast(n: int, probe: BitWidthProbe | None = None) -> ResidueClass:
-    """Divisor-class form of the same sum: phi(n/d) copies of d*(2^n-1)/(2^d-1).
+def _repunit_sum(n: int, classes: list[tuple[int, int]], probe: BitWidthProbe | None) -> int:
+    """T = the sum of d*phi(n/d)*R_d over the divisor classes of n, unreduced.
 
-    The k < n with gcd(n, k) = d all contribute the same residue, so the sum
-    collapses to one term per proper divisor d, whose totient comes from one
-    factorization of n. The quotient (2^n-1)/(2^d-1) is the repunit R_d, built
-    by doubling its bit pattern instead of by long division; the exact-division
-    invariant (2^d - 1)*R_d = 2^n - 1 is still asserted, in linear time. Since
-    d*phi(n/d) <= n, each weighted term is below n*2^n: they are summed
-    unreduced and reduced mod 2^n - 1 once, so no intermediate is wider than
+    R_d = (2^n-1)/(2^d-1) is the repunit, built by doubling its bit pattern
+    instead of by long division; the exact-division invariant
+    (2^d - 1)*R_d = 2^n - 1 is still asserted, in linear time. Since
+    d*phi(n/d) <= n, each weighted term is below n*2^n, so T is no wider than
     n + 2*log2(n) bits.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     modulus = (1 << n) - 1
     total = 0
-    for d, phi in _divisor_classes(n):
+    for d, phi in classes:
         quotient = _repunit(d, n // d)
         if (quotient << d) - quotient != modulus:
             raise InternalInvariantViolation(
@@ -240,7 +235,21 @@ def mersenne_sum_residue_fast(n: int, probe: BitWidthProbe | None = None) -> Res
         total += weighted
         if probe is not None:
             probe.observe(quotient, weighted, total)
-    return ResidueClass(total % modulus, modulus)
+    return total
+
+
+def mersenne_sum_residue_fast(n: int, probe: BitWidthProbe | None = None) -> ResidueClass:
+    """Divisor-class form of the same sum: phi(n/d) copies of d*(2^n-1)/(2^d-1).
+
+    The k < n with gcd(n, k) = d all contribute the same residue, so the sum
+    collapses to one term per proper divisor d, whose totient comes from one
+    factorization of n. The terms are the repunit sum T, reduced mod 2^n - 1
+    once.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    modulus = (1 << n) - 1
+    return ResidueClass(_repunit_sum(n, _divisor_classes(n), probe) % modulus, modulus)
 
 
 @dataclass(frozen=True)
@@ -254,29 +263,6 @@ class PrimalityVerdict:
     oracle_says_prime: bool
     agree: bool
     elapsed: float
-
-
-def mersenne_primality_test(n: int, path: str = "fast") -> PrimalityVerdict:
-    """Run the Mersenne sum criterion (residue 0 iff n prime) against the oracle."""
-    if path not in ("fast", "direct"):
-        raise ValueError(f"path must be 'fast' or 'direct', got {path!r}")
-    started = time.perf_counter()
-    if path == "fast":
-        residue = mersenne_sum_residue_fast(n)
-    else:
-        residue = mersenne_sum_residue_direct(n)
-    elapsed = time.perf_counter() - started
-    criterion = residue.value == 0
-    oracle = is_prime_oracle(n)
-    return PrimalityVerdict(
-        n=n,
-        method="mersenne-sum" if path == "fast" else "mersenne-sum-direct",
-        sum_residue=residue,
-        criterion_says_prime=criterion,
-        oracle_says_prime=oracle,
-        agree=criterion == oracle,
-        elapsed=elapsed,
-    )
 
 
 @dataclass(frozen=True)
@@ -299,18 +285,20 @@ class DivisorSumBreakdown:
 def divisor_sum_breakdown(n: int) -> DivisorSumBreakdown:
     """Exact rational sum of d*phi(n/d)/(2^d - 1) over proper divisors d of n.
 
-    Integral iff n is prime; for prime n the single term is n - 1. Exact
-    rationals replace a common-denominator construction whose denominator
-    grows explosively, without changing the integrality verdict.
+    Integral iff n is prime; for prime n the single term is n - 1. Every
+    denominator 2^d - 1 divides 2^n - 1, with c/(2^d - 1) = c*R_d/(2^n - 1),
+    so the total is the repunit sum T of the Mersenne criterion over 2^n - 1:
+    one reduction instead of a Fraction addition per divisor. The terms stay
+    exact rationals, and their sum is an independent check of the total.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    terms = [
-        DivisorSumTerm(d, phi, Fraction(d * phi, (1 << d) - 1))
-        for d, phi in _divisor_classes(n)
-    ]
-    total = sum((t.contribution for t in terms), Fraction(0))
-    return DivisorSumBreakdown(n, tuple(terms), total, total.denominator == 1)
+    classes = _divisor_classes(n)
+    terms = tuple(
+        DivisorSumTerm(d, phi, Fraction(d * phi, (1 << d) - 1)) for d, phi in classes
+    )
+    total = Fraction(_repunit_sum(n, classes, None), (1 << n) - 1)
+    return DivisorSumBreakdown(n, terms, total, total.denominator == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -393,39 +381,6 @@ def remark_applies(n: int) -> bool:
     return n % 4 == 3 and n >= 3
 
 
-def fibonacci_primality_test(n: int, path: str = "fast") -> PrimalityVerdict:
-    """Run the Fibonacci sum criterion against the oracle.
-
-    The criterion is an iff only for n = 1 mod 4 with n not in {9, 25}; those
-    hypotheses are hard preconditions, not skips, so violating them raises
-    Unsupported rather than producing a verdict.
-    """
-    if path not in ("fast", "direct"):
-        raise ValueError(f"path must be 'fast' or 'direct', got {path!r}")
-    if not fibonacci_criterion_applies(n):
-        raise Unsupported(
-            f"the Fibonacci sum criterion requires n = 1 mod 4, n >= 5, "
-            f"n not in {{9, 25}}; got {n}"
-        )
-    started = time.perf_counter()
-    if path == "fast":
-        residue = fibonacci_sum_residue_fast(n)
-    else:
-        residue = fibonacci_sum_residue_direct(n)
-    elapsed = time.perf_counter() - started
-    criterion = residue.value == 0
-    oracle = is_prime_oracle(n)
-    return PrimalityVerdict(
-        n=n,
-        method="fib-sum" if path == "fast" else "fib-sum-direct",
-        sum_residue=residue,
-        criterion_says_prime=criterion,
-        oracle_says_prime=oracle,
-        agree=criterion == oracle,
-        elapsed=elapsed,
-    )
-
-
 def remark_check(n: int) -> bool:
     """True iff the Fibonacci sum vanishes mod F_n, for n = 3 mod 4.
 
@@ -437,6 +392,138 @@ def remark_check(n: int) -> bool:
             raise WrongResidueClass(f"n = {n} is not congruent to 3 mod 4")
         raise ValueError(f"n must be >= 3 so the modulus F_n exceeds 1, got {n}")
     return fibonacci_sum_residue_direct(n).value == 0
+
+
+# ---------------------------------------------------------------------------
+# Criterion table: every primetest and scan method, and one runner
+# ---------------------------------------------------------------------------
+
+
+class Criterion(NamedTuple):
+    """How primetest and scan run one method at n, through run_criterion.
+
+    scan skips an n that fails `applies`; primetest raises `refusal(n)` for it.
+    `verdict(n, result, oracle)` says whether the result agrees with the oracle.
+    """
+
+    evaluate: Callable[[int], Any]
+    fields: Optional[Callable[[Any, bool, bool], dict[str, Any]]] = None  # primetest record
+    verdict: Callable[[int, Any, bool], bool] = lambda n, result, oracle: True
+    detail: Optional[Callable[[Any, bool], str]] = None  # a scan mismatch
+    applies: Callable[[int], bool] = lambda n: True
+    refusal: Optional[Callable[[int], Exception]] = None
+    diagnostic: Optional["Criterion"] = None  # what --diagnostic runs instead
+    scan: bool = False
+
+
+def _residue(r: ResidueClass) -> dict[str, str]:
+    return {"residue": str(r.value), "modulus": str(r.modulus)}
+
+
+def _claim(says_prime: bool, oracle: bool, agree: bool) -> dict[str, bool]:
+    return {"criterion_says_prime": says_prime, "oracle_says_prime": oracle, "agree": agree}
+
+
+_FROM_TWO = dict(
+    applies=lambda n: n >= 2, refusal=lambda n: ValueError(f"n must be >= 2, got {n}")
+)
+# The residue criteria: the sum vanishes mod its modulus iff n is prime.
+_ZERO_IFF_PRIME = dict(
+    fields=lambda r, oracle, agree: {**_residue(r), **_claim(r.value == 0, oracle, agree)},
+    verdict=lambda n, r, oracle: (r.value == 0) == oracle,
+    detail=lambda r, oracle: f"residue={r.value} criterion={r.value == 0} oracle={oracle}",
+)
+_FIBONACCI = dict(
+    _ZERO_IFF_PRIME,
+    applies=fibonacci_criterion_applies,
+    refusal=lambda n: Unsupported(
+        "the Fibonacci sum criterion requires n = 1 mod 4, n >= 5, n not in {9, 25}; "
+        f"got {n}"
+    ),
+    # The residue alone, for any n >= 3 (outside the hypotheses too), with no verdict.
+    diagnostic=Criterion(
+        fibonacci_sum_residue_direct,
+        lambda r, oracle, agree: {"diagnostic": True, **_residue(r), "oracle_says_prime": oracle},
+    ),
+)
+_MERSENNE = dict(_ZERO_IFF_PRIME, **_FROM_TWO)
+# Each residue criterion's fast path, then its direct path.
+_MERSENNE_PATHS = {
+    "mersenne-sum": Criterion(mersenne_sum_residue_fast, scan=True, **_MERSENNE),
+    "mersenne-sum-direct": Criterion(mersenne_sum_residue_direct, **_MERSENNE),
+}
+_FIBONACCI_PATHS = {
+    "fib-sum": Criterion(fibonacci_sum_residue_fast, scan=True, **_FIBONACCI),
+    "fib-sum-direct": Criterion(fibonacci_sum_residue_direct, **_FIBONACCI),
+}
+
+CRITERION_TABLE: dict[str, Criterion] = {
+    **_MERSENNE_PATHS,
+    **_FIBONACCI_PATHS,
+    # The sum vanishes whether or not n is prime.
+    "remark": Criterion(
+        remark_check,
+        verdict=lambda n, vanishes, oracle: vanishes,
+        detail=lambda vanishes, oracle: "nonzero sum residue",
+        applies=remark_applies,
+        scan=True,
+    ),
+    # Integral iff n is prime, and then the total is n - 1.
+    "divisor-sum": Criterion(
+        divisor_sum_breakdown,
+        lambda b, oracle, agree: {
+            "total": str(b.total),
+            "is_integer": b.is_integer,
+            **_claim(b.is_integer, oracle, agree),
+        },
+        lambda n, b, oracle: b.is_integer == oracle and (not oracle or b.total == n - 1),
+        lambda b, oracle: f"total={b.total} oracle={oracle}",
+        scan=True,
+        **_FROM_TWO,
+    ),
+    # The oracle alone: nothing to evaluate and nothing to disagree with.
+    "oracle": Criterion(lambda n: None, lambda result, oracle, agree: {"prime": oracle}),
+}
+
+
+def run_criterion(criterion: Criterion, n: int) -> tuple[Any, bool, bool, float]:
+    """Run one criterion at n: (result, oracle's answer, verdict, seconds taken).
+
+    An n that fails `applies` raises the criterion's refusal rather than
+    producing a verdict (scan skips such n instead). The time covers the
+    evaluation and the oracle.
+    """
+    if not criterion.applies(n):
+        raise criterion.refusal(n)
+    started = time.perf_counter()
+    result = criterion.evaluate(n)
+    oracle = is_prime_oracle(n)
+    return result, oracle, criterion.verdict(n, result, oracle), time.perf_counter() - started
+
+
+def _primality_test(paths: dict[str, Criterion], n: int, path: str) -> PrimalityVerdict:
+    """Run the fast or the direct path of a residue criterion against the oracle."""
+    if path not in ("fast", "direct"):
+        raise ValueError(f"path must be 'fast' or 'direct', got {path!r}")
+    fast, direct = paths.items()
+    method, criterion = fast if path == "fast" else direct
+    residue, oracle, agree, elapsed = run_criterion(criterion, n)
+    return PrimalityVerdict(n, method, residue, residue.value == 0, oracle, agree, elapsed)
+
+
+def mersenne_primality_test(n: int, path: str = "fast") -> PrimalityVerdict:
+    """Run the Mersenne sum criterion (residue 0 iff n prime) against the oracle."""
+    return _primality_test(_MERSENNE_PATHS, n, path)
+
+
+def fibonacci_primality_test(n: int, path: str = "fast") -> PrimalityVerdict:
+    """Run the Fibonacci sum criterion against the oracle.
+
+    The criterion is an iff only for n = 1 mod 4 with n not in {9, 25}; those
+    hypotheses are hard preconditions, not skips, so violating them raises
+    Unsupported rather than producing a verdict.
+    """
+    return _primality_test(_FIBONACCI_PATHS, n, path)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,6 @@ class ResidueClass:
         if not 0 <= self.value < self.modulus:
             raise ValueError(f"{self.value} is not reduced mod {self.modulus}")
 
-    @classmethod
-    def reduce(cls, value: int, modulus: int) -> "ResidueClass":
-        """Normalize an arbitrary integer into its class mod `modulus`."""
-        if modulus <= 1:
-            raise BadModulus(f"modulus must exceed 1, got {modulus}")
-        return cls(value % modulus, modulus)
-
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 
 import lucaskit.cli as cli_module
 import lucaskit.congruences as congruences_module
+import lucaskit.primality as primality_module
 from lucaskit import (
     TrivialModulus,
     corollary_ratio_rhs,
@@ -31,6 +31,7 @@ from lucaskit import (
 )
 from lucaskit.cli import main
 from lucaskit.congruences import FAMILY_TABLE, _outcome
+from lucaskit.primality import CRITERION_TABLE
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +166,58 @@ class TestPrimetest:
         record = parse_lines(out)[0]
         assert record["residue"] == "0" and record["oracle_says_prime"] is False
         assert record["diagnostic"] is True and "criterion_says_prime" not in record
+
+    @pytest.mark.parametrize("method", ["fib-sum", "fib-sum-direct"])
+    def test_fib_diagnostic_record(self, capsys, method):
+        # The record the diagnostic has always printed, outside and inside the hypotheses.
+        for n, residue, modulus, prime in (("9", "0", "34", "false"), ("13", "0", "233", "true")):
+            assert run_cli(
+                capsys, "primetest", "--method", method, "-n", n, "--diagnostic", "--no-timing"
+            ) == (
+                0,
+                f'{{"n":{n},"method":"{method}","diagnostic":true,"residue":"{residue}",'
+                f'"modulus":"{modulus}","oracle_says_prime":{prime}}}\n',
+                "",
+            )
+
+    @pytest.mark.parametrize("method", ["mersenne-sum", "mersenne-sum-direct", "divisor-sum", "oracle"])
+    def test_diagnostic_rejected_outside_fib_methods(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "primetest", "--method", method, "-n", "12", "--diagnostic", "--no-timing"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --diagnostic applies to fib-sum/fib-sum-direct only, not {method}\n"
+
+    def test_diagnostic_methods_come_from_the_table(self):
+        assert [m for m, c in CRITERION_TABLE.items() if c.diagnostic] == ["fib-sum", "fib-sum-direct"]
+        assert cli_module.PRIMETEST_METHODS == (
+            "mersenne-sum", "mersenne-sum-direct", "fib-sum", "fib-sum-direct", "divisor-sum", "oracle"
+        )
+        assert cli_module.SCAN_METHODS == (
+            "mersenne-sum", "fib-sum", "remark", "divisor-sum", "congruence-grid"
+        )
+
+    def test_divisor_sum_prime_total_must_be_n_minus_1(self, capsys, monkeypatch):
+        # An integral total of 3 for the prime 5, where the criterion gives 4:
+        # primetest and scan share the verdict, so both report the mismatch.
+        classes = primality_module._divisor_classes
+        monkeypatch.setattr(
+            primality_module, "_divisor_classes", lambda n: [(1, 3)] if n == 5 else classes(n)
+        )
+        assert run_cli(
+            capsys, "primetest", "--method", "divisor-sum", "-n", "5", "--no-timing"
+        ) == (
+            1,
+            '{"n":5,"method":"divisor-sum","total":"3","is_integer":true,'
+            '"criterion_says_prime":true,"oracle_says_prime":true,"agree":false}\n',
+            "",
+        )
+        code, out, _ = run_cli(
+            capsys, "scan", "--method", "divisor-sum", "--from", "4", "--to", "6",
+            "--workers", "1", "--no-timing",
+        )
+        assert code == 1
+        assert parse_lines(out)[0]["mismatches"] == [{"n": 5, "detail": "total=3 oracle=True"}]
 
     def test_divisor_sum(self, capsys):
         code, out, _ = run_cli(
@@ -403,9 +456,7 @@ class TestOutputContract:
     def test_mismatch_exit_code_is_1(self, capsys, monkeypatch):
         # Force a disagreement by lying about the oracle; the exit-code path
         # for mathematical mismatches is otherwise unreachable.
-        import lucaskit.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "is_prime_oracle", lambda n: False)
+        monkeypatch.setattr(primality_module, "is_prime_oracle", lambda n: False)
         code, out, _ = run_cli(
             capsys, "primetest", "--method", "divisor-sum", "-n", "5", "--no-timing"
         )
@@ -413,8 +464,6 @@ class TestOutputContract:
         assert parse_lines(out)[0]["agree"] is False
 
     def test_fail_fast_stops_at_first_mismatch(self, capsys, monkeypatch):
-        import lucaskit.primality as primality_module
-
         monkeypatch.setattr(primality_module, "is_prime_oracle", lambda n: False)
         code, out, _ = run_cli(
             capsys,
@@ -428,24 +477,24 @@ class TestOutputContract:
         assert record["checked"] < 49  # stopped early
 
 
-def _disagree_at(target, verdict_test):
-    def patched(n, path="fast"):
-        verdict = verdict_test(n, path)
-        if n != target:
-            return verdict
-        return dataclasses.replace(verdict, oracle_says_prime=True, agree=False)
+def _disagree_at(monkeypatch, target):
+    """Make the runner report the oracle as prime, and a disagreement, at n = target."""
+    run = cli_module.run_criterion
 
-    return patched
+    def patched(criterion, n):
+        result, oracle, agree, elapsed = run(criterion, n)
+        if n != target:
+            return result, oracle, agree, elapsed
+        return result, True, False, elapsed
+
+    monkeypatch.setattr(cli_module, "run_criterion", patched)
 
 
 class TestScanMismatchDetail:
     # Expected records produced by the scan that formatted every value's
     # detail, with the same disagreement injected.
     def test_mersenne_detail(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli_module, "mersenne_primality_test",
-            _disagree_at(12, cli_module.mersenne_primality_test),
-        )
+        _disagree_at(monkeypatch, 12)
         argv = ["scan", "--method", "mersenne-sum", "--from", "2", "--to", "30",
                 "--workers", "1", "--no-timing"]
         detail = '"mismatches":[{"n":12,"detail":"residue=3354 criterion=False oracle=True"}]'
@@ -463,10 +512,7 @@ class TestScanMismatchDetail:
         )
 
     def test_fib_detail(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli_module, "fibonacci_primality_test",
-            _disagree_at(21, cli_module.fibonacci_primality_test),
-        )
+        _disagree_at(monkeypatch, 21)
         code, out, _ = run_cli(
             capsys,
             "scan", "--method", "fib-sum", "--from", "2", "--to", "30",
@@ -481,9 +527,9 @@ class TestScanMismatchDetail:
         )
 
     def test_divisor_sum_detail(self, capsys, monkeypatch):
-        oracle = cli_module.is_prime_oracle
+        oracle = primality_module.is_prime_oracle
         monkeypatch.setattr(
-            cli_module, "is_prime_oracle", lambda n: oracle(n) != (n == 6)
+            primality_module, "is_prime_oracle", lambda n: oracle(n) != (n == 6)
         )
         code, out, _ = run_cli(
             capsys,
@@ -565,7 +611,7 @@ class TestGridMatchesPublicPath:
         ) + tuple(("shift", r) for r in range(7))
 
 
-def _crash_worker(method, n):
+def _crash_worker(n):
     os._exit(1)
 
 
@@ -595,7 +641,8 @@ class TestFailureContract:
         reason="the patched check reaches the workers only when they are forked",
     )
     def test_crashed_worker_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli_module, "_scan_check", _crash_worker)
+        remark = CRITERION_TABLE["remark"]
+        monkeypatch.setitem(CRITERION_TABLE, "remark", remark._replace(evaluate=_crash_worker))
         code, out, err = run_cli(
             capsys, "scan", "--method", "remark", "--from", "3", "--to", "15",
             "--workers", "2", "--no-timing",

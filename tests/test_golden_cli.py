@@ -2,8 +2,8 @@
 
 `golden_cli.json` holds the output of every command in GOLDEN_ARGV, run with
 `--no-timing`, LUCAS_WORKERS=1 and COLUMNS=80 (argparse's usage width): the
-README examples, each congruence family's error paths, and a few instances of
-every family. Each replay must match byte for byte. To record the corpus again from the current code:
+README examples, each congruence family's error paths, a few instances of
+every family, and the criterion commands' error paths and edge ranges. Each replay must match byte for byte. To record the corpus again from the current code:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from lucaskit.cli import main
+from lucaskit.cli import PRIMETEST_METHODS, SCAN_METHODS, main
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
 
@@ -117,9 +117,27 @@ CRITERIA = [
     ["scan", "--method", "mersenne-sum", "--from", "2", "--to", "3000"],
 ]
 
+# The criterion CLI's error paths, skips, empty ranges and plain direct runs.
+CRITERIA_EDGES = [
+    ["primetest", "--method", "mersenne-sum", "-n", "1"],
+    ["primetest", "--method", "fib-sum", "-n", "9"],
+    ["primetest", "--method", "fib-sum-direct", "-n", "7"],
+    ["primetest", "--method", "fib-sum", "-n", "2", "--diagnostic"],
+    ["primetest", "--method", "divisor-sum", "-n", "1"],
+    ["primetest", "--method", "oracle", "-n", "-1"],
+    ["primetest", "--method", "oracle", "-n", "18446744073709551616"],
+    ["primetest", "--method", "mersenne-sum-direct", "-n", "12"],
+    ["primetest", "--method", "fib-sum-direct", "-n", "13"],
+    ["scan", "--method", "divisor-sum", "--from", "-2", "--to", "12"],
+    ["scan", "--method", "divisor-sum", "--from", "2", "--to", "60"],
+    ["scan", "--method", "mersenne-sum", "--from", "-3", "--to", "3", "--pretty"],
+    ["scan", "--method", "fib-sum", "--from", "10", "--to", "5"],
+    ["scan", "--method", "remark", "--from", "0", "--to", "40", "--fail-fast"],
+]
+
 GOLDEN_ARGV = [
     argv + ["--no-timing"]
-    for argv in README_EXAMPLES + ERROR_PATHS + INSTANCES + CRITERIA
+    for argv in README_EXAMPLES + ERROR_PATHS + INSTANCES + CRITERIA + CRITERIA_EDGES
 ]
 
 
@@ -153,6 +171,8 @@ def test_corpus_covers_every_family_and_exit_code():
     assert {"lemma1", "lemma2", "cor6", "cor7", "shift", "main",
             "fib19", "fib20", "fib21", "mersenne22"} <= families
     assert {r["exit"] for r in corpus} == {0, 2}
+    methods = {r["argv"][2] for r in corpus if r["argv"][0] in ("primetest", "scan")}
+    assert set(PRIMETEST_METHODS) | set(SCAN_METHODS) <= methods
 
 
 if __name__ == "__main__":

@@ -223,10 +223,18 @@ class TestDivisorSum:
     def test_twelve(self):
         assert not divisor_sum_breakdown(12).is_integer
 
-    def test_terms_enumerate_proper_divisors(self):
-        b = divisor_sum_breakdown(12)
-        assert [t.divisor for t in b.terms] == [1, 2, 3, 4, 6]
+    @pytest.mark.parametrize(
+        "n", [*range(2, 401), 5040, 55440, pytest.param(720720, marks=pytest.mark.slow)]
+    )
+    def test_terms_enumerate_proper_divisors(self, n):
+        # The total comes from the repunit sum over 2^n - 1; the terms, summed
+        # as Fractions, are an independent route to it.
+        b = divisor_sum_breakdown(n)
         assert sum((t.contribution for t in b.terms), Fraction(0)) == b.total
+        assert [t.divisor for t in b.terms] == proper_divisors(n)
+        assert [t.contribution for t in b.terms] == [
+            Fraction(d * euler_phi(n // d), (1 << d) - 1) for d in proper_divisors(n)
+        ]
 
     def test_iff_prime_sweep(self):
         for n in range(2, 200):
