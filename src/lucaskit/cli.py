@@ -166,9 +166,10 @@ GRID_VARIANTS = tuple(
 def _grid_batch(unit: tuple[int, int, int, int, int]) -> Outcomes:
     """Check every n and family variant of one (P, Q, k); details only for mismatches.
 
-    Each item runs its family's domain check and both plain-int kernels. It
-    is skipped when it lies outside the domain (main at n = 0) or the closed
-    form's modulus is trivial, and it holds when the residues are equal.
+    Each item runs its family's domain check and reads its family's modulus
+    once. It is skipped when it lies outside the domain (main at n = 0) or
+    the modulus is 0 or 1; otherwise both plain-int kernels get that modulus,
+    and it holds when their residues are equal.
     """
     p, q, k, n_lo, hi = unit
     params = make_params(p, q)
@@ -185,11 +186,12 @@ def _grid_batch(unit: tuple[int, int, int, int, int]) -> Outcomes:
             except ValueError:
                 marks.append("-")
                 continue
-            rhs = family.closed_form(params, k, n, r)
-            lhs = family.oracle(params, k, n, r)
-            if rhs is None:
+            modulus = family.modulus(params, k, n)
+            if modulus <= 1:
                 marks.append("-")
-            elif lhs == rhs or lhs is None:
+            elif family.closed_form(params, k, n, r, modulus) == family.oracle(
+                params, k, n, r, modulus
+            ):
                 marks.append("+")
             else:
                 marks.append("x")

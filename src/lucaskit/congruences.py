@@ -10,10 +10,12 @@ recurrence, reduced past the stored term table, and the Mersenne one builds
 
 Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
-shift r, its domain check and its modulus. A kernel returns the least
-nonnegative residue, or None when the modulus term has magnitude 0 or 1.
-The public functions wrap the kernels and return Outcome values;
-evaluate_congruence and the CLI's congruence grid read the table.
+shift r, its domain check and its modulus, the one place that modulus is
+decided. Each caller reads the modulus once per instance: a modulus of 0 or
+1 makes the instance a TrivialModulus, and any other is handed to both
+kernels, which return the least nonnegative residue modulo it. The public
+functions and evaluate_congruence return Outcome values; they and the CLI's
+congruence grid read the table.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def _check_mersenne(k: int, n: int, r: Optional[int] = None) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-# Moduli, as (params, k, n) -> int; a kernel returns None when this is <= 1.
+# Moduli, as (params, k, n) -> int; no kernel sees one that is <= 1.
 
 
 def _modulus_k(params: LucasParams, k: int, n: int) -> int:
@@ -129,15 +131,13 @@ def _modulus_mersenne(params: LucasParams, k: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form kernels: (params, k, n, r) -> residue or None, on a checked
-# domain. r is the shift of the shift family and None for every other one.
+# Closed-form kernels: (params, k, n, r, modulus) -> residue, on a checked
+# domain and the family's modulus, which exceeds 1. r is the shift of the
+# shift family and None for every other one.
 # ---------------------------------------------------------------------------
 
 
-def _lemma1(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = abs(_u_term(params, k))
-    if modulus <= 1:
-        return None
+def _lemma1(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     if n == 0:
         return 0
     q = params.q_coeff
@@ -148,10 +148,7 @@ def _lemma1(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[i
     return value % modulus
 
 
-def _lemma2(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = abs(_u_term(params, k))
-    if modulus <= 1:
-        return None
+def _lemma2(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     q = params.q_coeff
     if n & 1:
         value = _u_term(params, k + 1) * pow_signed_mod(q, k * (n - 1) // 2, modulus)
@@ -160,10 +157,7 @@ def _lemma2(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[i
     return value % modulus
 
 
-def _cor6(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = abs(_u_term(params, k))
-    if modulus <= 1:
-        return None
+def _cor6(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     if n == 0:
         return 0
     a = parity_indicator(n)
@@ -172,20 +166,14 @@ def _cor6(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int
     return value % modulus
 
 
-def _cor7(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = abs(_u_term(params, k))
-    if modulus <= 1:
-        return None
+def _cor7(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     a = parity_indicator(n)
     factor = 1 if a else _u_term(params, k + 1)
     value = factor * pow_signed_mod(params.q_coeff, k * (n + a - 1) // 2, modulus)
     return value % modulus
 
 
-def _general_shift(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = abs(_u_term(params, k))
-    if modulus <= 1:
-        return None
+def _general_shift(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     a = parity_indicator(n)
     factor = 1 if a else _u_term(params, k + 1)
     value = (
@@ -196,10 +184,7 @@ def _general_shift(params: LucasParams, k: int, n: int, r: Optional[int]) -> Opt
     return value % modulus
 
 
-def _main(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = abs(_u_term(params, n))
-    if modulus <= 1:
-        return None
+def _main(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     d = gcd(n, k)
     ratio = exact_div(_u_term(params, n), _u_term(params, d))
     if _case(n, k) is CaseTag.BOTH_EVEN_ODD_QUOTIENTS:
@@ -223,10 +208,7 @@ def _main(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int
 # exercised on its own; the two must agree pointwise (tested).
 
 
-def _fib_shifted(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = _u_term(FIBONACCI_PARAMS, k)
-    if modulus <= 1:
-        return None
+def _fib_shifted(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     if n & 1:
         value = _u_term(FIBONACCI_PARAMS, k + 1) * _sign_pow(k * (n - 1) // 2)
     else:
@@ -234,10 +216,7 @@ def _fib_shifted(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optio
     return value % modulus
 
 
-def _fib_ratio(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = _u_term(FIBONACCI_PARAMS, k)
-    if modulus <= 1:
-        return None
+def _fib_ratio(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     if n == 0:
         return 0
     if n & 1:
@@ -247,10 +226,7 @@ def _fib_ratio(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optiona
     return value % modulus
 
 
-def _fib_main(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = _u_term(FIBONACCI_PARAMS, n)
-    if modulus <= 1:
-        return None
+def _fib_main(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     d = gcd(n, k)
     ratio = exact_div(modulus, _u_term(FIBONACCI_PARAMS, d))
     if _case(n, k) is CaseTag.BOTH_EVEN_ODD_QUOTIENTS:
@@ -260,15 +236,15 @@ def _fib_main(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional
     return value % modulus
 
 
-def _mersenne(params: LucasParams, k: int, n: int, r: Optional[int]) -> int:
-    modulus = (1 << n) - 1
+def _mersenne(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     d = gcd(n, k)
     return d * exact_div(modulus, (1 << d) - 1) % modulus
 
 
 # ---------------------------------------------------------------------------
 # Oracle kernels: brute force by the recurrence (never u_pair_* or a
-# closed-form kernel), or by the full numerator for Mersenne.
+# closed-form kernel), or by the full numerator for Mersenne. They take
+# nothing from the closed form but the modulus.
 # ---------------------------------------------------------------------------
 
 
@@ -288,38 +264,24 @@ def _ratio_mod(params: LucasParams, k: int, n: int, m: int) -> int:
     return quotient if u_k > 0 else -quotient
 
 
-def _ratio_oracle(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = abs(_u_term(params, k))
-    if modulus <= 1:
-        return None
+def _ratio_oracle(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     return _ratio_mod(params, k, n, modulus) % modulus
 
 
-def _shifted_oracle(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
+def _shifted_oracle(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
     # Families without an r (lemma2, cor7, fib19) shift by 1.
-    modulus = abs(_u_term(params, k))
-    if modulus <= 1:
-        return None
     return _u_term_mod(params, k * n + (1 if r is None else r), modulus)
 
 
-def _main_oracle(params: LucasParams, k: int, n: int, r: Optional[int]) -> Optional[int]:
-    modulus = abs(_u_term(params, n))
-    if modulus <= 1:
-        return None
-    return _ratio_mod(params, k, n, modulus) % modulus
-
-
-def _mersenne_oracle(params: LucasParams, k: int, n: int, r: Optional[int]) -> int:
-    quotient = exact_div((1 << (k * n)) - 1, (1 << k) - 1)
-    return quotient % ((1 << n) - 1)
+def _mersenne_oracle(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
+    return exact_div((1 << (k * n)) - 1, (1 << k) - 1) % modulus
 
 
 # ---------------------------------------------------------------------------
 # The family table
 # ---------------------------------------------------------------------------
 
-Kernel = Callable[[LucasParams, int, int, Optional[int]], Optional[int]]
+Kernel = Callable[[LucasParams, int, int, Optional[int], int], int]
 
 
 class Family(NamedTuple):
@@ -339,10 +301,10 @@ FAMILY_TABLE: dict[str, Family] = {
     "cor6": Family(_cor6, _ratio_oracle, None, False, _check_k_positive, _modulus_k),
     "cor7": Family(_cor7, _shifted_oracle, None, False, _check_nonnegative, _modulus_k),
     "shift": Family(_general_shift, _shifted_oracle, None, True, _check_nonnegative, _modulus_k),
-    "main": Family(_main, _main_oracle, None, False, _check_four_case, _modulus_n),
+    "main": Family(_main, _ratio_oracle, None, False, _check_four_case, _modulus_n),
     "fib19": Family(_fib_shifted, _shifted_oracle, (1, -1), False, _check_k_positive, _modulus_k),
     "fib20": Family(_fib_ratio, _ratio_oracle, (1, -1), False, _check_k_positive, _modulus_k),
-    "fib21": Family(_fib_main, _main_oracle, (1, -1), False, _check_four_case, _modulus_n),
+    "fib21": Family(_fib_main, _ratio_oracle, (1, -1), False, _check_four_case, _modulus_n),
     "mersenne22": Family(
         _mersenne, _mersenne_oracle, (3, 2), False, _check_mersenne, _modulus_mersenne
     ),
@@ -353,24 +315,16 @@ GENERAL_FAMILIES = tuple(name for name, f in FAMILY_TABLE.items() if f.forced is
 SPECIALIZED_FAMILIES = tuple(name for name, f in FAMILY_TABLE.items() if f.forced is not None)
 
 
-def _outcome(value: Optional[int], modulus: int) -> Outcome:
-    return TRIVIAL_MODULUS if value is None else ResidueClass(value, modulus)
-
-
-def _closed_form(
-    family: str, params: LucasParams, k: int, n: int, r: Optional[int] = None
+def _evaluate_side(
+    family: str, side: str, params: LucasParams, k: int, n: int, r: Optional[int] = None
 ) -> Outcome:
+    """One side ("closed_form" or "oracle") of one instance: check, modulus, kernel."""
     entry = FAMILY_TABLE[family]
     entry.check(k, n, r)
-    return _outcome(entry.closed_form(params, k, n, r), entry.modulus(params, k, n))
-
-
-def _oracle(
-    family: str, params: LucasParams, k: int, n: int, r: Optional[int] = None
-) -> Outcome:
-    entry = FAMILY_TABLE[family]
-    entry.check(k, n, r)
-    return _outcome(entry.oracle(params, k, n, r), entry.modulus(params, k, n))
+    modulus = entry.modulus(params, k, n)
+    if modulus <= 1:
+        return TRIVIAL_MODULUS
+    return ResidueClass(getattr(entry, side)(params, k, n, r, modulus), modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +339,7 @@ def lemma1_rhs(params: LucasParams, k: int, n: int) -> Outcome:
     instance is 0 outright (the factor n kills every term), which sidesteps
     the negative exponent the even branch would otherwise need.
     """
-    return _closed_form("lemma1", params, k, n)
+    return _evaluate_side("lemma1", "closed_form", params, k, n)
 
 
 def lemma2_rhs(params: LucasParams, k: int, n: int) -> Outcome:
@@ -393,22 +347,22 @@ def lemma2_rhs(params: LucasParams, k: int, n: int) -> Outcome:
 
     Odd n gives U_{k+1}*Q^{k(n-1)/2}; even n gives Q^{kn/2}.
     """
-    return _closed_form("lemma2", params, k, n)
+    return _evaluate_side("lemma2", "closed_form", params, k, n)
 
 
 def corollary_ratio_rhs(params: LucasParams, k: int, n: int) -> Outcome:
     """Parity-unified form of lemma1_rhs: n*(U_{k+1})^{a(n)}*Q^{k(n-a(n)-1)/2}."""
-    return _closed_form("cor6", params, k, n)
+    return _evaluate_side("cor6", "closed_form", params, k, n)
 
 
 def corollary_shift_rhs(params: LucasParams, k: int, n: int) -> Outcome:
     """Parity-unified form of lemma2_rhs: (U_{k+1})^{1-a(n)}*Q^{k(n+a(n)-1)/2}."""
-    return _closed_form("cor7", params, k, n)
+    return _evaluate_side("cor7", "closed_form", params, k, n)
 
 
 def general_shift_rhs(params: LucasParams, k: int, n: int, r: int) -> Outcome:
     """Residue of U_{kn+r} mod |U_k|: U_r times the shifted-term closed form; k, n, r >= 0."""
-    return _closed_form("shift", params, k, n, r)
+    return _evaluate_side("shift", "closed_form", params, k, n, r)
 
 
 def main_theorem_rhs(params: LucasParams, n: int, k: int) -> tuple[Outcome, CaseTag]:
@@ -419,7 +373,7 @@ def main_theorem_rhs(params: LucasParams, n: int, k: int) -> tuple[Outcome, Case
     the exponent. Both exponents are proven even and nonnegative for
     n, k >= 1, so that is asserted rather than handled.
     """
-    return _closed_form("main", params, k, n), _case(n, k)
+    return _evaluate_side("main", "closed_form", params, k, n), _case(n, k)
 
 
 class FibFamily(str, Enum):
@@ -440,7 +394,7 @@ def fibonacci_rhs_family(k: int, n: int, family: FibFamily | str) -> Outcome:
     so the sign bookkeeping gets exercised on its own; the two must agree
     pointwise (tested).
     """
-    return _closed_form(_FIB_TABLE_NAME[FibFamily(family)], FIBONACCI_PARAMS, k, n)
+    return _evaluate_side(_FIB_TABLE_NAME[FibFamily(family)], "closed_form", FIBONACCI_PARAMS, k, n)
 
 
 def mersenne_ratio_rhs(n: int, k: int) -> ResidueClass:
@@ -449,7 +403,7 @@ def mersenne_ratio_rhs(n: int, k: int) -> ResidueClass:
     Congruent to the exact quotient (2^{kn} - 1)/(2^k - 1) but computed
     entirely from n-bit intermediates; the kn-bit numerator never exists here.
     """
-    return _closed_form("mersenne22", MERSENNE_PARAMS, k, n)
+    return _evaluate_side("mersenne22", "closed_form", MERSENNE_PARAMS, k, n)
 
 
 def repetition_law_check(params: LucasParams, k: int, n: int, i: int) -> bool:
@@ -477,22 +431,22 @@ def repetition_law_check(params: LucasParams, k: int, n: int, i: int) -> bool:
 
 def ratio_lhs_exact(params: LucasParams, k: int, n: int) -> Outcome:
     """U_{kn}/U_k mod |U_k| by the recurrence and an asserted exact division; the slow oracle."""
-    return _oracle("lemma1", params, k, n)
+    return _evaluate_side("lemma1", "oracle", params, k, n)
 
 
 def shifted_lhs_exact(params: LucasParams, k: int, n: int, r: int = 1) -> Outcome:
     """U_{kn+r} mod |U_k| by the recurrence, reduced past the stored table; the slow oracle."""
-    return _oracle("shift", params, k, n, r)
+    return _evaluate_side("shift", "oracle", params, k, n, r)
 
 
 def main_lhs_exact(params: LucasParams, n: int, k: int) -> Outcome:
     """U_{kn}/U_k mod |U_n| by the recurrence and an asserted exact division; the slow oracle."""
-    return _oracle("main", params, k, n)
+    return _evaluate_side("main", "oracle", params, k, n)
 
 
 def mersenne_ratio_lhs_exact(n: int, k: int) -> ResidueClass:
     """(2^{kn} - 1)/(2^k - 1) mod 2^n - 1, building the kn-bit numerator."""
-    return _oracle("mersenne22", MERSENNE_PARAMS, k, n)
+    return _evaluate_side("mersenne22", "oracle", MERSENNE_PARAMS, k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -526,27 +480,34 @@ def evaluate_congruence(
 ) -> CongruenceReport:
     """Evaluate closed form and brute-force oracle for one instance of a family.
 
-    The fib* families force (P, Q) = (1, -1) and mersenne22 forces (3, 2);
-    the general families require explicit coefficients. Only the shift
-    family reads r. A trivial modulus on either side counts as holding.
+    The fib* families force (P, Q) = (1, -1) and mersenne22 forces (3, 2): a
+    p or q that differs from the forced value is rejected. The general
+    families require explicit coefficients. Only the shift family takes r,
+    and requires it. Both sides share the family's modulus; when it is
+    trivial, both are TrivialModulus and the congruence counts as holding.
     """
     entry = FAMILY_TABLE.get(family)
     if entry is None:
         raise ValueError(f"unknown congruence family {family!r}")
     if entry.forced is not None:
+        if p not in (None, entry.forced[0]) or q not in (None, entry.forced[1]):
+            raise ValueError(f"the {family} family fixes (P, Q) = {entry.forced}")
         p, q = entry.forced
     elif p is None or q is None:
         raise ValueError(f"family {family!r} requires explicit -p and -q coefficients")
     params = make_params(p, q)
-    if not entry.needs_r:
-        r = None
-    elif r is None:
+    if entry.needs_r and r is None:
         raise ValueError(f"the {family} family requires -r")
+    if not entry.needs_r and r is not None:
+        raise ValueError(f"-r applies to the shift family only, not {family}")
 
     tag = entry.check(k, n, r)
-    rhs = entry.closed_form(params, k, n, r)
-    lhs = entry.oracle(params, k, n, r)
     modulus = entry.modulus(params, k, n)
+    if modulus <= 1:
+        rhs = lhs = TRIVIAL_MODULUS
+    else:
+        rhs = ResidueClass(entry.closed_form(params, k, n, r, modulus), modulus)
+        lhs = ResidueClass(entry.oracle(params, k, n, r, modulus), modulus)
     return CongruenceReport(
         family=family,
         p_coeff=p,
@@ -554,8 +515,8 @@ def evaluate_congruence(
         k=k,
         n=n,
         r=r,
-        lhs=_outcome(lhs, modulus),
-        rhs=_outcome(rhs, modulus),
+        lhs=lhs,
+        rhs=rhs,
         case_tag=tag,
-        holds=lhs is None or rhs is None or lhs == rhs,
+        holds=lhs == rhs,
     )

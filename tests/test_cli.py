@@ -5,6 +5,7 @@ import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ import lucaskit.cli as cli_module
 import lucaskit.congruences as congruences_module
 import lucaskit.primality as primality_module
 from lucaskit import (
+    TRIVIAL_MODULUS,
     TrivialModulus,
     corollary_ratio_rhs,
     corollary_shift_rhs,
@@ -30,7 +32,7 @@ from lucaskit import (
     v_at,
 )
 from lucaskit.cli import main
-from lucaskit.congruences import FAMILY_TABLE, _outcome
+from lucaskit.congruences import FAMILY_TABLE, _evaluate_side
 from lucaskit.primality import CRITERION_TABLE
 
 
@@ -142,6 +144,47 @@ class TestCongruence:
     def test_general_family_needs_coefficients(self, capsys):
         code, _, err = run_cli(capsys, "congruence", "--family", "lemma1", "-k", "4", "-n", "3")
         assert code == 2 and "error" in err
+
+
+class TestIgnoredFlagsAreRejected:
+    # A flag the family would not read is an error in evaluate_congruence, so
+    # the library and the CLI reject it alike.
+
+    @pytest.mark.parametrize("family, pq, message", [
+        ("fib19", ("3", "2"), "the fib19 family fixes (P, Q) = (1, -1)"),
+        ("fib21", (None, "1"), "the fib21 family fixes (P, Q) = (1, -1)"),
+        ("fib20", ("2", "-1"), "the fib20 family fixes (P, Q) = (1, -1)"),
+        ("mersenne22", ("1", "-1"), "the mersenne22 family fixes (P, Q) = (3, 2)"),
+        ("mersenne22", (None, "-2"), "the mersenne22 family fixes (P, Q) = (3, 2)"),
+    ])
+    def test_coefficients_of_a_forced_family(self, capsys, family, pq, message):
+        p, q = pq
+        flags = (["-p", p] if p else []) + (["-q", q] if q else [])
+        argv = ["congruence", "--family", family, *flags, "-k", "3", "-n", "4", "--no-timing"]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        with pytest.raises(ValueError) as exc:
+            evaluate_congruence(family, p=p and int(p), q=q and int(q), k=3, n=4)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family", [f for f in FAMILY_TABLE if f != "shift"])
+    def test_r_outside_the_shift_family(self, capsys, family):
+        pq = [] if FAMILY_TABLE[family].forced else ["-p", "1", "-q", "-1"]
+        argv = ["congruence", "--family", family, *pq, "-k", "3", "-n", "4", "-r", "5"]
+        message = f"-r applies to the shift family only, not {family}"
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        p, q = FAMILY_TABLE[family].forced or (1, -1)
+        with pytest.raises(ValueError) as exc:
+            evaluate_congruence(family, p=p, q=q, k=3, n=4, r=5)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family", ["fib19", "fib20", "fib21"])
+    @pytest.mark.parametrize("k, n", [(3, 4), (1, 2), (6, 4)])
+    @pytest.mark.parametrize("flags", [["-p", "1", "-q", "-1"], ["-p", "1"], ["-q", "-1"]])
+    def test_fibonacci_coefficients_give_the_same_record(self, capsys, family, k, n, flags):
+        argv = ["congruence", "--family", family, "-k", str(k), "-n", str(n), "--no-timing"]
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
+        assert run_cli(capsys, *argv[:3], *flags, *argv[3:]) == expected
 
 
 class TestPrimetest:
@@ -594,14 +637,12 @@ class TestGridMatchesPublicPath:
                 report = evaluate_congruence(family, p=p, q=q, k=k, n=n, r=r)
                 assert report.holds, (family, pq, k, n, r)
                 expected.append("-" if isinstance(report.rhs, TrivialModulus) else "+")
-                entry = FAMILY_TABLE[family]
-                modulus = entry.modulus(params, k, n)
                 closed, oracle = PUBLIC_SIDES[family]
-                assert closed(params, k, n, r) == report.rhs == _outcome(
-                    entry.closed_form(params, k, n, r), modulus
+                assert closed(params, k, n, r) == report.rhs == _evaluate_side(
+                    family, "closed_form", params, k, n, r
                 )
-                assert oracle(params, k, n, r) == report.lhs == _outcome(
-                    entry.oracle(params, k, n, r), modulus
+                assert oracle(params, k, n, r) == report.lhs == _evaluate_side(
+                    family, "oracle", params, k, n, r
                 )
         assert marks == "".join(expected)
 
@@ -660,10 +701,10 @@ def _break_kernel(monkeypatch, family, side, hit):
     entry = congruences_module.FAMILY_TABLE[family]
     kernel = getattr(entry, side)
 
-    def broken(params, k, n, r):
-        value = kernel(params, k, n, r)
+    def broken(params, k, n, r, modulus):
+        value = kernel(params, k, n, r, modulus)
         if (params.p_coeff, params.q_coeff, k, n) == hit:
-            return (value + 1) % entry.modulus(params, k, n)
+            return (value + 1) % modulus
         return value
 
     monkeypatch.setitem(
@@ -718,4 +759,59 @@ class TestGridMismatches:
             f'{{"method":"congruence-grid","from":1,"to":8,{counts},'
             '"mismatches":[{"n":4,"detail":"family=main p=1 q=-2 k=3 n=4"}],'
             '"workers":1}\n'
+        )
+
+
+def _guard_kernels(monkeypatch):
+    """Make every table kernel fail on a modulus <= 1; returns the list its calls append to."""
+    calls = []
+    for family, entry in list(FAMILY_TABLE.items()):
+        guarded = {}
+        for side in ("closed_form", "oracle"):
+            def guard(params, k, n, r, modulus, kernel=getattr(entry, side), family=family):
+                assert modulus > 1, (family, params, k, n, r, modulus)
+                calls.append(family)
+                return kernel(params, k, n, r, modulus)
+
+            guarded[side] = guard
+        monkeypatch.setitem(FAMILY_TABLE, family, entry._replace(**guarded))
+    return calls
+
+
+def _trivial_corpus_instances():
+    """(family, p, q, k, n, r) of each golden-corpus congruence with a trivial modulus."""
+    records = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    trivial = [
+        json.loads(record["stdout"])
+        for record in records
+        if record["argv"][0] == "congruence" and "trivial_modulus" in record["stdout"]
+    ]
+    return [tuple(fields[key] for key in ("family", "p", "q", "k", "n", "r")) for fields in trivial]
+
+
+class TestNoKernelSeesATrivialModulus:
+    # The modulus is read and tested once per instance, by its caller: an
+    # instance with a modulus of 0 or 1 never reaches a kernel.
+
+    def test_grid_and_trivial_instances_are_unchanged(self, monkeypatch):
+        instances = _trivial_corpus_instances()
+        units = [(p, q, k, 0, 8) for p, q in cli_module.COEFFICIENT_GRID for k in range(1, 9)]
+
+        def run():
+            scan = cli_module.run_scan("congruence-grid", 0, 8, 1)
+            return (
+                [cli_module._grid_batch(unit) for unit in units],
+                (scan.checked, scan.skipped, scan.mismatches),
+                [evaluate_congruence(*instance) for instance in instances],
+            )
+
+        before = run()
+        calls = _guard_kernels(monkeypatch)
+        assert run() == before
+        _, counts, reports = before
+        assert counts == (16264, 5336, ())
+        assert set(calls) == {family for family, _ in cli_module.GRID_VARIANTS}
+        assert len(reports) == 10
+        assert all(
+            report.lhs == report.rhs == TRIVIAL_MODULUS and report.holds for report in reports
         )

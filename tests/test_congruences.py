@@ -1,3 +1,4 @@
+import types
 from math import gcd
 
 import pytest
@@ -22,6 +23,7 @@ from lucaskit import (
     evaluate_congruence,
     exact_div,
     fibonacci_rhs_family,
+    fibonacci_sum_residue_direct,
     general_shift_rhs,
     lemma1_rhs,
     lemma2_rhs,
@@ -30,6 +32,7 @@ from lucaskit import (
     make_params,
     mersenne_ratio_lhs_exact,
     mersenne_ratio_rhs,
+    mersenne_sum_residue_direct,
     parity_indicator,
     pow_signed_mod,
     ratio_lhs_exact,
@@ -37,7 +40,7 @@ from lucaskit import (
     shifted_lhs_exact,
     u_at,
 )
-from lucaskit.congruences import FAMILY_TABLE, _outcome
+from lucaskit.congruences import FAMILY_TABLE, _evaluate_side
 from lucaskit.sequences import _u_term_mod
 
 PELL = make_params(2, -1)
@@ -488,10 +491,9 @@ class TestOneDomainPerFamily:
             params = make_params(*entry.forced)
             for k in range(1, 13):
                 for n in range(2, 13):
-                    modulus = entry.modulus(params, k, n)
-                    closed = _outcome(entry.closed_form(params, k, n, None), modulus)
+                    closed = _evaluate_side(family, "closed_form", params, k, n)
                     assert public(k, n) == closed, (family, k, n)
-                    oracle = _outcome(entry.oracle(params, k, n, None), modulus)
+                    oracle = _evaluate_side(family, "oracle", params, k, n)
                     if family == "mersenne22":
                         assert mersenne_ratio_lhs_exact(n, k) == oracle
                     report = evaluate_congruence(family, k=k, n=n)
@@ -508,6 +510,63 @@ def test_exact_div_flags_nonzero_remainder():
         exact_div(7, 2)
     with pytest.raises(InternalInvariantViolation):
         exact_div(7, 0)
+
+
+# ---------------------------------------------------------------------------
+# Oracle independence: what each oracle reaches by call closure
+# ---------------------------------------------------------------------------
+
+
+def _reachable(fn):
+    """The lucaskit functions fn reaches, itself included.
+
+    Walks the names each function's code (nested code objects included)
+    loads, resolved through its module's globals. A global of the same name
+    as an attribute counts as reached too, which can only over-report.
+    """
+    seen = set()
+    stack = [fn]
+    while stack:
+        f = stack.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        codes = [f.__code__]
+        while codes:
+            code = codes.pop()
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            for name in code.co_names:
+                target = f.__globals__.get(name)
+                if isinstance(target, types.FunctionType) and target.__module__.startswith(
+                    "lucaskit"
+                ):
+                    stack.append(target)
+    return seen
+
+
+class TestOracleIndependence:
+    # An oracle must not share the formula under test: no closed-form kernel,
+    # no Q-power, no index doubling.
+
+    @pytest.mark.parametrize("family", FAMILY_TABLE)
+    def test_table_oracles_reach_no_closed_form(self, family):
+        closed_forms = {entry.closed_form for entry in FAMILY_TABLE.values()}
+        reached = _reachable(FAMILY_TABLE[family].oracle)
+        assert {sequences._u_term_mod, exact_div} & reached  # the walk sees the oracle's work
+        shared = {
+            f.__name__
+            for f in reached
+            if f in closed_forms or f is pow_signed_mod or "u_pair" in f.__name__
+        }
+        assert not shared, (family, shared)
+
+    @pytest.mark.parametrize("direct", [mersenne_sum_residue_direct, fibonacci_sum_residue_direct])
+    def test_direct_sum_residues_reach_no_divisor_classes(self, direct):
+        reached = {f.__name__ for f in _reachable(direct)}
+        assert "exact_div" in reached or "u_pair_mod" in reached
+        assert not {
+            name for name in reached if name == "_divisor_classes" or name.startswith("_repunit")
+        }
 
 
 # ---------------------------------------------------------------------------

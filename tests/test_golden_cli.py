@@ -3,7 +3,9 @@
 `golden_cli.json` holds the output of every command in GOLDEN_ARGV, run with
 `--no-timing`, LUCAS_WORKERS=1 and COLUMNS=80 (argparse's usage width): the
 README examples, each congruence family's error paths, a few instances of
-every family, and the criterion commands' error paths and edge ranges. Each replay must match byte for byte. To record the corpus again from the current code:
+every family, a trivial modulus in every family but mersenne22, and the
+criterion commands' error paths and edge ranges. Each replay must match byte
+for byte. To record the corpus again from the current code:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -135,9 +137,20 @@ CRITERIA_EDGES = [
     ["scan", "--method", "remark", "--from", "0", "--to", "40", "--fail-fast"],
 ]
 
+# A trivial modulus (a modulus term of magnitude 0 or 1) in cor6, cor7 and
+# fib20, which the instances above leave without one, and lemma1 at |U_1| = 1.
+TRIVIAL_MODULI = [
+    _congruence("cor6", 1, 1, 3, 2),  # U_3(1, 1) = 0
+    _congruence("cor7", 2, -1, 0, 3),  # U_0 = 0
+    _congruence("fib20", 1, 2),  # F_1 = 1
+    _congruence("lemma1", 3, 2, 1, 4),  # U_1 = 1
+]
+
 GOLDEN_ARGV = [
     argv + ["--no-timing"]
-    for argv in README_EXAMPLES + ERROR_PATHS + INSTANCES + CRITERIA + CRITERIA_EDGES
+    for argv in (
+        README_EXAMPLES + ERROR_PATHS + INSTANCES + CRITERIA + CRITERIA_EDGES + TRIVIAL_MODULI
+    )
 ]
 
 
