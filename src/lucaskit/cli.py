@@ -166,40 +166,46 @@ GRID_VARIANTS = tuple(
 def _grid_batch(unit: tuple[int, int, int, int, int]) -> Outcomes:
     """Check every n and family variant of one (P, Q, k); details only for mismatches.
 
-    Each item runs its family's domain check and reads its family's modulus
-    once. It is skipped when it lies outside the domain (main at n = 0) or
-    the modulus is 0 or 1; otherwise both plain-int kernels get that modulus,
-    and it holds when their residues are equal.
+    A modulus fixed over n (|U_k|) is read once for the batch, and both sides
+    of each variant are prepared once, unless that modulus is 0 or 1. Each
+    item runs its family's domain check and reads a modulus that moves with n
+    (main's |U_n|). It is skipped when it lies outside the domain (main at
+    n = 0) or the modulus is 0 or 1; otherwise both prepared steps get that
+    modulus, and it holds when their residues are equal.
     """
     p, q, k, n_lo, hi = unit
     params = make_params(p, q)
     # No index of the (P, Q) grid exceeds hi*hi + max r: one table extension
     # serves every batch of this pair.
     _u_term_reserve(params, hi * hi + SHIFT_R_RANGE[-1])
-    variants = [(name, r, FAMILY_TABLE[name]) for name, r in GRID_VARIANTS]
+    fixed = {family.modulus for family in FAMILY_TABLE.values() if family.fixed_modulus}
+    fixed_moduli = {modulus_of: modulus_of(params, k, n_lo) for modulus_of in fixed}
+    variants = []
+    for name, r in GRID_VARIANTS:
+        family = FAMILY_TABLE[name]
+        modulus = fixed_moduli.get(family.modulus)  # None when it moves with n
+        sides = (None, None)
+        if modulus is None or modulus > 1:
+            sides = family.closed_form(params, k, r, modulus), family.oracle(params, k, r, modulus)
+        variants.append((name, r, family.check, family.modulus, modulus, *sides))
     marks = []
     failed = []
     for n in range(n_lo, hi + 1):
-        for name, r, family in variants:
+        for name, r, check, modulus_of, fixed_modulus, closed_form, oracle in variants:
             try:
-                family.check(k, n, r)
+                check(k, n, r)
             except ValueError:
                 marks.append("-")
                 continue
-            modulus = family.modulus(params, k, n)
+            modulus = modulus_of(params, k, n) if fixed_modulus is None else fixed_modulus
             if modulus <= 1:
                 marks.append("-")
-            elif family.closed_form(params, k, n, r, modulus) == family.oracle(
-                params, k, n, r, modulus
-            ):
+            elif closed_form(n, modulus) == oracle(n, modulus):
                 marks.append("+")
             else:
                 marks.append("x")
-                failed.append(
-                    (n, f"family={name} p={p} q={q} k={k} n={n}" + (
-                        f" r={r}" if r is not None else ""
-                    ))
-                )
+                shift = "" if r is None else f" r={r}"
+                failed.append((n, f"family={name} p={p} q={q} k={k} n={n}{shift}"))
     return "".join(marks), tuple(failed)
 
 

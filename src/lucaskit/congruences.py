@@ -11,17 +11,20 @@ recurrence, reduced past the stored term table, and the Mersenne one builds
 Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
 shift r, its domain check and its modulus, the one place that modulus is
-decided. Each caller reads the modulus once per instance: a modulus of 0 or
-1 makes the instance a TrivialModulus, and any other is handed to both
-kernels, which return the least nonnegative residue modulo it. The public
-functions and evaluate_congruence return Outcome values; they and the CLI's
-congruence grid read the table.
+decided. A side is a prepare step, once per (P, Q, k), that reads the side's
+constants (U_{k+1}, Q^k and U_r modulo |U_k|), and the step it returns, which
+gives the least nonnegative residue for one n. Each caller reads the modulus
+once per instance, or once per (P, Q, k) when it is |U_k|: 0 or 1 makes the
+instance a TrivialModulus, and any other is handed to both sides. The public
+functions and evaluate_congruence run both steps for one n and return
+Outcome values; the CLI's congruence grid steps each prepared side over n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, wraps
 from math import gcd
 from typing import Callable, NamedTuple, Optional
 
@@ -115,7 +118,7 @@ def _check_mersenne(k: int, n: int, r: Optional[int] = None) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-# Moduli, as (params, k, n) -> int; no kernel sees one that is <= 1.
+# Moduli, as (params, k, n) -> int; no side sees one that is <= 1.
 
 
 def _modulus_k(params: LucasParams, k: int, n: int) -> int:
@@ -131,60 +134,85 @@ def _modulus_mersenne(params: LucasParams, k: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form kernels: (params, k, n, r, modulus) -> residue, on a checked
-# domain and the family's modulus, which exceeds 1. r is the shift of the
-# shift family and None for every other one.
+# Closed-form sides. Every side is a prepare step (params, k, r, modulus) ->
+# step, once per (P, Q, k) and r, and its step (n, modulus) -> residue, on a
+# checked domain and the family's modulus, which exceeds 1; a modulus that
+# moves with n may be None when preparing. r is the shift family's, else None.
 # ---------------------------------------------------------------------------
 
-
-def _lemma1(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
-    if n == 0:
-        return 0
-    q = params.q_coeff
-    if n & 1:
-        value = n * pow_signed_mod(q, k * (n - 1) // 2, modulus)
-    else:
-        value = n * _u_term(params, k + 1) * pow_signed_mod(q, k * (n - 2) // 2, modulus)
-    return value % modulus
+Step = Callable[[int, int], int]
+Prepare = Callable[[LucasParams, int, Optional[int], Optional[int]], Step]
 
 
-def _lemma2(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
-    q = params.q_coeff
-    if n & 1:
-        value = _u_term(params, k + 1) * pow_signed_mod(q, k * (n - 1) // 2, modulus)
-    else:
-        value = pow_signed_mod(q, k * n // 2, modulus)
-    return value % modulus
+def _per_n(kernel: Callable[[LucasParams, int, Optional[int], int, int], int]) -> Prepare:
+    """Decorator for a side with nothing to prepare: kernel(params, k, r, n, modulus)."""
+    return wraps(kernel)(lambda params, k, r, modulus: partial(kernel, params, k, r))
 
 
-def _cor6(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
-    if n == 0:
-        return 0
-    a = parity_indicator(n)
-    factor = _u_term(params, k + 1) if a else 1
-    value = n * factor * pow_signed_mod(params.q_coeff, k * (n - a - 1) // 2, modulus)
-    return value % modulus
+def _k_constants(params: LucasParams, k: int, modulus: int) -> tuple[int, int]:
+    """U_{k+1} and Q^k mod |U_k|, the constants of its closed forms; Q^{ke} = pow(Q^k, e)."""
+    return _u_term(params, k + 1) % modulus, pow_signed_mod(params.q_coeff, k, modulus)
 
 
-def _cor7(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
-    a = parity_indicator(n)
-    factor = 1 if a else _u_term(params, k + 1)
-    value = factor * pow_signed_mod(params.q_coeff, k * (n + a - 1) // 2, modulus)
-    return value % modulus
+def _lemma1(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
+    u_next, q_k = _k_constants(params, k, modulus)
+
+    def step(n: int, modulus: int) -> int:
+        if n == 0:
+            return 0
+        if n & 1:
+            return n * pow(q_k, (n - 1) // 2, modulus) % modulus
+        return n * u_next * pow(q_k, (n - 2) // 2, modulus) % modulus
+
+    return step
 
 
-def _general_shift(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
-    a = parity_indicator(n)
-    factor = 1 if a else _u_term(params, k + 1)
-    value = (
-        _u_term(params, r)
-        * factor
-        * pow_signed_mod(params.q_coeff, k * (n + a - 1) // 2, modulus)
-    )
-    return value % modulus
+def _lemma2(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
+    u_next, q_k = _k_constants(params, k, modulus)
+
+    def step(n: int, modulus: int) -> int:
+        if n & 1:
+            return u_next * pow(q_k, (n - 1) // 2, modulus) % modulus
+        return pow(q_k, n // 2, modulus)
+
+    return step
 
 
-def _main(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
+def _cor6(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
+    u_next, q_k = _k_constants(params, k, modulus)
+
+    def step(n: int, modulus: int) -> int:
+        if n == 0:
+            return 0
+        a = 1 - (n & 1)  # parity_indicator(n)
+        return n * (u_next if a else 1) * pow(q_k, (n - a - 1) // 2, modulus) % modulus
+
+    return step
+
+
+def _cor7(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
+    u_next, q_k = _k_constants(params, k, modulus)
+
+    def step(n: int, modulus: int) -> int:
+        a = 1 - (n & 1)  # parity_indicator(n)
+        return (1 if a else u_next) * pow(q_k, (n + a - 1) // 2, modulus) % modulus
+
+    return step
+
+
+def _general_shift(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
+    u_next, q_k = _k_constants(params, k, modulus)
+    u_r = _u_term(params, r) % modulus
+
+    def step(n: int, modulus: int) -> int:
+        a = 1 - (n & 1)  # parity_indicator(n)
+        return u_r * (1 if a else u_next) * pow(q_k, (n + a - 1) // 2, modulus) % modulus
+
+    return step
+
+
+@_per_n
+def _main(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
     d = gcd(n, k)
     ratio = exact_div(_u_term(params, n), _u_term(params, d))
     if _case(n, k) is CaseTag.BOTH_EVEN_ODD_QUOTIENTS:
@@ -208,7 +236,8 @@ def _main(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -
 # exercised on its own; the two must agree pointwise (tested).
 
 
-def _fib_shifted(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
+@_per_n
+def _fib_shifted(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
     if n & 1:
         value = _u_term(FIBONACCI_PARAMS, k + 1) * _sign_pow(k * (n - 1) // 2)
     else:
@@ -216,7 +245,8 @@ def _fib_shifted(params: LucasParams, k: int, n: int, r: Optional[int], modulus:
     return value % modulus
 
 
-def _fib_ratio(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
+@_per_n
+def _fib_ratio(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
     if n == 0:
         return 0
     if n & 1:
@@ -226,7 +256,8 @@ def _fib_ratio(params: LucasParams, k: int, n: int, r: Optional[int], modulus: i
     return value % modulus
 
 
-def _fib_main(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
+@_per_n
+def _fib_main(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
     d = gcd(n, k)
     ratio = exact_div(modulus, _u_term(FIBONACCI_PARAMS, d))
     if _case(n, k) is CaseTag.BOTH_EVEN_ODD_QUOTIENTS:
@@ -236,44 +267,45 @@ def _fib_main(params: LucasParams, k: int, n: int, r: Optional[int], modulus: in
     return value % modulus
 
 
-def _mersenne(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
+@_per_n
+def _mersenne(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
     d = gcd(n, k)
     return d * exact_div(modulus, (1 << d) - 1) % modulus
 
 
 # ---------------------------------------------------------------------------
-# Oracle kernels: brute force by the recurrence (never u_pair_* or a
-# closed-form kernel), or by the full numerator for Mersenne. They take
+# Oracle sides: brute force by the recurrence (never u_pair_* or a
+# closed-form side), or by the full numerator for Mersenne. They take
 # nothing from the closed form but the modulus.
 # ---------------------------------------------------------------------------
 
 
-def _ratio_mod(params: LucasParams, k: int, n: int, m: int) -> int:
-    """U_{kn}/U_k mod m, read from U_{kn} mod |U_k|*m by the recurrence.
+def _ratio_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | None) -> Step:
+    """U_{kn}/U_k mod m, read from U_{kn} mod |U_k|*m by the recurrence; the context is U_k.
 
-    U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as
-    exact_div does, a zero U_k included) and sgn(U_k) times the quotient is
-    congruent to U_{kn}/U_k mod m. No term wider than |U_k|*m is built past
-    the stored table.
+    U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as exact_div does,
+    a zero U_k included) and sgn(U_k) times the quotient is congruent to U_{kn}/U_k mod m.
+    No term wider than |U_k|*m is built past the stored table.
     """
     u_k = _u_term(params, k)
-    if u_k == 0:
-        raise InternalInvariantViolation("exact division by a zero term")
-    width = abs(u_k)
-    quotient = exact_div(_u_term_mod(params, k * n, width * m), width)
-    return quotient if u_k > 0 else -quotient
+    width, negative = abs(u_k), u_k < 0
+
+    def step(n: int, m: int) -> int:
+        if width == 0:
+            raise InternalInvariantViolation("exact division by a zero term")
+        quotient = exact_div(_u_term_mod(params, k * n, width * m), width)
+        return (-quotient if negative else quotient) % m
+
+    return step
 
 
-def _ratio_oracle(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
-    return _ratio_mod(params, k, n, modulus) % modulus
+def _shifted_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | None) -> Step:
+    shift = 1 if r is None else r  # families without an r (lemma2, cor7, fib19) shift by 1
+    return lambda n, m: _u_term_mod(params, k * n + shift, m)
 
 
-def _shifted_oracle(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
-    # Families without an r (lemma2, cor7, fib19) shift by 1.
-    return _u_term_mod(params, k * n + (1 if r is None else r), modulus)
-
-
-def _mersenne_oracle(params: LucasParams, k: int, n: int, r: Optional[int], modulus: int) -> int:
+@_per_n
+def _mersenne_oracle(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
     return exact_div((1 << (k * n)) - 1, (1 << k) - 1) % modulus
 
 
@@ -281,18 +313,20 @@ def _mersenne_oracle(params: LucasParams, k: int, n: int, r: Optional[int], modu
 # The family table
 # ---------------------------------------------------------------------------
 
-Kernel = Callable[[LucasParams, int, int, Optional[int], int], int]
-
 
 class Family(NamedTuple):
     """Everything the library knows about one congruence family."""
 
-    closed_form: Kernel
-    oracle: Kernel
+    closed_form: Prepare
+    oracle: Prepare
     forced: Optional[tuple[int, int]]  # fixed (P, Q), or None for explicit -p/-q
     needs_r: bool
     check: Callable[[int, int, Optional[int]], Optional[CaseTag]]
     modulus: Callable[[LucasParams, int, int], int]
+
+    @property
+    def fixed_modulus(self) -> bool:  # the same modulus, |U_k|, for every n of a (P, Q, k)
+        return self.modulus is _modulus_k
 
 
 FAMILY_TABLE: dict[str, Family] = {
@@ -318,13 +352,13 @@ SPECIALIZED_FAMILIES = tuple(name for name, f in FAMILY_TABLE.items() if f.force
 def _evaluate_side(
     family: str, side: str, params: LucasParams, k: int, n: int, r: Optional[int] = None
 ) -> Outcome:
-    """One side ("closed_form" or "oracle") of one instance: check, modulus, kernel."""
+    """One side ("closed_form" or "oracle") of one instance: check, modulus, prepare, step."""
     entry = FAMILY_TABLE[family]
     entry.check(k, n, r)
     modulus = entry.modulus(params, k, n)
     if modulus <= 1:
         return TRIVIAL_MODULUS
-    return ResidueClass(getattr(entry, side)(params, k, n, r, modulus), modulus)
+    return ResidueClass(getattr(entry, side)(params, k, r, modulus)(n, modulus), modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +540,8 @@ def evaluate_congruence(
     if modulus <= 1:
         rhs = lhs = TRIVIAL_MODULUS
     else:
-        rhs = ResidueClass(entry.closed_form(params, k, n, r, modulus), modulus)
-        lhs = ResidueClass(entry.oracle(params, k, n, r, modulus), modulus)
+        rhs = ResidueClass(entry.closed_form(params, k, r, modulus)(n, modulus), modulus)
+        lhs = ResidueClass(entry.oracle(params, k, r, modulus)(n, modulus), modulus)
     return CongruenceReport(
         family=family,
         p_coeff=p,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import lucaskit.cli as cli_module
 import lucaskit.congruences as congruences_module
 import lucaskit.primality as primality_module
+import lucaskit.sequences as sequences_module
 from lucaskit import (
     TRIVIAL_MODULUS,
     TrivialModulus,
@@ -620,12 +621,15 @@ PUBLIC_SIDES = {
 
 class TestGridMatchesPublicPath:
     @settings(deadline=None, max_examples=150)
-    @given(pq=st.sampled_from(WIDE_PAIRS), k=st.integers(1, 12))
-    def test_marks_match_evaluate_congruence(self, pq, k):
+    @given(pq=st.sampled_from(WIDE_PAIRS), k=st.integers(1, 12), n_lo=st.sampled_from([1, 5]))
+    def test_marks_match_evaluate_congruence(self, pq, k, n_lo):
         p, q = pq
         params = make_params(p, q)
         marks, failed = cli_module._grid_batch((p, q, k, 0, 12))
         assert "x" not in marks and failed == ()
+        # A batch prepared at a later first n marks the same items alike.
+        width = len(cli_module.GRID_VARIANTS)
+        assert cli_module._grid_batch((p, q, k, n_lo, 12)) == (marks[n_lo * width:], ())
         expected = []
         for n in range(0, 13):
             for family, r in cli_module.GRID_VARIANTS:
@@ -650,6 +654,47 @@ class TestGridMatchesPublicPath:
         assert cli_module.GRID_VARIANTS == tuple(
             (family, None) for family in ("lemma1", "lemma2", "cor6", "cor7", "main")
         ) + tuple(("shift", r) for r in range(7))
+
+
+class TestGridWork:
+    # The work of the whole 1..24 grid, counted at the term table's readers.
+
+    def _count_reads(self, monkeypatch):
+        counts = {"_u_term": 0, "_u_term_mod": 0}
+        for name in counts:
+            real = getattr(sequences_module, name)
+
+            def reader(*args, real=real, name=name):
+                counts[name] += 1
+                return real(*args)
+
+            for module in (sequences_module, congruences_module):
+                monkeypatch.setattr(module, name, reader)
+        return counts
+
+    def test_term_reads_per_item(self, monkeypatch):
+        counts = self._count_reads(monkeypatch)
+        scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
+        items = scan.checked + scan.skipped
+        assert (scan.checked, scan.skipped, scan.mismatches) == (149472, 23328, ())
+        assert counts["_u_term_mod"] == scan.checked  # one oracle read per checked item
+        assert counts["_u_term"] <= 0.5 * items
+
+    @pytest.mark.parametrize("p, q, k", [(1, -1, 7), (3, -2, 6), (2, 1, 5), (1, 1, 3)])
+    def test_u_k_families_read_no_term_per_n(self, monkeypatch, p, q, k):
+        # Without main, a batch's term reads are its preparing alone: the
+        # same over n in 1..12 as over 1..24.
+        monkeypatch.setattr(cli_module, "GRID_VARIANTS", tuple(
+            variant for variant in cli_module.GRID_VARIANTS if variant[0] != "main"
+        ))
+        counts = self._count_reads(monkeypatch)
+        reads = []
+        for hi in (12, 24):
+            counts["_u_term"] = 0
+            marks, _ = cli_module._grid_batch((p, q, k, 1, hi))
+            assert len(marks) == 11 * hi
+            reads.append(counts["_u_term"])
+        assert reads[0] == reads[1] <= 21, reads
 
 
 def _crash_worker(n):
@@ -695,17 +740,22 @@ class TestFailureContract:
 def _break_kernel(monkeypatch, family, side, hit):
     """Add 1 to the residue of one side ("closed_form" or "oracle") at one (P, Q, k, n).
 
-    The family table's kernel is replaced, so the grid, evaluate_congruence
-    and the public functions all see the fault.
+    The family table's prepare step is replaced by one whose steps carry the
+    fault, so the grid, evaluate_congruence and the public functions all see it.
     """
     entry = congruences_module.FAMILY_TABLE[family]
-    kernel = getattr(entry, side)
+    prepare = getattr(entry, side)
 
-    def broken(params, k, n, r, modulus):
-        value = kernel(params, k, n, r, modulus)
-        if (params.p_coeff, params.q_coeff, k, n) == hit:
-            return (value + 1) % modulus
-        return value
+    def broken(params, k, r, modulus):
+        step = prepare(params, k, r, modulus)
+
+        def broken_step(n, modulus):
+            value = step(n, modulus)
+            if (params.p_coeff, params.q_coeff, k, n) == hit:
+                return (value + 1) % modulus
+            return value
+
+        return broken_step
 
     monkeypatch.setitem(
         congruences_module.FAMILY_TABLE, family, entry._replace(**{side: broken})
@@ -763,15 +813,29 @@ class TestGridMismatches:
 
 
 def _guard_kernels(monkeypatch):
-    """Make every table kernel fail on a modulus <= 1; returns the list its calls append to."""
+    """Make every table side fail on a modulus <= 1; returns the list its steps append to.
+
+    A prepare step may see None in place of the modulus only when its family's
+    modulus moves with n.
+    """
     calls = []
     for family, entry in list(FAMILY_TABLE.items()):
         guarded = {}
         for side in ("closed_form", "oracle"):
-            def guard(params, k, n, r, modulus, kernel=getattr(entry, side), family=family):
-                assert modulus > 1, (family, params, k, n, r, modulus)
-                calls.append(family)
-                return kernel(params, k, n, r, modulus)
+            def guard(params, k, r, modulus, prepare=getattr(entry, side), entry=entry,
+                      family=family):
+                if modulus is None:
+                    assert not entry.fixed_modulus, (family, params, k, r)
+                else:
+                    assert modulus > 1, (family, params, k, r, modulus)
+                step = prepare(params, k, r, modulus)
+
+                def guarded_step(n, modulus):
+                    assert modulus > 1, (family, params, k, n, r, modulus)
+                    calls.append(family)
+                    return step(n, modulus)
+
+                return guarded_step
 
             guarded[side] = guard
         monkeypatch.setitem(FAMILY_TABLE, family, entry._replace(**guarded))

@@ -1,3 +1,4 @@
+import functools
 import types
 from math import gcd
 
@@ -490,9 +491,15 @@ class TestOneDomainPerFamily:
             entry = FAMILY_TABLE[family]
             params = make_params(*entry.forced)
             for k in range(1, 13):
+                fixed = entry.modulus(params, k, 0) if entry.fixed_modulus else None
+                closed_step = None
+                if fixed is None or fixed > 1:
+                    closed_step = entry.closed_form(params, k, None, fixed)  # prepared once per k
                 for n in range(2, 13):
                     closed = _evaluate_side(family, "closed_form", params, k, n)
                     assert public(k, n) == closed, (family, k, n)
+                    if isinstance(closed, ResidueClass):
+                        assert closed_step(n, closed.modulus) == closed.value, (family, k, n)
                     oracle = _evaluate_side(family, "oracle", params, k, n)
                     if family == "mersenne22":
                         assert mersenne_ratio_lhs_exact(n, k) == oracle
@@ -518,51 +525,110 @@ def test_exact_div_flags_nonzero_remainder():
 
 
 def _reachable(fn):
-    """The lucaskit functions fn reaches, itself included.
+    """The lucaskit functions fn reaches, itself included, and every code object they run.
 
     Walks the names each function's code (nested code objects included)
-    loads, resolved through its module's globals. A global of the same name
-    as an attribute counts as reached too, which can only over-report.
+    loads, resolved through its module's globals, and the functions it holds
+    in closure cells; a partial is walked through its func. A global of the
+    same name as an attribute counts as reached too, which can only
+    over-report.
     """
     seen = set()
+    codes_seen = set()
     stack = [fn]
     while stack:
         f = stack.pop()
+        if isinstance(f, functools.partial):
+            stack.append(f.func)
+            continue
         if f in seen:
             continue
         seen.add(f)
+        held = [cell.cell_contents for cell in f.__closure__ or ()]
         codes = [f.__code__]
         while codes:
             code = codes.pop()
+            codes_seen.add(code)
             codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-            for name in code.co_names:
-                target = f.__globals__.get(name)
-                if isinstance(target, types.FunctionType) and target.__module__.startswith(
-                    "lucaskit"
-                ):
-                    stack.append(target)
-    return seen
+            held.extend(f.__globals__.get(name) for name in code.co_names)
+        stack.extend(
+            target
+            for target in held
+            if isinstance(target, functools.partial)
+            or isinstance(target, types.FunctionType)
+            and target.__module__.startswith("lucaskit")
+        )
+    return seen, codes_seen
+
+
+def _nested_codes(fn):
+    codes, found = [fn.__code__], set()
+    while codes:
+        code = codes.pop()
+        found.add(code)
+        codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return found
+
+
+# Each closed form's prepare step, the kernel it wraps when it prepares
+# nothing, and the code of both, its per-n step included.
+CLOSED_FORMS = {entry.closed_form for entry in FAMILY_TABLE.values()}
+CLOSED_FORMS |= {getattr(f, "__wrapped__", f) for f in CLOSED_FORMS}
+CLOSED_FORM_CODES = set().union(
+    *(_nested_codes(f) for f in CLOSED_FORMS if not hasattr(f, "__wrapped__"))
+)
+
+
+def _prepared(family):
+    """(params, k, n, r, modulus) of one instance of the family with a modulus over 1."""
+    entry = FAMILY_TABLE[family]
+    params = make_params(*(entry.forced or (2, -1)))
+    k, n, r = 5, 4, 3 if entry.needs_r else None
+    return params, k, n, r, entry.modulus(params, k, n)
 
 
 class TestOracleIndependence:
-    # An oracle must not share the formula under test: no closed-form kernel,
-    # no Q-power, no index doubling.
+    # An oracle must not share the formula under test: no closed-form side
+    # (neither its prepare step nor its per-n step), no Q-power, no index
+    # doubling. Its context is U_k alone, read by the oracle itself.
 
     @pytest.mark.parametrize("family", FAMILY_TABLE)
     def test_table_oracles_reach_no_closed_form(self, family):
-        closed_forms = {entry.closed_form for entry in FAMILY_TABLE.values()}
-        reached = _reachable(FAMILY_TABLE[family].oracle)
-        assert {sequences._u_term_mod, exact_div} & reached  # the walk sees the oracle's work
-        shared = {
-            f.__name__
-            for f in reached
-            if f in closed_forms or f is pow_signed_mod or "u_pair" in f.__name__
-        }
-        assert not shared, (family, shared)
+        params, k, n, r, modulus = _prepared(family)
+        prepare = FAMILY_TABLE[family].oracle
+        for start in (prepare, prepare(params, k, r, modulus)):
+            reached, codes = _reachable(start)
+            assert {sequences._u_term_mod, exact_div} & reached  # the walk sees the oracle's work
+            shared = {
+                f.__name__
+                for f in reached
+                if f in CLOSED_FORMS or f is pow_signed_mod or "u_pair" in f.__name__
+            } | {code.co_qualname for code in codes & CLOSED_FORM_CODES}
+            assert not shared, (family, start, shared)
+
+    @pytest.mark.parametrize("family", FAMILY_TABLE)
+    def test_oracle_context_reads_u_k_only(self, family, monkeypatch):
+        params, k, n, r, modulus = _prepared(family)
+        reads = []
+        for name in ("_u_term", "_u_term_mod"):
+            real = getattr(congruences, name)
+
+            def reader(params, j, *m, real=real, name=name):
+                reads.append((name, j))
+                return real(params, j, *m)
+
+            monkeypatch.setattr(congruences, name, reader)
+        step = FAMILY_TABLE[family].oracle(params, k, r, modulus)
+        assert set(reads) <= {("_u_term", k)}, (family, reads)
+        reads.clear()
+        step(n, modulus)
+        shift = 0 if family in ("lemma1", "cor6", "main", "fib20", "fib21") else r or 1
+        expected = [] if family == "mersenne22" else [("_u_term_mod", k * n + shift)]
+        assert reads == expected, (family, reads)
 
     @pytest.mark.parametrize("direct", [mersenne_sum_residue_direct, fibonacci_sum_residue_direct])
     def test_direct_sum_residues_reach_no_divisor_classes(self, direct):
-        reached = {f.__name__ for f in _reachable(direct)}
+        reached = {f.__name__ for f in _reachable(direct)[0]}
         assert "exact_div" in reached or "u_pair_mod" in reached
         assert not {
             name for name in reached if name == "_divisor_classes" or name.startswith("_repunit")
@@ -662,6 +728,89 @@ class TestReducedOracles:
                     assert _u_term_mod(params, n, m) == u_at(params, n) % m, (pq, n, m)
 
 
+# ---------------------------------------------------------------------------
+# Prepared sides against one-instance evaluation and full-width terms
+# ---------------------------------------------------------------------------
+
+GRID_FAMILIES = ("lemma1", "lemma2", "cor6", "cor7", "shift", "main")
+
+
+def full_width_reference(family, params, k, n, r, term):
+    """The family's left side reduced mod its modulus, from full terms read by term(j)."""
+    modulus = abs(term(n if family == "main" else k))
+    if family in ("lemma1", "cor6", "main"):
+        return exact_div(term(k * n), term(k)) % modulus
+    return term(k * n + (r if family == "shift" else 1)) % modulus
+
+
+def check_prepared_sides(pq, k, r, order):
+    """Prepare each side once, as the grid does, then step it over n in the given order."""
+    params = make_params(*pq)
+    memo = {}
+
+    def term(j):
+        if j not in memo:
+            memo[j] = u_at(params, j)
+        return memo[j]
+
+    for family in GRID_FAMILIES:
+        entry = FAMILY_TABLE[family]
+        shift = r if entry.needs_r else None
+        fixed = entry.modulus(params, k, 0) if entry.fixed_modulus else None
+        sides = None
+        if fixed is None or fixed > 1:
+            sides = [
+                prepare(params, k, shift, fixed) for prepare in (entry.closed_form, entry.oracle)
+            ]
+        for n in order:
+            try:
+                entry.check(k, n, shift)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _evaluate_side(family, "closed_form", params, k, n, shift)
+                continue
+            single = [
+                _evaluate_side(family, side, params, k, n, shift)
+                for side in ("closed_form", "oracle")
+            ]
+            modulus = entry.modulus(params, k, n)
+            if modulus <= 1:
+                assert single == [TRIVIAL_MODULUS] * 2, (family, pq, k, n, r)
+                continue
+            reference = full_width_reference(family, params, k, n, shift, term)
+            expected = ResidueClass(reference, modulus)
+            stepped = [ResidueClass(step(n, modulus), modulus) for step in sides]
+            assert stepped == single == [expected] * 2, (family, pq, k, n, r)
+
+
+class TestPreparedSides:
+    # One prepared context serves every n of a (P, Q, k), in any order.
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        pq=st.sampled_from(WIDE_PAIRS),
+        k=st.integers(1, 12),
+        r=st.integers(0, 6),
+        order=st.permutations(range(41)),
+    )
+    @example(pq=(-3, 2), k=2, r=1, order=list(range(40, -1, -1)))  # U_2 = -3
+    @example(pq=(-8, -9), k=3, r=6, order=list(range(41)))  # U_3 = 73
+    @example(pq=(1, 1), k=3, r=2, order=list(range(41)))  # U_3 = 0: ratio context unread
+    def test_steps_match_single_instances_and_full_terms(self, pq, k, r, order):
+        check_prepared_sides(pq, k, r, order)
+
+    @pytest.mark.parametrize("pq", [(1, -1), (-3, 2), (2, 1)])
+    def test_k_0_is_trivial_and_raises_nothing(self, pq):
+        # U_0 = 0: lemma2, cor7 and shift are trivial at every n and prepare
+        # nothing; lemma1, cor6 and main reject k = 0 in their domain check.
+        check_prepared_sides(pq, 0, 4, list(range(41)))
+        params = make_params(*pq)
+        for family, r in [("lemma2", None), ("cor7", None), ("shift", 4)]:
+            report = evaluate_congruence(family, p=pq[0], q=pq[1], k=0, n=7, r=r)
+            assert report.lhs == report.rhs == TRIVIAL_MODULUS and report.holds
+            assert _evaluate_side(family, "oracle", params, 0, 0, r) == TRIVIAL_MODULUS
+
+
 class TestReducedOracleInvariants:
     @pytest.mark.parametrize("oracle", [
         lambda: ratio_lhs_exact(PELL, 3, 4),  # |U_3| = 5
@@ -681,6 +830,14 @@ class TestReducedOracleInvariants:
         )
         with pytest.raises(InternalInvariantViolation):
             main_lhs_exact(PELL, 4, 3)
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (2, 1)])  # exponents 1/2 and -1/2
+    def test_main_exponent_must_be_even_and_nonnegative(self, monkeypatch, n, k):
+        monkeypatch.setattr(congruences, "_case", lambda n, k: CaseTag.BOTH_EVEN_ODD_QUOTIENTS)
+        with pytest.raises(InternalInvariantViolation, match="must be a nonnegative integer"):
+            main_theorem_rhs(PELL, n, k)
+        with pytest.raises(InternalInvariantViolation, match="must be a nonnegative integer"):
+            evaluate_congruence("main", p=2, q=-1, k=k, n=n)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_negative_index_raises(self, fresh_tables, warm):

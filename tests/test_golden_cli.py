@@ -3,9 +3,9 @@
 `golden_cli.json` holds the output of every command in GOLDEN_ARGV, run with
 `--no-timing`, LUCAS_WORKERS=1 and COLUMNS=80 (argparse's usage width): the
 README examples, each congruence family's error paths, a few instances of
-every family, a trivial modulus in every family but mersenne22, and the
-criterion commands' error paths and edge ranges. Each replay must match byte
-for byte. To record the corpus again from the current code:
+every family, a trivial modulus in every family but mersenne22, the
+criterion commands' error paths and edge ranges, and the congruence grid's
+batch edges. Each replay must match byte for byte. To record the corpus again from the current code:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -146,10 +146,22 @@ TRIVIAL_MODULI = [
     _congruence("lemma1", 3, 2, 1, 4),  # U_1 = 1
 ]
 
+# Grid batches that start past n = 1 or at n = 0, and single instances at a
+# large n, where a prepared family side meets its longest run of n.
+BATCH_EDGES = [
+    ["scan", "--method", "congruence-grid", "--from", "5", "--to", "9"],
+    ["scan", "--method", "congruence-grid", "--from", "7", "--to", "7"],
+    ["scan", "--method", "congruence-grid", "--from", "-2", "--to", "4"],
+    _congruence("shift", -3, 2, 7, 3001, r=5),
+    _congruence("lemma2", 5, -3, 9, 20000),
+    _congruence("cor6", -2, -9, 3, 5000),
+]
+
 GOLDEN_ARGV = [
     argv + ["--no-timing"]
     for argv in (
         README_EXAMPLES + ERROR_PATHS + INSTANCES + CRITERIA + CRITERIA_EDGES + TRIVIAL_MODULI
+        + BATCH_EDGES
     )
 ]
 
