@@ -8,7 +8,6 @@ oracle, primitive prime divisors, and the Fibonacci rank of apparition.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -262,7 +261,6 @@ class PrimalityVerdict:
     criterion_says_prime: bool
     oracle_says_prime: bool
     agree: bool
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -310,7 +308,7 @@ def _fib(j: int) -> int:
     return _u_term(FIBONACCI_PARAMS, j)
 
 
-def fibonacci_sum_residue_direct(n: int, probe: BitWidthProbe | None = None) -> ResidueClass:
+def fibonacci_sum_residue_direct(n: int) -> ResidueClass:
     """Sum over 1 <= k < n of F_{kn}/F_k, mod F_n, without full-width terms.
 
     F_{kn} is computed only mod F_k*F_n by index doubling; because F_k divides
@@ -329,8 +327,6 @@ def fibonacci_sum_residue_direct(n: int, probe: BitWidthProbe | None = None) -> 
             raise InternalInvariantViolation(
                 f"F_({k}*{n}) mod F_{k}*F_{n} = {rem} is not divisible by F_{k} = {f_k}"
             )
-        if probe is not None:
-            probe.observe(joint, rem)
         total = (total + rem // f_k) % f_n
     return ResidueClass(total, f_n)
 
@@ -381,6 +377,13 @@ def remark_applies(n: int) -> bool:
     return n % 4 == 3 and n >= 3
 
 
+def _remark_refusal(n: int) -> Exception:
+    """Why the remark does not apply at n, for an n that remark_applies rejects."""
+    if n % 4 != 3:
+        return WrongResidueClass(f"n = {n} is not congruent to 3 mod 4")
+    return ValueError(f"n must be >= 3 so the modulus F_n exceeds 1, got {n}")
+
+
 def remark_check(n: int) -> bool:
     """True iff the Fibonacci sum vanishes mod F_n, for n = 3 mod 4.
 
@@ -388,9 +391,7 @@ def remark_check(n: int) -> bool:
     any False here is a mismatch worth reporting.
     """
     if not remark_applies(n):
-        if n % 4 != 3:
-            raise WrongResidueClass(f"n = {n} is not congruent to 3 mod 4")
-        raise ValueError(f"n must be >= 3 so the modulus F_n exceeds 1, got {n}")
+        raise _remark_refusal(n)
     return fibonacci_sum_residue_direct(n).value == 0
 
 
@@ -466,6 +467,7 @@ CRITERION_TABLE: dict[str, Criterion] = {
         verdict=lambda n, vanishes, oracle: vanishes,
         detail=lambda vanishes, oracle: "nonzero sum residue",
         applies=remark_applies,
+        refusal=_remark_refusal,
         scan=True,
     ),
     # Integral iff n is prime, and then the total is n - 1.
@@ -486,19 +488,17 @@ CRITERION_TABLE: dict[str, Criterion] = {
 }
 
 
-def run_criterion(criterion: Criterion, n: int) -> tuple[Any, bool, bool, float]:
-    """Run one criterion at n: (result, oracle's answer, verdict, seconds taken).
+def run_criterion(criterion: Criterion, n: int) -> tuple[Any, bool, bool]:
+    """Run one criterion at n: (result, oracle's answer, verdict).
 
     An n that fails `applies` raises the criterion's refusal rather than
-    producing a verdict (scan skips such n instead). The time covers the
-    evaluation and the oracle.
+    producing a verdict (scan skips such n instead).
     """
     if not criterion.applies(n):
         raise criterion.refusal(n)
-    started = time.perf_counter()
     result = criterion.evaluate(n)
     oracle = is_prime_oracle(n)
-    return result, oracle, criterion.verdict(n, result, oracle), time.perf_counter() - started
+    return result, oracle, criterion.verdict(n, result, oracle)
 
 
 def _primality_test(paths: dict[str, Criterion], n: int, path: str) -> PrimalityVerdict:
@@ -507,8 +507,8 @@ def _primality_test(paths: dict[str, Criterion], n: int, path: str) -> Primality
         raise ValueError(f"path must be 'fast' or 'direct', got {path!r}")
     fast, direct = paths.items()
     method, criterion = fast if path == "fast" else direct
-    residue, oracle, agree, elapsed = run_criterion(criterion, n)
-    return PrimalityVerdict(n, method, residue, residue.value == 0, oracle, agree, elapsed)
+    residue, oracle, agree = run_criterion(criterion, n)
+    return PrimalityVerdict(n, method, residue, residue.value == 0, oracle, agree)
 
 
 def mersenne_primality_test(n: int, path: str = "fast") -> PrimalityVerdict:

@@ -38,24 +38,9 @@ class LucasParams:
         object.__setattr__(self, "discriminant", self.p_coeff**2 - 4 * self.q_coeff)
 
 
-# make_params keeps one validated instance per (P, Q); past this many pairs it
-# starts over, so a long session over many pairs stays bounded.
-_PARAMS_LIMIT = 4096
-_params: dict[tuple[int, int], LucasParams] = {}
-
-
 def make_params(p: int, q: int) -> LucasParams:
-    """Validate and build the coefficient pair for U_n(P, Q) and V_n(P, Q).
-
-    Each (P, Q) is validated once; later calls return the same instance.
-    """
-    params = _params.get((p, q))
-    if params is None:
-        params = LucasParams(p, q)
-        if len(_params) >= _PARAMS_LIMIT:
-            _params.clear()
-        _params[(p, q)] = params
-    return params
+    """Validate and build the coefficient pair for U_n(P, Q) and V_n(P, Q)."""
+    return LucasParams(p, q)
 
 
 class OpCounter:
@@ -82,15 +67,13 @@ def u_at(params: LucasParams, n: int, counter: OpCounter | None = None) -> int:
     return a
 
 
-def v_at(params: LucasParams, n: int, counter: OpCounter | None = None) -> int:
+def v_at(params: LucasParams, n: int) -> int:
     """V_n by direct recurrence from (V_0, V_1) = (2, P); exact."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     a, b = 2, params.p_coeff
     for _ in range(n):
         a, b = b, params.p_coeff * b - params.q_coeff * a
-        if counter is not None:
-            counter.add(2)
     return a
 
 

@@ -454,6 +454,10 @@ class TestOutputContract:
     def test_timing_present_without_flag(self, capsys):
         _, out, _ = run_cli(capsys, "primetest", "--method", "mersenne-sum", "-n", "10")
         assert "elapsed" in parse_lines(out)[0]
+        _, out, _ = run_cli(
+            capsys, "scan", "--method", "remark", "--from", "3", "--to", "20", "--workers", "1"
+        )
+        assert "wall_time" in parse_lines(out)[0]
 
     def test_pretty_renders_table(self, capsys):
         code, out, _ = run_cli(
@@ -526,10 +530,10 @@ def _disagree_at(monkeypatch, target):
     run = cli_module.run_criterion
 
     def patched(criterion, n):
-        result, oracle, agree, elapsed = run(criterion, n)
+        result, oracle, agree = run(criterion, n)
         if n != target:
-            return result, oracle, agree, elapsed
-        return result, True, False, elapsed
+            return result, oracle, agree
+        return result, True, False
 
     monkeypatch.setattr(cli_module, "run_criterion", patched)
 

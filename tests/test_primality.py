@@ -13,6 +13,7 @@ from lucaskit import (
     Unsupported,
     UnsupportedDiscriminant,
     InternalInvariantViolation,
+    LucasKitError,
     WrongResidueClass,
     divisor_sum_breakdown,
     euler_phi,
@@ -34,7 +35,7 @@ from lucaskit import (
     remark_applies,
     remark_check,
 )
-from lucaskit.primality import _divisor_classes
+from lucaskit.primality import CRITERION_TABLE, _divisor_classes, run_criterion
 
 
 def sieve(limit):
@@ -325,6 +326,16 @@ class TestCriterionPreconditions:
             ValueError, match="^n must be >= 3 so the modulus F_n exceeds 1, got -1$"
         ):
             remark_check(-1)
+
+    @pytest.mark.parametrize(
+        "name", [name for name, c in CRITERION_TABLE.items() if not all(map(c.applies, range(64)))]
+    )
+    def test_runner_refuses_outside_the_domain(self, name):
+        # Every criterion that can reject an n names why; none lacks a refusal.
+        criterion = CRITERION_TABLE[name]
+        n = next(n for n in range(64) if not criterion.applies(n))
+        with pytest.raises((LucasKitError, ValueError)):
+            run_criterion(criterion, n)
 
 
 class TestRemark:

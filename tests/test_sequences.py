@@ -72,8 +72,7 @@ class TestMakeParams:
         with pytest.raises(ZeroPair):
             make_params(0, 0)
 
-    def test_one_instance_per_pair(self):
-        assert make_params(4, -7) is make_params(4, -7)
+    def test_rejected_pair_is_rejected_again(self):
         with pytest.raises(CoprimalityViolation):
             make_params(6, 9)
         with pytest.raises(CoprimalityViolation):
