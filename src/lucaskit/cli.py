@@ -6,6 +6,10 @@ closed form vs oracle), primetest (criterion vs oracle for one n), and scan
 integers as decimal strings; diagnostics go to stderr. Exit codes: 0 all
 checks hold, 1 mathematical mismatch, 2 usage or precondition error, a
 crashed scan worker or exhausted memory.
+
+The CLI parses, encodes and aggregates. A per-value scan runs a
+CRITERION_TABLE entry per value; the congruence grid sends each (P, Q, k)
+unit to congruences.grid_batch, so no family protocol is known here.
 """
 
 from __future__ import annotations
@@ -19,33 +23,23 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cache, partial
-from math import gcd
 from typing import Any, Iterator, Optional
 
 from .congruences import (
+    COEFFICIENT_GRID,
     FAMILIES,
-    FAMILY_TABLE,
     GENERAL_FAMILIES,
     CongruenceReport,
     evaluate_congruence,
+    grid_batch,
 )
 from .errors import InternalInvariantViolation, LucasKitError
 from .primality import CRITERION_TABLE, run_criterion
 from .residues import ResidueClass, TrivialModulus
-from .sequences import _u_term_reserve, make_params, u_pair_exact, u_pair_mod
+from .sequences import make_params, u_pair_exact, u_pair_mod
 
 PRIMETEST_METHODS = tuple(name for name, c in CRITERION_TABLE.items() if c.fields)
 SCAN_METHODS = tuple(name for name, c in CRITERION_TABLE.items() if c.scan) + ("congruence-grid",)
-
-# Coefficient grid shared by the congruence-grid scan: P in 1..5, Q in -3..3,
-# coprime pairs only.
-COEFFICIENT_GRID = tuple(
-    (p, q)
-    for p in range(1, 6)
-    for q in range(-3, 4)
-    if gcd(p, abs(q)) == 1
-)
-SHIFT_R_RANGE = range(0, 7)
 
 
 def _encode_outcome(x: ResidueClass | TrivialModulus) -> dict[str, Any]:
@@ -143,71 +137,12 @@ class ScanReport:
     workers: int
 
 
-# A unit of scan work returns its items' outcomes in scan order: one mark per
-# item ("-" skipped, "+" held, "x" mismatch) and the (n, detail) of each
-# mismatch.
+# A unit of scan work, one value or one congruences.grid_batch unit, returns
+# its items' outcomes in scan order: one mark per item ("-" skipped, "+" held,
+# "x" mismatch) and the (n, detail) of each mismatch.
 Outcomes = tuple[str, tuple[tuple[int, str], ...]]
 _SKIPPED: Outcomes = ("-", ())
 _HELD: Outcomes = ("+", ())
-
-# The congruence-grid checks every general family of the table at each n, in
-# table order, with the shift family last, once per r in SHIFT_R_RANGE.
-GRID_VARIANTS = tuple(
-    (name, None)
-    for name, family in FAMILY_TABLE.items()
-    if family.forced is None and not family.needs_r
-) + tuple(
-    (name, r)
-    for name, family in FAMILY_TABLE.items()
-    if family.forced is None and family.needs_r
-    for r in SHIFT_R_RANGE
-)
-
-
-def _grid_batch(unit: tuple[int, int, int, int, int]) -> Outcomes:
-    """Check every n and family variant of one (P, Q, k); details only for mismatches.
-
-    A modulus fixed over n (|U_k|) is read once for the batch, and both sides
-    of each variant are prepared once, unless that modulus is 0 or 1. Each
-    item runs its family's domain check and reads a modulus that moves with n
-    (main's |U_n|). It is skipped when it lies outside the domain (main at
-    n = 0) or the modulus is 0 or 1; otherwise both prepared steps get that
-    modulus, and it holds when their residues are equal.
-    """
-    p, q, k, n_lo, hi = unit
-    params = make_params(p, q)
-    # No index of the (P, Q) grid exceeds hi*hi + max r: one table extension
-    # serves every batch of this pair.
-    _u_term_reserve(params, hi * hi + SHIFT_R_RANGE[-1])
-    fixed = {family.modulus for family in FAMILY_TABLE.values() if family.fixed_modulus}
-    fixed_moduli = {modulus_of: modulus_of(params, k, n_lo) for modulus_of in fixed}
-    variants = []
-    for name, r in GRID_VARIANTS:
-        family = FAMILY_TABLE[name]
-        modulus = fixed_moduli.get(family.modulus)  # None when it moves with n
-        sides = (None, None)
-        if modulus is None or modulus > 1:
-            sides = family.closed_form(params, k, r, modulus), family.oracle(params, k, r, modulus)
-        variants.append((name, r, family.check, family.modulus, modulus, *sides))
-    marks = []
-    failed = []
-    for n in range(n_lo, hi + 1):
-        for name, r, check, modulus_of, fixed_modulus, closed_form, oracle in variants:
-            try:
-                check(k, n, r)
-            except ValueError:
-                marks.append("-")
-                continue
-            modulus = modulus_of(params, k, n) if fixed_modulus is None else fixed_modulus
-            if modulus <= 1:
-                marks.append("-")
-            elif closed_form(n, modulus) == oracle(n, modulus):
-                marks.append("+")
-            else:
-                marks.append("x")
-                shift = "" if r is None else f" r={r}"
-                failed.append((n, f"family={name} p={p} q={q} k={k} n={n}{shift}"))
-    return "".join(marks), tuple(failed)
 
 
 def _scan_check(method: str, n: int) -> Outcomes:
@@ -264,7 +199,7 @@ def run_scan(
             for p, q in COEFFICIENT_GRID
             for k in range(max(lo, 1), hi + 1)
         ]
-        check = _grid_batch
+        check = grid_batch
     checked = 0
     skipped = 0
     skipped_values: list[int] = []

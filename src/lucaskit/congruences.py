@@ -15,9 +15,11 @@ decided. A side is a prepare step, once per (P, Q, k), that reads the side's
 constants (U_{k+1}, Q^k and U_r modulo |U_k|), and the step it returns, which
 gives the least nonnegative residue for one n. Each caller reads the modulus
 once per instance, or once per (P, Q, k) when it is |U_k|: 0 or 1 makes the
-instance a TrivialModulus, and any other is handed to both sides. The public
-functions and evaluate_congruence run both steps for one n and return
-Outcome values; the CLI's congruence grid steps each prepared side over n.
+instance a TrivialModulus, and any other is handed to both sides. There are
+two such callers. _evaluate_side runs one side of one instance, and the
+public functions and evaluate_congruence return its Outcome values.
+grid_batch, the congruence-grid scan's unit of work, prepares each side of
+each grid variant once per (P, Q, k) and steps it over n.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .sequences import (
     LucasParams,
     _u_term,
     _u_term_mod,
+    _u_term_reserve,
     make_params,
 )
 
@@ -324,10 +327,6 @@ class Family(NamedTuple):
     check: Callable[[int, int, Optional[int]], Optional[CaseTag]]
     modulus: Callable[[LucasParams, int, int], int]
 
-    @property
-    def fixed_modulus(self) -> bool:  # the same modulus, |U_k|, for every n of a (P, Q, k)
-        return self.modulus is _modulus_k
-
 
 FAMILY_TABLE: dict[str, Family] = {
     "lemma1": Family(_lemma1, _ratio_oracle, None, False, _check_k_positive, _modulus_k),
@@ -535,13 +534,8 @@ def evaluate_congruence(
     if not entry.needs_r and r is not None:
         raise ValueError(f"-r applies to the shift family only, not {family}")
 
-    tag = entry.check(k, n, r)
-    modulus = entry.modulus(params, k, n)
-    if modulus <= 1:
-        rhs = lhs = TRIVIAL_MODULUS
-    else:
-        rhs = ResidueClass(entry.closed_form(params, k, r, modulus)(n, modulus), modulus)
-        lhs = ResidueClass(entry.oracle(params, k, r, modulus)(n, modulus), modulus)
+    rhs = _evaluate_side(family, "closed_form", params, k, n, r)
+    lhs = _evaluate_side(family, "oracle", params, k, n, r)
     return CongruenceReport(
         family=family,
         p_coeff=p,
@@ -551,6 +545,80 @@ def evaluate_congruence(
         r=r,
         lhs=lhs,
         rhs=rhs,
-        case_tag=tag,
+        case_tag=entry.check(k, n, r),
         holds=lhs == rhs,
     )
+
+
+# ---------------------------------------------------------------------------
+# The congruence grid: one batch per (P, Q, k), stepping every n
+# ---------------------------------------------------------------------------
+
+# Coefficient grid of the congruence-grid scan: P in 1..5, Q in -3..3,
+# coprime pairs only.
+COEFFICIENT_GRID = tuple(
+    (p, q)
+    for p in range(1, 6)
+    for q in range(-3, 4)
+    if gcd(p, abs(q)) == 1
+)
+SHIFT_R_RANGE = range(0, 7)
+
+# The grid checks every general family of the table at each n, in table
+# order, with the shift family last, once per r in SHIFT_R_RANGE.
+GRID_VARIANTS = tuple(
+    (name, None)
+    for name, family in FAMILY_TABLE.items()
+    if family.forced is None and not family.needs_r
+) + tuple(
+    (name, r)
+    for name, family in FAMILY_TABLE.items()
+    if family.forced is None and family.needs_r
+    for r in SHIFT_R_RANGE
+)
+
+
+def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[int, str], ...]]:
+    """Check every n and family variant of one (P, Q, k); details only for mismatches.
+
+    Returns one mark per item ("-" skipped, "+" held, "x" mismatch) and the
+    (n, detail) of each mismatch. |U_k| is read once for the batch, and both
+    sides of each variant are prepared once, unless that modulus is 0 or 1.
+    Each item runs its family's domain check and reads a modulus that moves
+    with n (main's |U_n|). It is skipped when it lies outside the domain (main
+    at n = 0) or the modulus is 0 or 1; otherwise both prepared steps get that
+    modulus, and it holds when their residues are equal.
+    """
+    p, q, k, n_lo, hi = unit
+    params = make_params(p, q)
+    # No index of the (P, Q) grid exceeds hi*hi + max r: one table extension
+    # serves every batch of this pair.
+    _u_term_reserve(params, hi * hi + SHIFT_R_RANGE[-1])
+    u_k = _modulus_k(params, k, n_lo)
+    variants = []
+    for name, r in GRID_VARIANTS:
+        family = FAMILY_TABLE[name]
+        modulus = u_k if family.modulus is _modulus_k else None  # None when it moves with n
+        sides = (None, None)
+        if modulus is None or modulus > 1:
+            sides = family.closed_form(params, k, r, modulus), family.oracle(params, k, r, modulus)
+        variants.append((name, r, family.check, family.modulus, modulus, *sides))
+    marks = []
+    failed = []
+    for n in range(n_lo, hi + 1):
+        for name, r, check, modulus_of, fixed_modulus, closed_form, oracle in variants:
+            try:
+                check(k, n, r)
+            except ValueError:
+                marks.append("-")
+                continue
+            modulus = modulus_of(params, k, n) if fixed_modulus is None else fixed_modulus
+            if modulus <= 1:
+                marks.append("-")
+            elif closed_form(n, modulus) == oracle(n, modulus):
+                marks.append("+")
+            else:
+                marks.append("x")
+                shift = "" if r is None else f" r={r}"
+                failed.append((n, f"family={name} p={p} q={q} k={k} n={n}{shift}"))
+    return "".join(marks), tuple(failed)

@@ -491,13 +491,13 @@ CRITERION_TABLE: dict[str, Criterion] = {
 def run_criterion(criterion: Criterion, n: int) -> tuple[Any, bool, bool]:
     """Run one criterion at n: (result, oracle's answer, verdict).
 
-    An n that fails `applies` raises the criterion's refusal rather than
-    producing a verdict (scan skips such n instead).
+    An n that fails `applies` raises the criterion's refusal (scan skips it
+    instead), and one outside the oracle's range its error, before any work.
     """
     if not criterion.applies(n):
         raise criterion.refusal(n)
-    result = criterion.evaluate(n)
     oracle = is_prime_oracle(n)
+    result = criterion.evaluate(n)
     return result, oracle, criterion.verdict(n, result, oracle)
 
 

@@ -59,16 +59,12 @@ def exact_div(numerator: int, denominator: int) -> int:
 
 
 def pow_signed_mod(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus with the sign of a negative base carried separately.
+    """base**exponent mod modulus, least nonnegative, for any sign of base.
 
-    Only |base| is ever exponentiated, so this stays cheap for large exponents;
-    it must agree with reducing the exact power (tested).
+    It must agree with reducing the exact power (tested).
     """
     if exponent < 0:
         raise ValueError(f"negative exponent {exponent} is not supported")
     if modulus <= 1:
         raise BadModulus(f"modulus must exceed 1, got {modulus}")
-    result = pow(abs(base), exponent, modulus)
-    if base < 0 and exponent & 1:
-        result = -result % modulus
-    return result
+    return pow(base, exponent, modulus)

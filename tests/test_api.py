@@ -2,7 +2,8 @@
 
 The names `lucaskit` exports are part of the fixed contract. Library result
 values carry no wall-clock time, so one input always gives one result; only
-the CLI reads a clock, for its `elapsed` and `wall_time` fields.
+the CLI reads a clock, for its `elapsed` and `wall_time` fields. The CLI
+imports no private name of the library.
 """
 
 import ast
@@ -13,6 +14,7 @@ import types
 import pytest
 
 import lucaskit
+import lucaskit.cli
 import lucaskit.congruences
 import lucaskit.primality
 import lucaskit.residues
@@ -79,6 +81,20 @@ def test_library_modules_read_no_clock(module):
         elif isinstance(node, ast.Attribute):
             referenced.add(node.attr)
     assert not referenced & CLOCK_NAMES
+
+
+def test_cli_imports_no_private_library_name():
+    # The CLI reaches each library module through names that module offers,
+    # so every decision stays with the module that owns it.
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(inspect.getsource(lucaskit.cli)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "lucaskit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_equal_calls_give_equal_verdicts():

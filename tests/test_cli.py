@@ -232,6 +232,20 @@ class TestPrimetest:
         assert (code, out) == (2, "")
         assert err == f"error: --diagnostic applies to fib-sum/fib-sum-direct only, not {method}\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--method", m] for m in cli_module.PRIMETEST_METHODS if m != "oracle"]
+        + [["--method", "fib-sum", "--diagnostic"]],
+        ids=" ".join,
+    )
+    def test_n_past_the_oracle_range_is_refused_before_the_work(self, capsys, flags):
+        # Refused before any work: at this n fib-sum would run for seconds,
+        # and the Mersenne and divisor-sum paths would exhaust memory.
+        n = 2**64 + 1
+        assert run_cli(capsys, "primetest", *flags, "-n", str(n)) == (
+            2, "", f"error: {n} exceeds the deterministic range 2**64\n"
+        )
+
     def test_diagnostic_methods_come_from_the_table(self):
         assert [m for m, c in CRITERION_TABLE.items() if c.diagnostic] == ["fib-sum", "fib-sum-direct"]
         assert cli_module.PRIMETEST_METHODS == (
@@ -629,14 +643,15 @@ class TestGridMatchesPublicPath:
     def test_marks_match_evaluate_congruence(self, pq, k, n_lo):
         p, q = pq
         params = make_params(p, q)
-        marks, failed = cli_module._grid_batch((p, q, k, 0, 12))
+        marks, failed = congruences_module.grid_batch((p, q, k, 0, 12))
         assert "x" not in marks and failed == ()
         # A batch prepared at a later first n marks the same items alike.
-        width = len(cli_module.GRID_VARIANTS)
-        assert cli_module._grid_batch((p, q, k, n_lo, 12)) == (marks[n_lo * width:], ())
+        width = len(congruences_module.GRID_VARIANTS)
+        later = congruences_module.grid_batch((p, q, k, n_lo, 12))
+        assert later == (marks[n_lo * width:], ())
         expected = []
         for n in range(0, 13):
-            for family, r in cli_module.GRID_VARIANTS:
+            for family, r in congruences_module.GRID_VARIANTS:
                 if family == "main" and n == 0:
                     with pytest.raises(ValueError):
                         evaluate_congruence(family, p=p, q=q, k=k, n=n, r=r)
@@ -655,7 +670,7 @@ class TestGridMatchesPublicPath:
         assert marks == "".join(expected)
 
     def test_variants_come_from_the_table(self):
-        assert cli_module.GRID_VARIANTS == tuple(
+        assert congruences_module.GRID_VARIANTS == tuple(
             (family, None) for family in ("lemma1", "lemma2", "cor6", "cor7", "main")
         ) + tuple(("shift", r) for r in range(7))
 
@@ -688,14 +703,14 @@ class TestGridWork:
     def test_u_k_families_read_no_term_per_n(self, monkeypatch, p, q, k):
         # Without main, a batch's term reads are its preparing alone: the
         # same over n in 1..12 as over 1..24.
-        monkeypatch.setattr(cli_module, "GRID_VARIANTS", tuple(
-            variant for variant in cli_module.GRID_VARIANTS if variant[0] != "main"
+        monkeypatch.setattr(congruences_module, "GRID_VARIANTS", tuple(
+            variant for variant in congruences_module.GRID_VARIANTS if variant[0] != "main"
         ))
         counts = self._count_reads(monkeypatch)
         reads = []
         for hi in (12, 24):
             counts["_u_term"] = 0
-            marks, _ = cli_module._grid_batch((p, q, k, 1, hi))
+            marks, _ = congruences_module.grid_batch((p, q, k, 1, hi))
             assert len(marks) == 11 * hi
             reads.append(counts["_u_term"])
         assert reads[0] == reads[1] <= 21, reads
@@ -829,7 +844,8 @@ def _guard_kernels(monkeypatch):
             def guard(params, k, r, modulus, prepare=getattr(entry, side), entry=entry,
                       family=family):
                 if modulus is None:
-                    assert not entry.fixed_modulus, (family, params, k, r)
+                    fixed = entry.modulus is congruences_module._modulus_k
+                    assert not fixed, (family, params, k, r)
                 else:
                     assert modulus > 1, (family, params, k, r, modulus)
                 step = prepare(params, k, r, modulus)
@@ -863,12 +879,13 @@ class TestNoKernelSeesATrivialModulus:
 
     def test_grid_and_trivial_instances_are_unchanged(self, monkeypatch):
         instances = _trivial_corpus_instances()
-        units = [(p, q, k, 0, 8) for p, q in cli_module.COEFFICIENT_GRID for k in range(1, 9)]
+        grid = congruences_module.COEFFICIENT_GRID
+        units = [(p, q, k, 0, 8) for p, q in grid for k in range(1, 9)]
 
         def run():
             scan = cli_module.run_scan("congruence-grid", 0, 8, 1)
             return (
-                [cli_module._grid_batch(unit) for unit in units],
+                [congruences_module.grid_batch(unit) for unit in units],
                 (scan.checked, scan.skipped, scan.mismatches),
                 [evaluate_congruence(*instance) for instance in instances],
             )
@@ -878,7 +895,7 @@ class TestNoKernelSeesATrivialModulus:
         assert run() == before
         _, counts, reports = before
         assert counts == (16264, 5336, ())
-        assert set(calls) == {family for family, _ in cli_module.GRID_VARIANTS}
+        assert set(calls) == {family for family, _ in congruences_module.GRID_VARIANTS}
         assert len(reports) == 10
         assert all(
             report.lhs == report.rhs == TRIVIAL_MODULUS and report.holds for report in reports

@@ -90,7 +90,7 @@ class TestClassifyCase:
 class TestSignedPow:
     @settings(deadline=None, max_examples=300)
     @given(
-        base=st.integers(-50, 50),
+        base=st.integers(-50, 50) | st.integers(-10**30, 10**30),
         exponent=st.integers(0, 200),
         modulus=st.integers(2, 10**9),
     )
@@ -491,7 +491,9 @@ class TestOneDomainPerFamily:
             entry = FAMILY_TABLE[family]
             params = make_params(*entry.forced)
             for k in range(1, 13):
-                fixed = entry.modulus(params, k, 0) if entry.fixed_modulus else None
+                fixed = None  # the modulus moves with n, unless it is |U_k|
+                if entry.modulus is congruences._modulus_k:
+                    fixed = entry.modulus(params, k, 0)
                 closed_step = None
                 if fixed is None or fixed > 1:
                     closed_step = entry.closed_form(params, k, None, fixed)  # prepared once per k
@@ -756,7 +758,9 @@ def check_prepared_sides(pq, k, r, order):
     for family in GRID_FAMILIES:
         entry = FAMILY_TABLE[family]
         shift = r if entry.needs_r else None
-        fixed = entry.modulus(params, k, 0) if entry.fixed_modulus else None
+        fixed = None  # the modulus moves with n, unless it is |U_k|
+        if entry.modulus is congruences._modulus_k:
+            fixed = entry.modulus(params, k, 0)
         sides = None
         if fixed is None or fixed > 1:
             sides = [
