@@ -311,24 +311,21 @@ def _fib(j: int) -> int:
 def fibonacci_sum_residue_direct(n: int) -> ResidueClass:
     """Sum over 1 <= k < n of F_{kn}/F_k, mod F_n, without full-width terms.
 
-    F_{kn} is computed only mod F_k*F_n by index doubling; because F_k divides
-    F_{kn}, that residue is divisible by F_k (asserted on every term) and the
-    quotient is exactly F_{kn}/F_k mod F_n.
+    alpha^k and beta^k are the roots of x^2 - L_k*x + (-1)^k, so
+    F_{kn}/F_k = U_n(L_k, (-1)^k): each term is one index-n doubling walk
+    mod F_n, with no quotient to take. The Lucas numbers L_k come from their
+    own recurrence, walked mod F_n alongside k.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3 so the modulus F_n exceeds 1, got {n}")
     f_n = _fib(n)
     total = 0
+    lucas, lucas_next = 1, 3 % f_n  # L_k and L_{k+1} mod F_n, from k = 1
     for k in range(1, n):
-        f_k = _fib(k)
-        joint = f_k * f_n
-        rem, _ = u_pair_mod(FIBONACCI_PARAMS, k * n, joint)
-        if rem % f_k:
-            raise InternalInvariantViolation(
-                f"F_({k}*{n}) mod F_{k}*F_{n} = {rem} is not divisible by F_{k} = {f_k}"
-            )
-        total = (total + rem // f_k) % f_n
-    return ResidueClass(total, f_n)
+        term, _ = u_pair_mod(LucasParams(lucas, -1 if k & 1 else 1), n, f_n)
+        total += term
+        lucas, lucas_next = lucas_next, (lucas + lucas_next) % f_n
+    return ResidueClass(total % f_n, f_n)
 
 
 def fibonacci_sum_residue_exact(n: int) -> ResidueClass:

@@ -88,26 +88,26 @@ def _u_pair(
         U_{2j+1} = U_{j+1}^2 - Q*U_j^2
 
     The first uses V_j expressed through consecutive U-terms, so the whole
-    walk needs only the (U_j, U_{j+1}) window.
+    walk needs only the (U_j, U_{j+1}) window. The walk reads the binary
+    digits of n from the top; each digit costs 5 multiplications and each
+    1-digit 2 more, and that total is added to the counter once, up front.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
+    if counter is not None:
+        counter.add(5 * n.bit_length() + 2 * n.bit_count())
     p, q = params.p_coeff, params.q_coeff
     a, b = 0, 1
-    for i in range(n.bit_length() - 1, -1, -1):
+    for bit in bin(n)[2:] if n else "":  # bin(0) is "0b0": n = 0 takes no step
         doubled = a * (2 * b - p * a)
         succ = b * b - q * a * a
         if m is not None:
             doubled %= m
             succ %= m
-        if counter is not None:
-            counter.add(5)
-        if (n >> i) & 1:
+        if bit == "1":
             a, b = succ, p * succ - q * doubled
             if m is not None:
                 b %= m
-            if counter is not None:
-                counter.add(2)
         else:
             a, b = doubled, succ
     return a, b

@@ -34,6 +34,7 @@ from lucaskit import (
     rank_of_apparition_fib,
     remark_applies,
     remark_check,
+    u_pair_mod,
 )
 from lucaskit.primality import CRITERION_TABLE, _divisor_classes, run_criterion
 
@@ -256,8 +257,24 @@ class TestFibonacciSum:
         assert fibonacci_sum_residue_direct(21) == ResidueClass(10104, 10946)
 
     def test_direct_matches_exact_oracle(self):
-        for n in range(3, 45):
+        for n in range(3, 81):
             assert fibonacci_sum_residue_direct(n) == fibonacci_sum_residue_exact(n), n
+
+    @pytest.mark.parametrize(
+        "n, residue",
+        [
+            (3, ResidueClass(0, 2)),  # the smallest modulus, F_3 = 2
+            (4, ResidueClass(0, 3)),  # k = 2 walks U_4(0, 1): L_2 = 3 = 0 mod F_4
+            # 3 | n, so F_n is even
+            (6, ResidueClass(4, 8)),
+            (12, ResidueClass(108, 144)),
+            (15, ResidueClass(0, 610)),
+            (18, ResidueClass(1976, 2584)),
+        ],
+    )
+    def test_direct_edges(self, n, residue):
+        assert fibonacci_sum_residue_exact(n) == residue
+        assert fibonacci_sum_residue_direct(n) == residue
 
     def test_fast_examples(self):
         assert fibonacci_sum_residue_fast(5).value == 0
@@ -420,8 +437,29 @@ class TestRankOfApparition:
 # ---------------------------------------------------------------------------
 
 
+def fibonacci_sum_residue_joint(n):
+    # The direct path's earlier formulation, kept as a differential oracle:
+    # F_kn mod F_k*F_n by index doubling, then the exact quotient by F_k,
+    # which survives reduction mod F_n.
+    fib = [0, 1]
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    f_n = fib[n]
+    total = 0
+    for k in range(1, n):
+        f_k = fib[k]
+        rem, _ = u_pair_mod(FIBONACCI_PARAMS, k * n, f_k * f_n)
+        assert rem % f_k == 0, (n, k)
+        total = (total + rem // f_k) % f_n
+    return ResidueClass(total, f_n)
+
+
 @pytest.mark.slow
 class TestCriterionSweeps:
+    def test_fibonacci_direct_matches_the_joint_modulus_form_up_to_400(self):
+        for n in range(3, 401):
+            assert fibonacci_sum_residue_direct(n) == fibonacci_sum_residue_joint(n), n
+
     def test_mersenne_criterion_over_the_benchmark_range(self):
         for n in range(2, 20001):
             assert mersenne_primality_test(n).agree, n

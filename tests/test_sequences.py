@@ -37,6 +37,39 @@ def naive_u(p, q, n):
     return terms[n]
 
 
+def matrix_pair_mod(params, n, m):
+    # Independent oracle for a huge index: (U_n, U_{n+1}) mod m is the left
+    # column of [[P, -Q], [1, 0]]^n, by repeated squaring of that matrix.
+    def mul(x, y):
+        return [
+            [(x[i][0] * y[0][j] + x[i][1] * y[1][j]) % m for j in range(2)]
+            for i in range(2)
+        ]
+
+    power, base = [[1, 0], [0, 1]], [[params.p_coeff, -params.q_coeff], [1, 0]]
+    while n:
+        if n & 1:
+            power = mul(power, base)
+        base = mul(base, base)
+        n >>= 1
+    return power[1][0], power[0][0]
+
+
+# Doubling-walk indices: the empty walk, one step, powers of two (a single
+# 1-digit), all-ones runs, and a 4096-bit index.
+DOUBLING_INDICES = [
+    0,
+    1,
+    *(1 << j for j in (1, 5, 12)),
+    *((1 << j) - 1 for j in (2, 5, 12)),
+    (1 << 4095) | 0x5DEECE66D << 2000 | 0xB,
+]
+
+
+def doubling_id(n):
+    return str(n) if n.bit_length() <= 64 else f"{n.bit_length()}-bit"
+
+
 @st.composite
 def coprime_pairs(draw, lo=-20, hi=20):
     # Repair instead of filter: divide out the gcd so every draw is usable.
@@ -230,6 +263,26 @@ class TestOperationCounts:
         u_pair_mod(FIBONACCI_PARAMS, 1 << 40, 10**9 + 7, large)
         # doubling the bit length at most doubles the multiplication count
         assert large.mults <= 2 * small.mults + 7
+
+    @pytest.mark.parametrize("n", DOUBLING_INDICES, ids=doubling_id)
+    def test_pair_mod_count_is_pinned(self, n):
+        # 5 multiplications per binary digit of n and 2 more per 1-digit
+        counter = OpCounter()
+        u_pair_mod(FIBONACCI_PARAMS, n, 10**9 + 7, counter)
+        assert counter.mults == 5 * n.bit_length() + 2 * bin(n).count("1")
+        u_pair_mod(PELL, n, 2**64 - 59, counter)
+        assert counter.mults == 2 * (5 * n.bit_length() + 2 * bin(n).count("1"))
+
+    @pytest.mark.parametrize("params", [FIBONACCI_PARAMS, PELL, MERSENNE_PARAMS, make_params(-3, 5)])
+    @pytest.mark.parametrize("n", DOUBLING_INDICES, ids=doubling_id)
+    def test_pairs_agree_with_the_recurrence(self, params, n):
+        m = 2**64 - 59
+        pair = matrix_pair_mod(params, n, m)
+        if n.bit_length() <= 64:  # u_at cannot reach the 4096-bit index
+            exact = u_at(params, n), u_at(params, n + 1)
+            assert u_pair_exact(params, n) == exact
+            assert pair == (exact[0] % m, exact[1] % m)
+        assert u_pair_mod(params, n, m) == pair
 
 
 def stored_bits():
