@@ -5,8 +5,8 @@ shifted term U_{kn+r}) modulo some sequence term, expressed without ever
 building the huge numerator? Each evaluator here is paired with a brute-force
 oracle that reaches the numerator's index the slow way, so the two can be
 compared on a grid: the general and Fibonacci oracles walk the defining
-recurrence, reduced past the stored term table, and the Mersenne one builds
-2^{kn} - 1 in full.
+recurrence, reduced modulo what they need past the stored term table (a walk
+that stores nothing), and the Mersenne one builds 2^{kn} - 1 in full.
 
 Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
@@ -19,7 +19,9 @@ instance a TrivialModulus, and any other is handed to both sides. There are
 two such callers. _evaluate_side runs one side of one instance, and the
 public functions and evaluate_congruence return its Outcome values.
 grid_batch, the congruence-grid scan's unit of work, prepares each side of
-each grid variant once per (P, Q, k) and steps it over n.
+each grid variant once per (P, Q, k) and steps it over n. It first stores the
+pair's table up to the widest index the grid reads, so none of its oracle
+reads walks.
 """
 
 from __future__ import annotations
@@ -288,7 +290,7 @@ def _ratio_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | 
 
     U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as exact_div does,
     a zero U_k included) and sgn(U_k) times the quotient is congruent to U_{kn}/U_k mod m.
-    No term wider than |U_k|*m is built past the stored table.
+    Past the stored table no term much wider than |U_k|*m is built (see _u_term_mod).
     """
     u_k = _u_term(params, k)
     width, negative = abs(u_k), u_k < 0

@@ -188,27 +188,41 @@ def _u_term_miss(params: LucasParams, n: int) -> int:
 def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
     """U_n mod m by the defining recurrence, for m >= 1.
 
-    A stored term is read from the (P, Q) table and reduced. Past the table's
-    end the recurrence walks on from its last two terms, reduced at every
-    step, so no term wider than m is built. Never uses the doubling formula:
-    the congruence oracles rely on this independence.
+    A stored term is read from the (P, Q) table and reduced, a term-cache
+    hit. Any other index is one miss that stores nothing: the recurrence
+    walks mod m from the table's last two terms, or from (U_0, U_1) when the
+    pair has no table. The walk reduces once per block of steps; each step
+    widens a term by at most (|P| + |Q|).bit_length() bits, and the block is
+    as long as about 64 bits of such growth allows (at least one step), so
+    no term much wider than m is built. Never uses the doubling formula: the
+    congruence oracles rely on this independence.
     """
-    global _hits
+    global _hits, _misses
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     terms = _tables.get((params.p_coeff, params.q_coeff))
-    if terms is not None and n < len(terms):
+    stored = 0 if terms is None else len(terms)  # read once: tables only grow meanwhile
+    if n < stored:
         _hits += 1
         return terms[n] % m
-    terms = _u_term_reserve(params, n)
-    stored = len(terms)
-    if n < stored:
-        return terms[n] % m
+    with _grow_lock:
+        _misses += 1
+    if terms is None:
+        start, a, b = 0, 0, 1
+    else:
+        start = stored - 2
+        a, b = terms[start] % m, terms[start + 1] % m
     p, q = params.p_coeff, params.q_coeff
-    a, b = terms[stored - 2] % m, terms[stored - 1] % m
-    for _ in range(n - stored + 1):
-        a, b = b, (p * b - q * a) % m
-    return b
+    block = max(1, 64 // (abs(p) + abs(q)).bit_length())
+    blocks, rest = divmod(n - start, block)
+    steps = range(block)
+    for _ in range(blocks):
+        for _ in steps:
+            a, b = b, p * b - q * a
+        a, b = a % m, b % m
+    for _ in range(rest):
+        a, b = b, p * b - q * a
+    return a % m
 
 
 def _u_term_reserve(params: LucasParams, n: int) -> list[int]:

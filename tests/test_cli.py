@@ -715,6 +715,28 @@ class TestGridWork:
             reads.append(counts["_u_term"])
         assert reads[0] == reads[1] <= 21, reads
 
+    @pytest.mark.parametrize("p, q, k", [(1, -1, 1), (4, 3, 13), (5, -3, 24)])
+    def test_batch_oracle_reads_are_table_hits(self, fresh_tables, monkeypatch, p, q, k):
+        # The batch's one reserve stores every index the grid reads, so no
+        # oracle read walks past the table, and a batch adds at most that miss.
+        real = sequences_module._u_term_mod
+        reads, walks = [], []
+
+        def reader(params, n, m):
+            reads.append(n)
+            if n >= len(sequences_module._tables.get((params.p_coeff, params.q_coeff), ())):
+                walks.append(n)
+            return real(params, n, m)
+
+        monkeypatch.setattr(congruences_module, "_u_term_mod", reader)
+        misses = []
+        for _ in range(2):
+            start = sequences_module._u_term.cache_info().misses
+            congruences_module.grid_batch((p, q, k, 1, 24))
+            misses.append(sequences_module._u_term.cache_info().misses - start)
+        assert misses == [1, 0]
+        assert reads and walks == []
+
 
 def _crash_worker(n):
     os._exit(1)

@@ -40,6 +40,7 @@ from lucaskit import (
     repetition_law_check,
     shifted_lhs_exact,
     u_at,
+    u_pair_mod,
 )
 from lucaskit.congruences import FAMILY_TABLE, _evaluate_side
 from lucaskit.sequences import _u_term_mod
@@ -886,3 +887,33 @@ class TestQueriesRangeSweep:
     @pytest.mark.parametrize("k, n", [(200, 200), (199, 150), (64, 101)])
     def test_reduced_oracles_match_full_width_terms(self, pq, k, n):
         check_reduced_oracles(pq, k, n, 6)
+
+
+# (k, n) whose k*n spans the oracle indices of the CLI query mix, up to 40,000.
+WALK_KN = ((200, 200), (199, 150), (64, 101), (13, 29))
+
+
+@pytest.mark.slow
+class TestModularWalkSweep:
+    # The recurrence walk against the doubling reference u_pair_mod, on every
+    # (P, Q) of the query mix, at moduli shaped like the ratio oracle's
+    # |U_k|*|U_n| and at 2^61 - 1; first with no table, then from the tail of
+    # a table grown by exact reads.
+    @pytest.mark.parametrize("pq", WIDE_PAIRS, ids=str)
+    def test_walk_matches_doubling(self, fresh_tables, pq):
+        params = make_params(*pq)
+        cases = []
+        for k, n in WALK_KN:
+            for m in (abs(u_at(params, k)) * abs(u_at(params, n)), 2**61 - 1):
+                if m > 1:
+                    cases += [(k * n, m), (k * n + 6, m)]
+
+        def check():
+            for index, m in cases:
+                assert _u_term_mod(params, index, m) == u_pair_mod(params, index, m)[0], (
+                    pq, index, m,
+                )
+
+        check()
+        sequences._u_term(params, 200)
+        check()

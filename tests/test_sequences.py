@@ -24,7 +24,7 @@ from lucaskit import (
     u_pair_mod,
     v_at,
 )
-from lucaskit.sequences import _u_term
+from lucaskit.sequences import _u_term, _u_term_mod
 
 PELL = make_params(2, -1)
 
@@ -398,3 +398,97 @@ class TestTermTable:
         assert info.hits - start.hits == 2
         assert info.misses - start.misses == 1
         assert info.currsize == 51
+
+
+# Pairs and the block _u_term_mod derives for them: about 64 bits of growth
+# over (|P| + |Q|).bit_length() bits a step, at least one step. The wide pair
+# reduces at every step.
+WALK_PAIRS = [((1, -1), 32), ((-3, 2), 21), ((-7, 3), 16), ((-8, -9), 12), ((2**200 + 1, 3), 1)]
+WALK_MODULI = (1, 2, 97, 2**70 + 1)
+
+
+def table_state():
+    return (
+        {key: len(terms) for key, terms in sequences._tables.items()},
+        dict(sequences._table_bits),
+        sequences._stored_bits,
+    )
+
+
+class TestModularWalk:
+    def check_walk(self, params, indices):
+        for n in indices:
+            exact = u_at(params, n)
+            for m in WALK_MODULI:
+                assert _u_term_mod(params, n, m) == exact % m, (params, n, m)
+
+    @pytest.mark.parametrize("pq, block", WALK_PAIRS)
+    def test_every_walk_length_past_a_small_table(self, fresh_tables, monkeypatch, pq, block):
+        monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
+        params = make_params(*pq)
+        _u_term(params, 500)
+        stored = len(sequences._tables[pq])
+        assert stored < 500  # the table is full
+        # From the last stored terms (hits), then 0 to 3 whole blocks and any remainder.
+        self.check_walk(params, range(stored - 2, stored + 3 * block + 2))
+        assert len(sequences._tables[pq]) == stored
+
+    @pytest.mark.parametrize("pq, block", WALK_PAIRS)
+    def test_walk_with_no_table(self, fresh_tables, pq, block):
+        params = make_params(*pq)
+        self.check_walk(params, range(3 * block + 2))
+        assert sequences._tables == {}
+
+    def test_concurrent_growth_keeps_walks_exact(self, fresh_tables):
+        # Modular reads walk from a table's tail while other threads grow it;
+        # a walk must start from the window it read, not a later one.
+        pairs = [make_params(*pq) for pq in ((1, -1), (-7, 3), (-8, -9))]
+        m = 2**70 + 1
+        expected = {
+            params: [naive_u(params.p_coeff, params.q_coeff, n) % m for n in range(404)]
+            for params in pairs
+        }
+        errors = []
+        barrier = threading.Barrier(6, timeout=60)
+
+        def worker(seed):
+            for round_ in range(4):
+                barrier.wait()
+                for n in range(2, 400):
+                    params = pairs[(seed + n) % len(pairs)]
+                    if seed % 2:
+                        _u_term(params, n)
+                    elif _u_term_mod(params, n + seed, m) != expected[params][n + seed]:
+                        errors.append((round_, params, n + seed))
+                barrier.wait()
+                if seed == 0:
+                    _u_term.cache_clear()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_modular_read_stores_nothing(self, fresh_tables):
+        table, cold = make_params(-7, 3), make_params(5, -3)
+        _u_term(table, 40)
+        for params, n in [(table, 41), (table, 500), (cold, 0), (cold, 500)]:
+            state, start = table_state(), _u_term.cache_info()
+            assert _u_term_mod(params, n, 2**70 + 1) == u_at(params, n) % (2**70 + 1)
+            info = _u_term.cache_info()
+            assert table_state() == state, (params, n)
+            assert (info.hits, info.misses) == (start.hits, start.misses + 1), (params, n)
+        assert list(sequences._tables) == [(-7, 3)]
+        # Exact reads still grow the table.
+        assert _u_term(table, 500) == u_at(table, 500)
+        assert len(sequences._tables[(-7, 3)]) == 501
+        assert _u_term(cold, 60) == u_at(cold, 60)
+        assert len(sequences._tables[(5, -3)]) == 61
