@@ -6,7 +6,9 @@ building the huge numerator? Each evaluator here is paired with a brute-force
 oracle that reaches the numerator's index the slow way, so the two can be
 compared on a grid: the general and Fibonacci oracles walk the defining
 recurrence, reduced modulo what they need past the stored term table (a walk
-that stores nothing), and the Mersenne one builds 2^{kn} - 1 in full.
+that stores nothing and takes one step per block of recurrence steps, by the
+block's transition walked from the unit vectors), and the Mersenne one
+builds 2^{kn} - 1 in full.
 
 Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a

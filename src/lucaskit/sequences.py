@@ -191,11 +191,15 @@ def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
     A stored term is read from the (P, Q) table and reduced, a term-cache
     hit. Any other index is one miss that stores nothing: the recurrence
     walks mod m from the table's last two terms, or from (U_0, U_1) when the
-    pair has no table. The walk reduces once per block of steps; each step
-    widens a term by at most (|P| + |Q|).bit_length() bits, and the block is
-    as long as about 64 bits of such growth allows (at least one step), so
-    no term much wider than m is built. Never uses the doubling formula: the
-    congruence oracles rely on this independence.
+    pair has no table. Each step widens a term by at most
+    (|P| + |Q|).bit_length() bits, and a block is as many steps as about 64
+    bits of such growth allows (at least one). The recurrence is linear, so
+    the block's transition is walked once, from (1, 0) and from (0, 1), into
+    four exact ints of at most about 64 bits (or 0, 1, -Q and P when the
+    block is one step); the walk then applies it to each whole block in one
+    step and reduces, and takes the remaining steps one by one. No term much
+    wider than m is built. Never uses the doubling formula: the congruence
+    oracles rely on this independence.
     """
     global _hits, _misses
     if n < 0:
@@ -214,12 +218,12 @@ def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
         a, b = terms[start] % m, terms[start + 1] % m
     p, q = params.p_coeff, params.q_coeff
     block = max(1, 64 // (abs(p) + abs(q)).bit_length())
+    c0, d0, c1, d1 = 1, 0, 0, 1  # the block's transition, walked from (1, 0) and (0, 1)
+    for _ in range(block):
+        c0, d0, c1, d1 = d0, p * d0 - q * c0, d1, p * d1 - q * c1
     blocks, rest = divmod(n - start, block)
-    steps = range(block)
     for _ in range(blocks):
-        for _ in steps:
-            a, b = b, p * b - q * a
-        a, b = a % m, b % m
+        a, b = (c0 * a + c1 * b) % m, (d0 * a + d1 * b) % m
     for _ in range(rest):
         a, b = b, p * b - q * a
     return a % m

@@ -402,9 +402,11 @@ class TestTermTable:
 
 # Pairs and the block _u_term_mod derives for them: about 64 bits of growth
 # over (|P| + |Q|).bit_length() bits a step, at least one step. The wide pair
-# reduces at every step.
+# reduces at every step. The moduli run from 1 to wider than the block's
+# transition coefficients (2^400 + 1), and include one shaped like a ratio
+# family's modulus, |U_k|*|U_n| with k and n near 200.
 WALK_PAIRS = [((1, -1), 32), ((-3, 2), 21), ((-7, 3), 16), ((-8, -9), 12), ((2**200 + 1, 3), 1)]
-WALK_MODULI = (1, 2, 97, 2**70 + 1)
+WALK_MODULI = (1, 2, 97, 2**70 + 1, 2**400 + 1, abs(naive_u(-7, 3, 197) * naive_u(-7, 3, 203)))
 
 
 def table_state():
