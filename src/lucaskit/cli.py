@@ -21,7 +21,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import Any, Iterator, Optional
 
@@ -125,18 +124,6 @@ def cmd_primetest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    method: str
-    lo: int
-    hi: int
-    checked: int
-    skipped: int
-    skipped_values: Optional[tuple[int, ...]]
-    mismatches: tuple[tuple[int, str], ...]
-    workers: int
-
-
 # A unit of scan work, one value or one congruences.grid_batch unit, returns
 # its items' outcomes in scan order: one mark per item ("-" skipped, "+" held,
 # "x" mismatch) and the (n, detail) of each mismatch.
@@ -181,8 +168,11 @@ def _resolve_workers(flag_value: Optional[int]) -> int:
 
 def run_scan(
     method: str, lo: int, hi: int, workers: int = 1, fail_fast: bool = False
-) -> ScanReport:
-    """Run one agreement sweep; results are aggregated in input order."""
+) -> dict[str, Any]:
+    """Run one agreement sweep and return the record scan prints, minus wall_time.
+
+    Results are aggregated in input order; the counts are read off the marks.
+    """
     if lo > hi:
         raise ValueError(f"--from {lo} exceeds --to {hi}")
     if method not in SCAN_METHODS:
@@ -200,25 +190,17 @@ def run_scan(
             for k in range(max(lo, 1), hi + 1)
         ]
         check = grid_batch
-    checked = 0
-    skipped = 0
-    skipped_values: list[int] = []
+    marks: list[str] = []  # one string per unit, in input order
     mismatches: list[tuple[int, str]] = []
 
     def consume(results: Iterator[Outcomes]) -> None:
-        nonlocal checked, skipped
-        for unit, (marks, failed) in zip(units, results):
+        for unit_marks, failed in results:
             if fail_fast and failed:
-                marks = marks[: marks.index("x") + 1]
-                failed = failed[:1]
-            unit_skipped = marks.count("-")
-            skipped += unit_skipped
-            checked += len(marks) - unit_skipped
-            if per_value_scan and unit_skipped:
-                skipped_values.append(unit)
-            mismatches.extend(failed)
-            if fail_fast and failed:
+                marks.append(unit_marks[: unit_marks.index("x") + 1])
+                mismatches.append(failed[0])
                 return
+            marks.append(unit_marks)
+            mismatches.extend(failed)
 
     if workers <= 1:
         consume(map(check, units))
@@ -230,37 +212,29 @@ def run_scan(
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    return ScanReport(
-        method=method,
-        lo=lo,
-        hi=hi,
-        checked=checked,
-        skipped=skipped,
-        skipped_values=tuple(skipped_values) if per_value_scan else None,
-        mismatches=tuple(mismatches),
-        workers=workers,
-    )
+    every_mark = "".join(marks)
+    skipped = every_mark.count("-")
+    record: dict[str, Any] = {
+        "method": method,
+        "from": lo,
+        "to": hi,
+        "checked": len(every_mark) - skipped,
+        "skipped": skipped,
+    }
+    if per_value_scan:
+        record["skipped_values"] = [n for n, m in zip(units, marks) if m == "-"]
+    record["mismatches"] = [{"n": n, "detail": d} for n, d in mismatches]
+    record["workers"] = workers
+    return record
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     workers = _resolve_workers(args.workers)
     started = time.perf_counter()
-    report = run_scan(args.method, args.lo, args.hi, workers, args.fail_fast)
-    wall_time = time.perf_counter() - started
-    record: dict[str, Any] = {
-        "method": report.method,
-        "from": report.lo,
-        "to": report.hi,
-        "checked": report.checked,
-        "skipped": report.skipped,
-    }
-    if report.skipped_values is not None:
-        record["skipped_values"] = list(report.skipped_values)
-    record["mismatches"] = [{"n": n, "detail": d} for n, d in report.mismatches]
-    record["workers"] = report.workers
-    record["wall_time"] = wall_time
+    record = run_scan(args.method, args.lo, args.hi, workers, args.fail_fast)
+    record["wall_time"] = time.perf_counter() - started
     _emit(record, args)
-    return 0 if not report.mismatches else 1
+    return 0 if not record["mismatches"] else 1
 
 
 # ---------------------------------------------------------------------------

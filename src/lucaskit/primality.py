@@ -445,19 +445,13 @@ _FIBONACCI = dict(
     ),
 )
 _MERSENNE = dict(_ZERO_IFF_PRIME, **_FROM_TWO)
-# Each residue criterion's fast path, then its direct path.
-_MERSENNE_PATHS = {
-    "mersenne-sum": Criterion(mersenne_sum_residue_fast, scan=True, **_MERSENNE),
-    "mersenne-sum-direct": Criterion(mersenne_sum_residue_direct, **_MERSENNE),
-}
-_FIBONACCI_PATHS = {
-    "fib-sum": Criterion(fibonacci_sum_residue_fast, scan=True, **_FIBONACCI),
-    "fib-sum-direct": Criterion(fibonacci_sum_residue_direct, **_FIBONACCI),
-}
 
 CRITERION_TABLE: dict[str, Criterion] = {
-    **_MERSENNE_PATHS,
-    **_FIBONACCI_PATHS,
+    # Each residue criterion's fast path, then its direct path.
+    "mersenne-sum": Criterion(mersenne_sum_residue_fast, scan=True, **_MERSENNE),
+    "mersenne-sum-direct": Criterion(mersenne_sum_residue_direct, **_MERSENNE),
+    "fib-sum": Criterion(fibonacci_sum_residue_fast, scan=True, **_FIBONACCI),
+    "fib-sum-direct": Criterion(fibonacci_sum_residue_direct, **_FIBONACCI),
     # The sum vanishes whether or not n is prime.
     "remark": Criterion(
         remark_check,
@@ -498,19 +492,19 @@ def run_criterion(criterion: Criterion, n: int) -> tuple[Any, bool, bool]:
     return result, oracle, criterion.verdict(n, result, oracle)
 
 
-def _primality_test(paths: dict[str, Criterion], n: int, path: str) -> PrimalityVerdict:
-    """Run the fast or the direct path of a residue criterion against the oracle."""
+def _primality_test(method: str, n: int, path: str) -> PrimalityVerdict:
+    """Run the fast path `method` or its `method-direct` path against the oracle."""
     if path not in ("fast", "direct"):
         raise ValueError(f"path must be 'fast' or 'direct', got {path!r}")
-    fast, direct = paths.items()
-    method, criterion = fast if path == "fast" else direct
-    residue, oracle, agree = run_criterion(criterion, n)
+    if path == "direct":
+        method += "-direct"
+    residue, oracle, agree = run_criterion(CRITERION_TABLE[method], n)
     return PrimalityVerdict(n, method, residue, residue.value == 0, oracle, agree)
 
 
 def mersenne_primality_test(n: int, path: str = "fast") -> PrimalityVerdict:
     """Run the Mersenne sum criterion (residue 0 iff n prime) against the oracle."""
-    return _primality_test(_MERSENNE_PATHS, n, path)
+    return _primality_test("mersenne-sum", n, path)
 
 
 def fibonacci_primality_test(n: int, path: str = "fast") -> PrimalityVerdict:
@@ -520,7 +514,7 @@ def fibonacci_primality_test(n: int, path: str = "fast") -> PrimalityVerdict:
     hypotheses are hard preconditions, not skips, so violating them raises
     Unsupported rather than producing a verdict.
     """
-    return _primality_test(_FIBONACCI_PATHS, n, path)
+    return _primality_test("fib-sum", n, path)
 
 
 # ---------------------------------------------------------------------------

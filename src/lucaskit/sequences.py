@@ -59,11 +59,11 @@ def u_at(params: LucasParams, n: int, counter: OpCounter | None = None) -> int:
     """U_n by direct recurrence from (U_0, U_1) = (0, 1); exact, O(n) multiplications."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
+    if counter is not None:
+        counter.add(2 * n)
     a, b = 0, 1
     for _ in range(n):
         a, b = b, params.p_coeff * b - params.q_coeff * a
-        if counter is not None:
-            counter.add(2)
     return a
 
 

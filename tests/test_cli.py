@@ -386,6 +386,16 @@ class TestScan:
             f'"skipped":23328,"mismatches":[],"workers":{workers}}}\n'
         )
 
+    @pytest.mark.parametrize("method, lo, hi", [("fib-sum", 5, 60), ("congruence-grid", 1, 8)])
+    def test_run_scan_returns_the_printed_record(self, capsys, method, lo, hi):
+        code, out, _ = run_cli(
+            capsys,
+            "scan", "--method", method, "--from", str(lo), "--to", str(hi),
+            "--workers", "1", "--no-timing",
+        )
+        assert code == 0
+        assert cli_module.run_scan(method, lo, hi, 1) == parse_lines(out)[0]
+
     def test_parallel_workers_give_same_answer(self, capsys):
         code1, out1, _ = run_cli(
             capsys,
@@ -588,6 +598,27 @@ class TestScanMismatchDetail:
             '"detail":"residue=10104 criterion=False oracle=True"}],"workers":1}\n'
         )
 
+    @pytest.mark.parametrize("workers", [
+        "1",
+        pytest.param("2", marks=pytest.mark.skipif(
+            multiprocessing.get_context().get_start_method() != "fork",
+            reason="the injected mismatch reaches the workers only when they are forked",
+        )),
+    ])
+    def test_fail_fast_skipped_values_stop_at_the_mismatch(self, capsys, monkeypatch, workers):
+        _disagree_at(monkeypatch, 21)
+        code, out, _ = run_cli(
+            capsys,
+            "scan", "--method", "fib-sum", "--from", "2", "--to", "30",
+            "--workers", workers, "--fail-fast", "--no-timing",
+        )
+        assert code == 1
+        assert out == (
+            '{"method":"fib-sum","from":2,"to":30,"checked":4,"skipped":16,'
+            '"skipped_values":[2,3,4,6,7,8,9,10,11,12,14,15,16,18,19,20],"mismatches":[{"n":21,'
+            f'"detail":"residue=10104 criterion=False oracle=True"}}],"workers":{workers}}}\n'
+        )
+
     def test_divisor_sum_detail(self, capsys, monkeypatch):
         oracle = primality_module.is_prime_oracle
         monkeypatch.setattr(
@@ -694,9 +725,9 @@ class TestGridWork:
     def test_term_reads_per_item(self, monkeypatch):
         counts = self._count_reads(monkeypatch)
         scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
-        items = scan.checked + scan.skipped
-        assert (scan.checked, scan.skipped, scan.mismatches) == (149472, 23328, ())
-        assert counts["_u_term_mod"] == scan.checked  # one oracle read per checked item
+        items = scan["checked"] + scan["skipped"]
+        assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
+        assert counts["_u_term_mod"] == scan["checked"]  # one oracle read per checked item
         assert counts["_u_term"] <= 0.5 * items
 
     @pytest.mark.parametrize("p, q, k", [(1, -1, 7), (3, -2, 6), (2, 1, 5), (1, 1, 3)])
@@ -908,7 +939,7 @@ class TestNoKernelSeesATrivialModulus:
             scan = cli_module.run_scan("congruence-grid", 0, 8, 1)
             return (
                 [congruences_module.grid_batch(unit) for unit in units],
-                (scan.checked, scan.skipped, scan.mismatches),
+                (scan["checked"], scan["skipped"], scan["mismatches"]),
                 [evaluate_congruence(*instance) for instance in instances],
             )
 
@@ -916,7 +947,7 @@ class TestNoKernelSeesATrivialModulus:
         calls = _guard_kernels(monkeypatch)
         assert run() == before
         _, counts, reports = before
-        assert counts == (16264, 5336, ())
+        assert counts == (16264, 5336, [])
         assert set(calls) == {family for family, _ in congruences_module.GRID_VARIANTS}
         assert len(reports) == 10
         assert all(
