@@ -13,9 +13,11 @@ builds 2^{kn} - 1 in full.
 Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
 shift r, its domain check and its modulus, the one place that modulus is
-decided. A side is a prepare step, once per (P, Q, k), that reads the side's
-constants (U_{k+1}, Q^k and U_r modulo |U_k|), and the step it returns, which
-gives the least nonnegative residue for one n. Each caller reads the modulus
+decided. A side is a prepare step, once per (P, Q, k), and the step it
+returns, which gives the least nonnegative residue for one n. A closed form
+has one of two shapes: a per-n kernel with nothing to prepare, or, for the
+five families modulo |U_k|, a residue formula in U_{k+1}, Q^k and U_r modulo
+|U_k|, which its prepare step reads once. Each caller reads the modulus
 once per instance, or once per (P, Q, k) when it is |U_k|: 0 or 1 makes the
 instance a TrivialModulus, and any other is handed to both sides. There are
 two such callers. _evaluate_side runs one side of one instance, and the
@@ -145,6 +147,8 @@ def _modulus_mersenne(params: LucasParams, k: int, n: int) -> int:
 # step, once per (P, Q, k) and r, and its step (n, modulus) -> residue, on a
 # checked domain and the family's modulus, which exceeds 1; a modulus that
 # moves with n may be None when preparing. r is the shift family's, else None.
+# A closed form is a _per_n kernel, which prepares nothing, or a residue
+# formula under _mod_u_k, bound to the constants it reads modulo |U_k|.
 # ---------------------------------------------------------------------------
 
 Step = Callable[[int, int], int]
@@ -156,66 +160,55 @@ def _per_n(kernel: Callable[[LucasParams, int, Optional[int], int, int], int]) -
     return wraps(kernel)(lambda params, k, r, modulus: partial(kernel, params, k, r))
 
 
-def _k_constants(params: LucasParams, k: int, modulus: int) -> tuple[int, int]:
-    """U_{k+1} and Q^k mod |U_k|, the constants of its closed forms; Q^{ke} = pow(Q^k, e)."""
-    return _u_term(params, k + 1) % modulus, pow_signed_mod(params.q_coeff, k, modulus)
+def _mod_u_k(formula: Callable[[int, int, int, int, int], int]) -> Prepare:
+    """Decorator for a side modulo |U_k|: formula(u_next, q_k, u_r, n, modulus).
+
+    Its prepare step reads U_{k+1}, Q^k and U_r (1 without r) mod |U_k| once;
+    Q^{ke} = pow(Q^k, e).
+    """
+
+    def prepare(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
+        u_next = _u_term(params, k + 1) % modulus
+        u_r = 1 if r is None else _u_term(params, r) % modulus
+        return partial(formula, u_next, pow_signed_mod(params.q_coeff, k, modulus), u_r)
+
+    return wraps(formula)(prepare)
 
 
-def _lemma1(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
-    u_next, q_k = _k_constants(params, k, modulus)
-
-    def step(n: int, modulus: int) -> int:
-        if n == 0:
-            return 0
-        if n & 1:
-            return n * pow(q_k, (n - 1) // 2, modulus) % modulus
-        return n * u_next * pow(q_k, (n - 2) // 2, modulus) % modulus
-
-    return step
+@_mod_u_k
+def _lemma1(u_next: int, q_k: int, u_r: int, n: int, modulus: int) -> int:
+    if n == 0:
+        return 0
+    if n & 1:
+        return n * pow(q_k, (n - 1) // 2, modulus) % modulus
+    return n * u_next * pow(q_k, (n - 2) // 2, modulus) % modulus
 
 
-def _lemma2(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
-    u_next, q_k = _k_constants(params, k, modulus)
-
-    def step(n: int, modulus: int) -> int:
-        if n & 1:
-            return u_next * pow(q_k, (n - 1) // 2, modulus) % modulus
-        return pow(q_k, n // 2, modulus)
-
-    return step
+@_mod_u_k
+def _lemma2(u_next: int, q_k: int, u_r: int, n: int, modulus: int) -> int:
+    if n & 1:
+        return u_next * pow(q_k, (n - 1) // 2, modulus) % modulus
+    return pow(q_k, n // 2, modulus)
 
 
-def _cor6(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
-    u_next, q_k = _k_constants(params, k, modulus)
-
-    def step(n: int, modulus: int) -> int:
-        if n == 0:
-            return 0
-        a = 1 - (n & 1)  # parity_indicator(n)
-        return n * (u_next if a else 1) * pow(q_k, (n - a - 1) // 2, modulus) % modulus
-
-    return step
+@_mod_u_k
+def _cor6(u_next: int, q_k: int, u_r: int, n: int, modulus: int) -> int:
+    if n == 0:
+        return 0
+    a = 1 - (n & 1)  # parity_indicator(n)
+    return n * (u_next if a else 1) * pow(q_k, (n - a - 1) // 2, modulus) % modulus
 
 
-def _cor7(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
-    u_next, q_k = _k_constants(params, k, modulus)
-
-    def step(n: int, modulus: int) -> int:
-        a = 1 - (n & 1)  # parity_indicator(n)
-        return (1 if a else u_next) * pow(q_k, (n + a - 1) // 2, modulus) % modulus
-
-    return step
+@_mod_u_k
+def _cor7(u_next: int, q_k: int, u_r: int, n: int, modulus: int) -> int:
+    a = 1 - (n & 1)  # parity_indicator(n)
+    return (1 if a else u_next) * pow(q_k, (n + a - 1) // 2, modulus) % modulus
 
 
-def _general_shift(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
-    u_next, q_k = _k_constants(params, k, modulus)
-    u_r = _u_term(params, r) % modulus
-
-    def step(n: int, modulus: int) -> int:
-        a = 1 - (n & 1)  # parity_indicator(n)
-        return u_r * (1 if a else u_next) * pow(q_k, (n + a - 1) // 2, modulus) % modulus
-
-    return step
+@_mod_u_k
+def _general_shift(u_next: int, q_k: int, u_r: int, n: int, modulus: int) -> int:
+    a = 1 - (n & 1)  # parity_indicator(n)
+    return u_r * (1 if a else u_next) * pow(q_k, (n + a - 1) // 2, modulus) % modulus
 
 
 @_per_n

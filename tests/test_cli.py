@@ -17,6 +17,7 @@ import lucaskit.primality as primality_module
 import lucaskit.sequences as sequences_module
 from lucaskit import (
     TRIVIAL_MODULUS,
+    InternalInvariantViolation,
     TrivialModulus,
     corollary_ratio_rhs,
     corollary_shift_rhs,
@@ -493,13 +494,18 @@ class TestOutputContract:
             json.loads(out.splitlines()[0])
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lucaskit", "eval", "-p", "1", "-q", "-1", "-n", "12"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["u"] == "144"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        cases = [
+            (["eval", "-p", "1", "-q", "-1", "-n", "10", "--no-timing"],
+             0, '{"p":1,"q":-1,"n":10,"u":"55"}\n', ""),
+            (["scan", "--method", "remark", "--from", "3", "--to", "9", "--workers", "0"],
+             2, "", "error: --workers must be >= 1\n"),
+        ]
+        for argv, code, out, err in cases:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lucaskit", *argv], capture_output=True, text=True, env=env
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
 
     def test_one_parser_per_process_leaks_nothing_between_calls(self, capsys):
         # The parser is built once and shared; each call must still print
@@ -773,6 +779,10 @@ def _crash_worker(n):
     os._exit(1)
 
 
+def _violate_invariant(*args, **kwargs):
+    raise InternalInvariantViolation("exponent -1/2 must be a nonnegative integer")
+
+
 class TestFailureContract:
     # Exit 1 means a mathematical mismatch only: a broken pool or an
     # exhausted memory exits 2 with one "error: ..." line on stderr.
@@ -793,6 +803,31 @@ class TestFailureContract:
         )
         assert code == 2 and out == ""
         assert err.startswith(f"error: {type(exc).__name__}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("env, run_scan, workers, code, err", [
+        (None, None, "0", 2, "error: --workers must be >= 1\n"),
+        ("0", None, None, 2, "error: LUCAS_WORKERS must be >= 1\n"),
+        (None, _violate_invariant, "1", 1,
+         "invariant violated: exponent -1/2 must be a nonnegative integer\n"),
+    ], ids=["workers_flag", "workers_env", "invariant"])
+    def test_guards_exit_with_one_line(
+        self, capsys, monkeypatch, env, run_scan, workers, code, err
+    ):
+        monkeypatch.delenv("LUCAS_WORKERS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("LUCAS_WORKERS", env)
+        if run_scan is not None:
+            monkeypatch.setattr(cli_module, "run_scan", run_scan)
+        argv = ["scan", "--method", "remark", "--from", "3", "--to", "9", "--no-timing"]
+        if workers is not None:
+            argv += ["--workers", workers]
+        assert run_cli(capsys, *argv) == (code, "", err)
+
+    def test_unknown_scan_method_is_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            cli_module.run_scan("lemma9", 1, 2)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == "unknown scan method 'lemma9'"
 
     @pytest.mark.skipif(
         multiprocessing.get_context().get_start_method() != "fork",

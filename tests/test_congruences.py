@@ -201,6 +201,16 @@ class TestRepetitionLaw:
         # 8 | F_6 = 8, so 16 | F_12 = 144
         assert repetition_law_check(FIBONACCI_PARAMS, 6, 2, 3)
 
+    @pytest.mark.parametrize("k, n, i, message", [
+        (5, 5, 0, "i must be >= 1, got 0"),
+        (0, 5, 1, "indices must be >= 1, got k = 0, n = 5"),
+        (5, 0, 1, "indices must be >= 1, got k = 5, n = 0"),
+    ])
+    def test_input_guards(self, k, n, i, message):
+        with pytest.raises(ValueError) as excinfo:
+            repetition_law_check(FIBONACCI_PARAMS, k, n, i)
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+
     def test_hypothesis_failure(self):
         with pytest.raises(NotApplicable):
             repetition_law_check(FIBONACCI_PARAMS, 3, 5, 1)  # 5 does not divide F_3 = 2

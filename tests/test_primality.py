@@ -36,7 +36,7 @@ from lucaskit import (
     remark_check,
     u_pair_mod,
 )
-from lucaskit.primality import CRITERION_TABLE, _divisor_classes, run_criterion
+from lucaskit.primality import CRITERION_TABLE, _divisor_classes, _factorize, run_criterion
 
 
 def sieve(limit):
@@ -47,6 +47,22 @@ def sieve(limit):
         if flags[p]:
             flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
     return flags
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _factorize(0), "n must be >= 1, got 0"),
+    (lambda: euler_phi(0), "n must be >= 1, got 0"),
+    (lambda: mersenne_sum_residue_direct(1), "n must be >= 2, got 1"),
+    (lambda: divisor_sum_breakdown(1), "n must be >= 2, got 1"),
+    (lambda: fibonacci_sum_residue_exact(2), "n must be >= 3, got 2"),
+    (lambda: fibonacci_sum_residue_fast(1), "n must be >= 5, got 1"),
+    (lambda: primitive_prime_divisor(FIBONACCI_PARAMS, 0), "n must be >= 1, got 0"),
+], ids=["factorize", "euler_phi", "mersenne_direct", "divisor_sum", "fib_exact", "fib_fast",
+        "primitive_divisor"])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == message
 
 
 class TestEulerPhi:
@@ -132,8 +148,10 @@ class TestPrimeOracle:
             is_prime_oracle(1 << 64)
 
     def test_against_sieve(self):
-        flags = sieve(20000)
-        for n in range(0, 20001):
+        # Past 2^16 the oracle leaves trial division for the strong-pseudoprime
+        # battery; 10^5 is the top of the benchmark's mersenne-sum draws.
+        flags = sieve(100_000)
+        for n in range(0, 100_001):
             assert is_prime_oracle(n) == bool(flags[n]), n
 
     def test_large_values(self):

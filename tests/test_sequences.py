@@ -87,6 +87,16 @@ WIDE_PAIRS = [
 ]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: v_at(FIBONACCI_PARAMS, -1), "index must be nonnegative, got -1"),
+    (lambda: check_strong_divisibility(FIBONACCI_PARAMS, 0, 1), "indices must be >= 1, got 0, 1"),
+], ids=["v_at", "strong_divisibility"])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+
+
 class TestMakeParams:
     def test_fibonacci_discriminant(self):
         assert make_params(1, -1).discriminant == 5
@@ -357,6 +367,20 @@ class TestTermTable:
             params = make_params(*pq)
             assert _u_term(params, 123) == u_at(params, 123)
             assert stored_bits() <= sequences.CACHE_BITS
+
+    @pytest.mark.parametrize("room, kept", [(0, True), (-1, False)])
+    def test_new_pair_clears_only_short_of_a_full_table(
+        self, fresh_tables, monkeypatch, room, kept
+    ):
+        # A new pair finds CACHE_BITS - stored = TABLE_BITS + room bits left:
+        # exactly a table's worth keeps the other tables, one bit less clears them.
+        _u_term(FIBONACCI_PARAMS, 30)
+        monkeypatch.setattr(
+            sequences, "CACHE_BITS", sequences._stored_bits + sequences.TABLE_BITS + room
+        )
+        assert _u_term(PELL, 30) == u_at(PELL, 30)
+        assert list(sequences._tables) == ([(1, -1)] if kept else []) + [(2, -1)]
+        assert stored_bits() == sequences._stored_bits
 
     def test_concurrent_growth_keeps_tables_exact(self, fresh_tables):
         # Threads grow the same cold tables step by step at once; a lost or
