@@ -5,10 +5,13 @@ shifted term U_{kn+r}) modulo some sequence term, expressed without ever
 building the huge numerator? Each evaluator here is paired with a brute-force
 oracle that reaches the numerator's index the slow way, so the two can be
 compared on a grid: the general and Fibonacci oracles walk the defining
-recurrence, reduced modulo what they need past the stored term table (a walk
-that stores nothing and takes one step per block of recurrence steps, by the
-block's transition walked from the unit vectors), and the Mersenne one
-builds 2^{kn} - 1 in full.
+recurrence, reduced modulo what they need past the stored term table, and
+the Mersenne one builds 2^{kn} - 1 in full. That walk stores nothing. It
+takes one step per block of recurrence steps, by the block's transition
+walked from the unit vectors, and from 16 blocks on giant steps of
+isqrt(blocks) blocks, by their transition walked the same way, so a walk of
+N steps costs O(sqrt(N)) products of ints no wider than its modulus (see
+sequences._u_term_mod).
 
 Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
@@ -285,7 +288,7 @@ def _ratio_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | 
 
     U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as exact_div does,
     a zero U_k included) and sgn(U_k) times the quotient is congruent to U_{kn}/U_k mod m.
-    Past the stored table no term much wider than |U_k|*m is built (see _u_term_mod).
+    Past the stored table no product much wider than (|U_k|*m)^2 is built (see _u_term_mod).
     """
     u_k = _u_term(params, k)
     width, negative = abs(u_k), u_k < 0

@@ -181,7 +181,8 @@ def mersenne_sum_residue_direct(n: int, probe: BitWidthProbe | None = None) -> R
     """Sum over 1 <= k < n of the exact quotient (2^{kn}-1)/(2^k-1), mod 2^n - 1.
 
     The honest slow path: each term is materialized at full kn-bit width and
-    exactly divided (zero remainder asserted) before reduction.
+    exactly divided (zero remainder asserted). The quotients are summed
+    exactly and the sum is reduced once, at the end.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -192,8 +193,8 @@ def mersenne_sum_residue_direct(n: int, probe: BitWidthProbe | None = None) -> R
         quotient = exact_div(dividend, (1 << k) - 1)
         if probe is not None:
             probe.observe(dividend, quotient)
-        total = (total + quotient) % modulus
-    return ResidueClass(total, modulus)
+        total += quotient
+    return ResidueClass(total % modulus, modulus)
 
 
 def _repunit(d: int, count: int) -> int:

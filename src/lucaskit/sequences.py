@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import BadModulus, CoprimalityViolation, ZeroPair
@@ -185,6 +185,35 @@ def _u_term_miss(params: LucasParams, n: int) -> int:
     return b
 
 
+class WalkPlan(NamedTuple):
+    """The steps of a walk past the term table; sum(plan) transition applications.
+
+    Building the giant step's transition takes `giant` block steps, then the
+    walk takes `giants` giant steps, `blocks` block steps and `singles`
+    single recurrence steps, in that order.
+    """
+
+    giant: int  # block steps per giant step, 0 when the walk takes none
+    giants: int
+    blocks: int
+    singles: int
+
+
+def _walk_plan(steps: int, block: int) -> WalkPlan:
+    """How _u_term_mod walks `steps` recurrence steps with blocks of `block` steps.
+
+    Under 16 whole blocks the walk takes them one by one. From 16 on, a giant
+    step is isqrt(blocks) blocks, so the walk applies about 3*sqrt(steps/block)
+    transitions, plus fewer than `block` single steps.
+    """
+    whole, singles = divmod(steps, block)
+    if whole < 16:
+        return WalkPlan(0, 0, whole, singles)
+    giant = isqrt(whole)
+    giants, blocks = divmod(whole, giant)
+    return WalkPlan(giant, giants, blocks, singles)
+
+
 def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
     """U_n mod m by the defining recurrence, for m >= 1.
 
@@ -196,10 +225,16 @@ def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
     bits of such growth allows (at least one). The recurrence is linear, so
     the block's transition is walked once, from (1, 0) and from (0, 1), into
     four exact ints of at most about 64 bits (or 0, 1, -Q and P when the
-    block is one step); the walk then applies it to each whole block in one
-    step and reduces, and takes the remaining steps one by one. No term much
-    wider than m is built. Never uses the doubling formula: the congruence
-    oracles rely on this independence.
+    block is one step). A walk of 16 blocks or more first applies that
+    transition g = isqrt(blocks) times to (1, 0) and (0, 1), reducing mod m
+    once the result is wider than m, which gives the transition of g blocks;
+    it applies that one blocks // g times (see _walk_plan). It then applies
+    the block's transition to each remaining whole block and takes the last
+    steps one by one, reducing after every transition. That is O(sqrt(n))
+    products of ints no wider than m past the table, none much wider than
+    m^2. Only a short walk of a pair whose block is one step still pays one
+    transition per step. Never squares a transition and never uses the
+    doubling formula: the congruence oracles rely on this independence.
     """
     global _hits, _misses
     if n < 0:
@@ -221,7 +256,15 @@ def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
     c0, d0, c1, d1 = 1, 0, 0, 1  # the block's transition, walked from (1, 0) and (0, 1)
     for _ in range(block):
         c0, d0, c1, d1 = d0, p * d0 - q * c0, d1, p * d1 - q * c1
-    blocks, rest = divmod(n - start, block)
+    giant, giants, blocks, rest = _walk_plan(n - start, block)
+    e0, f0, e1, f1 = 1, 0, 0, 1  # the giant step's transition, walked the same way
+    width = m.bit_length()
+    for _ in range(giant):
+        e0, f0, e1, f1 = c0 * e0 + c1 * f0, d0 * e0 + d1 * f0, c0 * e1 + c1 * f1, d0 * e1 + d1 * f1
+        if f1.bit_length() > width:  # exact while narrower: a residue of a negative is m wide
+            e0, f0, e1, f1 = e0 % m, f0 % m, e1 % m, f1 % m
+    for _ in range(giants):
+        a, b = (e0 * a + e1 * b) % m, (f0 * a + f1 * b) % m
     for _ in range(blocks):
         a, b = (c0 * a + c1 * b) % m, (d0 * a + d1 * b) % m
     for _ in range(rest):

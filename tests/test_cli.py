@@ -112,6 +112,17 @@ class TestCongruence:
         record = parse_lines(out)[0]
         assert record["rhs"] == {"value": "0", "modulus": "3"}
 
+    def test_lemma1_oracle_walks_past_the_table(self, capsys):
+        # The oracle walks 10^8 recurrence steps past the stored table, which
+        # giant steps make a fraction of a second.
+        code, out, _ = run_cli(
+            capsys,
+            "congruence", "--family", "lemma1", "-p", "1", "-q", "-1",
+            "-k", "1000", "-n", "100000", "--no-timing",
+        )
+        assert code == 0
+        assert '"holds":true' in out
+
     def test_main_degenerate_k(self, capsys):
         code, out, _ = run_cli(
             capsys, "congruence", "--family", "main", "-p", "1", "-q", "-1", "-k", "1", "-n", "5"

@@ -899,8 +899,9 @@ class TestQueriesRangeSweep:
         check_reduced_oracles(pq, k, n, 6)
 
 
-# (k, n) whose k*n spans the oracle indices of the CLI query mix, up to 40,000.
-WALK_KN = ((200, 200), (199, 150), (64, 101), (13, 29))
+# (k, n) whose k*n spans the oracle indices of the CLI query mix, up to 40,000,
+# and two past it, up to 60,000. Every walk but the shortest takes giant steps.
+WALK_KN = ((200, 200), (199, 150), (64, 101), (13, 29), (240, 250), (300, 200))
 
 
 @pytest.mark.slow

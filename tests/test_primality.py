@@ -478,6 +478,10 @@ class TestCriterionSweeps:
         for n in range(3, 401):
             assert fibonacci_sum_residue_direct(n) == fibonacci_sum_residue_joint(n), n
 
+    def test_mersenne_direct_matches_fast_over_the_queries_range(self):
+        for n in range(2, 301):
+            assert mersenne_sum_residue_direct(n) == mersenne_sum_residue_fast(n), n
+
     def test_mersenne_criterion_over_the_benchmark_range(self):
         for n in range(2, 20001):
             assert mersenne_primality_test(n).agree, n

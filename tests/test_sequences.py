@@ -1,6 +1,6 @@
 import sys
 import threading
-from math import gcd
+from math import gcd, isqrt, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ from lucaskit import (
     u_pair_mod,
     v_at,
 )
-from lucaskit.sequences import _u_term, _u_term_mod
+from lucaskit.sequences import _u_term, _u_term_mod, _walk_plan
 
 PELL = make_params(2, -1)
 
@@ -433,6 +433,11 @@ WALK_PAIRS = [((1, -1), 32), ((-3, 2), 21), ((-7, 3), 16), ((-8, -9), 12), ((2**
 WALK_MODULI = (1, 2, 97, 2**70 + 1, 2**400 + 1, abs(naive_u(-7, 3, 197) * naive_u(-7, 3, 203)))
 
 
+# Whole blocks of a walk: below, at and above the giant-step cut-over of 16,
+# exact multiples of the giant step (16 = 4*4, 20 = 5*4, 64 = 8*8) and not.
+WALK_BLOCKS = (0, 1, 15, 16, 17, 20, 35, 64, 71)
+
+
 def table_state():
     return (
         {key: len(terms) for key, terms in sequences._tables.items()},
@@ -518,3 +523,49 @@ class TestModularWalk:
         assert len(sequences._tables[(-7, 3)]) == 501
         assert _u_term(cold, 60) == u_at(cold, 60)
         assert len(sequences._tables[(5, -3)]) == 61
+
+    @pytest.mark.parametrize("pq, block", WALK_PAIRS)
+    def test_giant_steps_match_doubling(self, fresh_tables, monkeypatch, pq, block):
+        monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
+        params = make_params(*pq)
+        steps = sorted({whole * block + rest for whole in WALK_BLOCKS for rest in (0, block - 1)})
+
+        def check(start):
+            for n in (start + s for s in steps):
+                for m in WALK_MODULI:
+                    expected = u_pair_mod(params, n, m)[0] if m > 1 else 0
+                    assert _u_term_mod(params, n, m) == expected, (params, n, m)
+
+        check(0)  # no table: the walk starts from (U_0, U_1)
+        _u_term(params, 500)
+        stored = len(sequences._tables[pq])
+        check(stored - 2)  # from the table's last two terms; n = stored is 2 steps
+        assert len(sequences._tables[pq]) == stored
+
+    def test_wide_pair_long_walk(self, fresh_tables):
+        # |P| + |Q| is 41 bits wide, so a block is one step: 100,003 of them.
+        params = make_params(2**40 + 1, 3)
+        for m in (2**61 - 1, 2**400 + 1, 2**1500 + 1):
+            assert _u_term_mod(params, 100_003, m) == u_pair_mod(params, 100_003, m)[0], m
+
+
+class TestWalkPlan:
+    @pytest.mark.parametrize("block", [1, 12, 21, 32, 64])
+    @pytest.mark.parametrize("whole", WALK_BLOCKS)
+    def test_giant_steps_start_at_16_blocks(self, block, whole):
+        for singles in (0, block - 1):
+            plan = _walk_plan(whole * block + singles, block)
+            assert plan.singles == singles
+            assert plan.giant == (isqrt(whole) if whole >= 16 else 0)
+            assert plan.giant * plan.giants + plan.blocks == whole
+            assert plan.blocks < max(plan.giant, 16)
+
+    @pytest.mark.parametrize("block", [1, 12, 16, 21, 32, 64])
+    def test_transition_applications_grow_as_the_square_root(self, block):
+        # The proxy for a walk's cost: building the giant step, the giant
+        # steps, the block steps and the single steps, for N up to 10^9.
+        for i in range(37):
+            steps = round(10 ** (i / 4))
+            plan = _walk_plan(steps, block)
+            assert (plan.giant * plan.giants + plan.blocks) * block + plan.singles == steps
+            assert sum(plan) <= 4 * sqrt(steps / block) + block + 2, (steps, plan)
