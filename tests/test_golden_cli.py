@@ -4,8 +4,8 @@
 `--no-timing`, LUCAS_WORKERS=1 and COLUMNS=80 (argparse's usage width): the
 README examples, each congruence family's error paths, a few instances of
 every family, a trivial modulus in every family but mersenne22, the
-criterion commands' error paths and edge ranges, and the congruence grid's
-batch edges. Each replay must match byte for byte. To record the corpus again from the current code:
+criterion commands' error paths and edge ranges, the congruence grid's
+batch edges, and `eval` doubling walks at a 4096-bit index and a wide pair. Each replay must match byte for byte. To record the corpus again from the current code:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -157,11 +157,27 @@ BATCH_EDGES = [
     _congruence("cor6", -2, -9, 3, 5000),
 ]
 
+# The 4096-bit index of DOUBLING_INDICES in test_sequences.py, which the
+# doubling walk reads digit by digit.
+WIDE_INDEX = str((1 << 4095) | 0x5DEECE66D << 2000 | 0xB)
+
+# Doubling walks at a wide index, at n = 0 and exact, and a pair wider than
+# a machine word: U_n and V_n must not move when the walk's formulas do.
+WIDE_EVALS = [
+    ["eval", "-p", "5", "-q", "-3", "-n", WIDE_INDEX, "--mod", str(2**64 - 59), "--with-v"],
+    ["eval", "-p", "-8", "-q", "9", "-n", WIDE_INDEX, "--mod", str(2**64), "--with-v"],
+    ["eval", "-p", "1", "-q", "0", "-n", WIDE_INDEX, "--mod", "2", "--with-v"],
+    ["eval", "-p", "3", "-q", "2", "-n", "0", "--mod", "7", "--with-v"],
+    ["eval", "-p", "-3", "-q", "5", "-n", "1000", "--with-v"],
+    ["eval", "-p", str(2**100 + 1), "-q", "3", "-n", WIDE_INDEX, "--mod", str(2**200 - 75),
+     "--with-v"],
+]
+
 GOLDEN_ARGV = [
     argv + ["--no-timing"]
     for argv in (
         README_EXAMPLES + ERROR_PATHS + INSTANCES + CRITERIA + CRITERIA_EDGES + TRIVIAL_MODULI
-        + BATCH_EDGES
+        + BATCH_EDGES + WIDE_EVALS
     )
 ]
 
