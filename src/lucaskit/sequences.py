@@ -82,34 +82,37 @@ def _u_pair(
 ) -> tuple[int, int]:
     """(U_n, U_{n+1}) by index doubling, reduced mod m at every step unless m is None.
 
-    Doubling steps:
+    The walk reads the binary digits of n from the top and keeps the window
+    (a, b) = (U_j, U_{j+1}). Each digit is one step, by U_2j = U_j*V_j and
+    V_j = 2*U_{j+1} - P*U_j = P*U_{j+1} - 2*Q*U_j (as (j + 1) and j):
 
-        U_{2j}   = U_j * (2*U_{j+1} - P*U_j)
-        U_{2j+1} = U_{j+1}^2 - Q*U_j^2
+        0-digit: (U_2j, U_2j+1)   = (a*(2b - P*a), b^2 - Q*a^2)
+        1-digit: (U_2j+1, U_2j+2) = (b^2 - Q*a^2, b*(P*b - 2*Q*a))
 
-    The first uses V_j expressed through consecutive U-terms, so the whole
-    walk needs only the (U_j, U_{j+1}) window. The walk reads the binary
-    digits of n from the top; each digit costs 5 multiplications and each
-    1-digit 2 more, and that total is added to the counter once, up front.
+    Each new term is reduced once, in the expression that builds it. A
+    0-digit costs 5 multiplications and a 1-digit 6, and that total is added
+    to the counter once, up front. The exact and the modular walk each have
+    their own loop, so no digit tests m.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if counter is not None:
-        counter.add(5 * n.bit_length() + 2 * n.bit_count())
+        counter.add(5 * n.bit_length() + n.bit_count())
     p, q = params.p_coeff, params.q_coeff
     a, b = 0, 1
-    for bit in bin(n)[2:] if n else "":  # bin(0) is "0b0": n = 0 takes no step
-        doubled = a * (2 * b - p * a)
-        succ = b * b - q * a * a
-        if m is not None:
-            doubled %= m
-            succ %= m
-        if bit == "1":
-            a, b = succ, p * succ - q * doubled
-            if m is not None:
-                b %= m
-        else:
-            a, b = doubled, succ
+    digits = bin(n)[2:] if n else ""  # bin(0) is "0b0": n = 0 takes no step
+    if m is None:
+        for bit in digits:
+            if bit == "1":
+                a, b = b * b - q * a * a, b * (p * b - 2 * q * a)
+            else:
+                a, b = a * (2 * b - p * a), b * b - q * a * a
+    else:
+        for bit in digits:
+            if bit == "1":
+                a, b = (b * b - q * a * a) % m, b * (p * b - 2 * q * a) % m
+            else:
+                a, b = a * (2 * b - p * a) % m, (b * b - q * a * a) % m
     return a, b
 
 
@@ -185,6 +188,13 @@ def _u_term_miss(params: LucasParams, n: int) -> int:
     return b
 
 
+# A giant step of _u_term_mod costs about one block step per GIANT_STEP_BITS
+# bits of the modulus, and at least one: its m-by-m products and their
+# reductions grow with m, a block step's m-by-64-bit ones barely do. 400 is
+# the middle of the best range in a sweep of moduli of 1,400 to 15,000 bits.
+GIANT_STEP_BITS = 400
+
+
 class WalkPlan(NamedTuple):
     """The steps of a walk past the term table; sum(plan) transition applications.
 
@@ -199,17 +209,21 @@ class WalkPlan(NamedTuple):
     singles: int
 
 
-def _walk_plan(steps: int, block: int) -> WalkPlan:
+def _walk_plan(steps: int, block: int, weight: int = 1) -> WalkPlan:
     """How _u_term_mod walks `steps` recurrence steps with blocks of `block` steps.
 
-    Under 16 whole blocks the walk takes them one by one. From 16 on, a giant
-    step is isqrt(blocks) blocks, so the walk applies about 3*sqrt(steps/block)
-    transitions, plus fewer than `block` single steps.
+    `weight` is what one giant step costs, counted in block steps: a giant
+    step multiplies ints as wide as the modulus, a block step multiplies them
+    by ints of about 64 bits. Under 16 whole blocks the walk takes them one
+    by one. From 16 on, a giant step is g = isqrt(blocks * weight) blocks,
+    so the walk costs about 3*sqrt(steps * weight / block) block steps, plus
+    fewer than `block` single steps. A giant step that would cover the whole
+    walk costs more than walking its blocks, so then the walk takes none.
     """
     whole, singles = divmod(steps, block)
-    if whole < 16:
+    giant = isqrt(whole * weight)
+    if whole < 16 or giant >= whole:
         return WalkPlan(0, 0, whole, singles)
-    giant = isqrt(whole)
     giants, blocks = divmod(whole, giant)
     return WalkPlan(giant, giants, blocks, singles)
 
@@ -225,12 +239,15 @@ def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
     bits of such growth allows (at least one). The recurrence is linear, so
     the block's transition is walked once, from (1, 0) and from (0, 1), into
     four exact ints of at most about 64 bits (or 0, 1, -Q and P when the
-    block is one step). A walk of 16 blocks or more first applies that
-    transition g = isqrt(blocks) times to (1, 0) and (0, 1), reducing mod m
-    once the result is wider than m, which gives the transition of g blocks;
-    it applies that one blocks // g times (see _walk_plan). It then applies
-    the block's transition to each remaining whole block and takes the last
-    steps one by one, reducing after every transition. That is O(sqrt(n))
+    block is one step). A giant step multiplies ints as wide as m, which
+    costs about w = max(1, m.bit_length() // GIANT_STEP_BITS) block steps.
+    A walk of 16 blocks or more first applies the block's transition
+    g = isqrt(blocks * w) times to (1, 0) and (0, 1), reducing mod m once
+    the result is wider than m, which gives the transition of g blocks; it
+    applies that one blocks // g times (see _walk_plan, which takes no giant
+    step when g would cover the walk). It then applies the block's
+    transition to each remaining whole block and takes the last steps one
+    by one, reducing after every transition. That is O(sqrt(n * w))
     products of ints no wider than m past the table, none much wider than
     m^2. Only a short walk of a pair whose block is one step still pays one
     transition per step. Never squares a transition and never uses the
@@ -256,9 +273,9 @@ def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
     c0, d0, c1, d1 = 1, 0, 0, 1  # the block's transition, walked from (1, 0) and (0, 1)
     for _ in range(block):
         c0, d0, c1, d1 = d0, p * d0 - q * c0, d1, p * d1 - q * c1
-    giant, giants, blocks, rest = _walk_plan(n - start, block)
-    e0, f0, e1, f1 = 1, 0, 0, 1  # the giant step's transition, walked the same way
     width = m.bit_length()
+    giant, giants, blocks, rest = _walk_plan(n - start, block, max(1, width // GIANT_STEP_BITS))
+    e0, f0, e1, f1 = 1, 0, 0, 1  # the giant step's transition, walked the same way
     for _ in range(giant):
         e0, f0, e1, f1 = c0 * e0 + c1 * f0, d0 * e0 + d1 * f0, c0 * e1 + c1 * f1, d0 * e1 + d1 * f1
         if f1.bit_length() > width:  # exact while narrower: a residue of a negative is m wide

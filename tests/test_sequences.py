@@ -71,15 +71,21 @@ def doubling_id(n):
 
 
 @st.composite
-def coprime_pairs(draw, lo=-20, hi=20):
+def coprime_pairs(draw, lo=-20, hi=20, q_bound=None):
     # Repair instead of filter: divide out the gcd so every draw is usable.
     p = draw(st.integers(lo, hi))
-    q = draw(st.integers(lo, hi))
+    q = draw(st.integers(lo, hi) if q_bound is None else st.integers(-q_bound, q_bound))
     if p == 0 and q == 0:
         return 1, -1
     g = gcd(abs(p), abs(q))
     return p // g, q // g
 
+
+# Pairs beyond a machine word: |P| up to 2^80, |Q| up to 2^40, and the Q = 0
+# pairs P = +-1, whose U_n is a power of P.
+wide_coprime_pairs = st.one_of(
+    st.sampled_from([(1, 0), (-1, 0)]), coprime_pairs(-(2**80), 2**80, q_bound=2**40)
+)
 
 # The wider differential space: every coprime (P, Q) with P in -8..8, Q in -9..9.
 WIDE_PAIRS = [
@@ -196,6 +202,22 @@ class TestPairMod:
         params = make_params(p, q)
         assert u_pair_mod(params, n, m)[0] == naive_u(p, q, n) % m
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        pq=wide_coprime_pairs,
+        n=st.integers(0, 2**4096),
+        m=st.one_of(st.sampled_from([2, 3, 2**64, 2**64 - 59]), st.integers(2, 2**300)),
+    )
+    def test_wide_pairs_agree_with_the_matrix_power(self, pq, n, m):
+        params = make_params(*pq)
+        assert u_pair_mod(params, n, m) == matrix_pair_mod(params, n, m)
+
+    @settings(deadline=None, max_examples=100)
+    @given(pq=wide_coprime_pairs, n=st.integers(0, 300))
+    def test_wide_pairs_exact_agree_with_the_recurrence(self, pq, n):
+        params = make_params(*pq)
+        assert u_pair_exact(params, n) == (u_at(params, n), u_at(params, n + 1))
+
 
 class TestIdentities:
     def test_addition_identity_example(self):
@@ -276,12 +298,12 @@ class TestOperationCounts:
 
     @pytest.mark.parametrize("n", DOUBLING_INDICES, ids=doubling_id)
     def test_pair_mod_count_is_pinned(self, n):
-        # 5 multiplications per binary digit of n and 2 more per 1-digit
+        # 5 multiplications per binary digit of n and 1 more per 1-digit
         counter = OpCounter()
         u_pair_mod(FIBONACCI_PARAMS, n, 10**9 + 7, counter)
-        assert counter.mults == 5 * n.bit_length() + 2 * bin(n).count("1")
+        assert counter.mults == 5 * n.bit_length() + bin(n).count("1")
         u_pair_mod(PELL, n, 2**64 - 59, counter)
-        assert counter.mults == 2 * (5 * n.bit_length() + 2 * bin(n).count("1"))
+        assert counter.mults == 2 * (5 * n.bit_length() + bin(n).count("1"))
 
     @pytest.mark.parametrize("params", [FIBONACCI_PARAMS, PELL, MERSENNE_PARAMS, make_params(-3, 5)])
     @pytest.mark.parametrize("n", DOUBLING_INDICES, ids=doubling_id)
@@ -542,6 +564,27 @@ class TestModularWalk:
         check(stored - 2)  # from the table's last two terms; n = stored is 2 steps
         assert len(sequences._tables[pq]) == stored
 
+    @pytest.mark.parametrize("pq, block", WALK_PAIRS)
+    def test_wide_moduli_match_doubling(self, fresh_tables, monkeypatch, pq, block):
+        # Moduli shaped like a ratio family's U_k^2 for (5, -3), 2,000 to
+        # 15,000 bits wide, weigh a giant step 5 to 37 block steps; the last
+        # one, 25,600 bits, weighs it 64, so 16 blocks take no giant step.
+        weights = []
+
+        def plan(steps, block, weight):
+            weights.append(weight)
+            return _walk_plan(steps, block, weight)
+
+        monkeypatch.setattr(sequences, "_walk_plan", plan)
+        params = make_params(*pq)
+        moduli = [naive_u(5, -3, k) ** 2 for k in (410, 1000, 3000)]
+        moduli.append(moduli[0] << (64 * sequences.GIANT_STEP_BITS - moduli[0].bit_length()) | 1)
+        for m in moduli:
+            for whole in (16, 17, 100, 3000):
+                n = whole * block + block - 1
+                assert _u_term_mod(params, n, m) == u_pair_mod(params, n, m)[0], (m.bit_length(), n)
+        assert sorted(set(weights)) == [5, 12, 37, 64]
+
     def test_wide_pair_long_walk(self, fresh_tables):
         # |P| + |Q| is 41 bits wide, so a block is one step: 100,003 of them.
         params = make_params(2**40 + 1, 3)
@@ -569,3 +612,24 @@ class TestWalkPlan:
             plan = _walk_plan(steps, block)
             assert (plan.giant * plan.giants + plan.blocks) * block + plan.singles == steps
             assert sum(plan) <= 4 * sqrt(steps / block) + block + 2, (steps, plan)
+
+    @pytest.mark.parametrize("weight", [1, 2, 5, 16, 37, 64, 1000])
+    @pytest.mark.parametrize("block", [1, 12, 32, 64])
+    def test_weighted_cost_grows_as_the_square_root(self, block, weight):
+        # A giant step costs `weight` block steps; its build costs one per block.
+        for i in range(37):
+            steps = round(10 ** (i / 4))
+            plan = _walk_plan(steps, block, weight)
+            whole = plan.giant * plan.giants + plan.blocks
+            assert whole * block + plan.singles == steps
+            assert plan.giant < whole or plan.giant == 0  # no giant step covers the walk
+            cost = plan.giant + plan.giants * weight + plan.blocks + plan.singles
+            assert cost <= 4 * sqrt(steps * weight / block) + block + 2, (steps, plan)
+
+    def test_weighted_giant_steps(self):
+        # isqrt(16 * 64) = 32 blocks would cover a walk of 16 blocks, and
+        # isqrt(16 * 16) = 16 would equal it: the walk takes the blocks.
+        assert _walk_plan(16 * 32 + 5, 32, 64) == (0, 0, 16, 5)
+        assert _walk_plan(16 * 32, 32, 16) == (0, 0, 16, 0)
+        assert _walk_plan(16 * 32, 32, 15) == (15, 1, 1, 0)  # isqrt(240) = 15
+        assert _walk_plan(3000 * 12, 12, 37) == (333, 9, 3, 0)  # isqrt(111,000) = 333
