@@ -83,8 +83,9 @@ def _u_pair(
     """(U_n, U_{n+1}) by index doubling, reduced mod m at every step unless m is None.
 
     The walk reads the binary digits of n from the top and keeps the window
-    (a, b) = (U_j, U_{j+1}). Each digit is one step, by U_2j = U_j*V_j and
-    V_j = 2*U_{j+1} - P*U_j = P*U_{j+1} - 2*Q*U_j (as (j + 1) and j):
+    (a, b) = (U_j, U_{j+1}). Each digit is one step, by U_2i = U_i*V_i at
+    i = j and i = j + 1, with V_j = 2*U_{j+1} - P*U_j and
+    V_{j+1} = P*U_{j+1} - 2*Q*U_j:
 
         0-digit: (U_2j, U_2j+1)   = (a*(2b - P*a), b^2 - Q*a^2)
         1-digit: (U_2j+1, U_2j+2) = (b^2 - Q*a^2, b*(P*b - 2*Q*a))
