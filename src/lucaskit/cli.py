@@ -81,17 +81,15 @@ def _emit(record: dict[str, Any], args: argparse.Namespace) -> None:
 def cmd_eval(args: argparse.Namespace) -> int:
     params = make_params(args.p, args.q)
     record: dict[str, Any] = {"p": args.p, "q": args.q, "n": args.n}
-    if args.mod is not None:
-        u_res, u_next = u_pair_mod(params, args.n, args.mod)
-        record["mod"] = str(args.mod)
-        record["u"] = str(u_res)
-        if args.with_v:
-            record["v"] = str((2 * u_next - args.p * u_res) % args.mod)
-    else:
+    if args.mod is None:
         u_n, u_next = u_pair_exact(params, args.n)
-        record["u"] = str(u_n)
-        if args.with_v:
-            record["v"] = str(2 * u_next - args.p * u_n)
+    else:
+        u_n, u_next = u_pair_mod(params, args.n, args.mod)
+        record["mod"] = str(args.mod)
+    record["u"] = str(u_n)
+    if args.with_v:
+        v_n = 2 * u_next - args.p * u_n
+        record["v"] = str(v_n if args.mod is None else v_n % args.mod)
     _emit(record, args)
     return 0
 

@@ -4,14 +4,9 @@ Every family answers the same kind of question: what is U_{kn}/U_k (or a
 shifted term U_{kn+r}) modulo some sequence term, expressed without ever
 building the huge numerator? Each evaluator here is paired with a brute-force
 oracle that reaches the numerator's index the slow way, so the two can be
-compared on a grid: the general and Fibonacci oracles walk the defining
-recurrence, reduced modulo what they need past the stored term table, and
-the Mersenne one builds 2^{kn} - 1 in full. That walk stores nothing. It
-takes one step per block of recurrence steps, by the block's transition
-walked from the unit vectors, and from 16 blocks on giant steps of
-isqrt(blocks) blocks, by their transition walked the same way, so a walk of
-N steps costs O(sqrt(N)) products of ints no wider than its modulus (see
-sequences._u_term_mod).
+compared on a grid: the general and Fibonacci oracles read terms by the
+defining recurrence reduced modulo what they need (sequences._u_term_mod
+describes that walk), and the Mersenne one builds 2^{kn} - 1 in full.
 
 Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a

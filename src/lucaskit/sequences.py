@@ -197,7 +197,7 @@ GIANT_STEP_BITS = 400
 
 
 class WalkPlan(NamedTuple):
-    """The steps of a walk past the term table; sum(plan) transition applications.
+    """The steps of a _u_term_mod miss from (U_0, U_1); sum(plan) transition applications.
 
     Building the giant step's transition takes `giant` block steps, then the
     walk takes `giants` giant steps, `blocks` block steps and `singles`
@@ -233,54 +233,50 @@ def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
     """U_n mod m by the defining recurrence, for m >= 1.
 
     A stored term is read from the (P, Q) table and reduced, a term-cache
-    hit. Any other index is one miss that stores nothing: the recurrence
-    walks mod m from the table's last two terms, or from (U_0, U_1) when the
-    pair has no table. Each step widens a term by at most
-    (|P| + |Q|).bit_length() bits, and a block is as many steps as about 64
-    bits of such growth allows (at least one). The recurrence is linear, so
-    the block's transition is walked once, from (1, 0) and from (0, 1), into
-    four exact ints of at most about 64 bits (or 0, 1, -Q and P when the
-    block is one step). A giant step multiplies ints as wide as m, which
-    costs about w = max(1, m.bit_length() // GIANT_STEP_BITS) block steps.
-    A walk of 16 blocks or more first applies the block's transition
-    g = isqrt(blocks * w) times to (1, 0) and (0, 1), reducing mod m once
-    the result is wider than m, which gives the transition of g blocks; it
-    applies that one blocks // g times (see _walk_plan, which takes no giant
-    step when g would cover the walk). It then applies the block's
-    transition to each remaining whole block and takes the last steps one
-    by one, reducing after every transition. That is O(sqrt(n * w))
-    products of ints no wider than m past the table, none much wider than
-    m^2. Only a short walk of a pair whose block is one step still pays one
-    transition per step. Never squares a transition and never uses the
-    doubling formula: the congruence oracles rely on this independence.
+    hit. Any other index is one miss that stores nothing and walks n steps
+    mod m from (U_0, U_1) = (0, 1), whatever the table holds, so
+    _walk_plan(n, block, w) is the whole cost of every miss. Each step
+    widens a term by at most (|P| + |Q|).bit_length() bits, and a block is
+    as many steps as about 64 bits of such growth allows (at least one).
+    The recurrence is linear, so the block's transition is walked once,
+    from (1, 0) and from (0, 1), into four exact ints of at most about 64
+    bits (or 0, 1, -Q and P when the block is one step). A giant step
+    multiplies ints as wide as m, which costs about
+    w = max(1, m.bit_length() // GIANT_STEP_BITS) block steps. A walk of 16
+    blocks or more first applies the block's transition g = isqrt(blocks * w)
+    times to (1, 0) and (0, 1), reducing mod m once the result is wider than
+    m, which gives the transition of g blocks; it applies that one
+    blocks // g times (see _walk_plan, which takes no giant step when g
+    would cover the walk). It then applies the block's transition to each
+    remaining whole block and takes the last steps one by one, reducing
+    after every transition. That is O(sqrt(n * w)) products of ints no wider
+    than m, none much wider than m^2. Only a short walk of a pair whose
+    block is one step still pays one transition per step. Never squares a
+    transition and never uses the doubling formula: the congruence oracles
+    rely on this independence.
     """
     global _hits, _misses
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     terms = _tables.get((params.p_coeff, params.q_coeff))
-    stored = 0 if terms is None else len(terms)  # read once: tables only grow meanwhile
-    if n < stored:
+    if terms is not None and n < len(terms):
         _hits += 1
         return terms[n] % m
     with _grow_lock:
         _misses += 1
-    if terms is None:
-        start, a, b = 0, 0, 1
-    else:
-        start = stored - 2
-        a, b = terms[start] % m, terms[start + 1] % m
     p, q = params.p_coeff, params.q_coeff
     block = max(1, 64 // (abs(p) + abs(q)).bit_length())
     c0, d0, c1, d1 = 1, 0, 0, 1  # the block's transition, walked from (1, 0) and (0, 1)
     for _ in range(block):
         c0, d0, c1, d1 = d0, p * d0 - q * c0, d1, p * d1 - q * c1
     width = m.bit_length()
-    giant, giants, blocks, rest = _walk_plan(n - start, block, max(1, width // GIANT_STEP_BITS))
+    giant, giants, blocks, rest = _walk_plan(n, block, max(1, width // GIANT_STEP_BITS))
     e0, f0, e1, f1 = 1, 0, 0, 1  # the giant step's transition, walked the same way
     for _ in range(giant):
         e0, f0, e1, f1 = c0 * e0 + c1 * f0, d0 * e0 + d1 * f0, c0 * e1 + c1 * f1, d0 * e1 + d1 * f1
         if f1.bit_length() > width:  # exact while narrower: a residue of a negative is m wide
             e0, f0, e1, f1 = e0 % m, f0 % m, e1 % m, f1 % m
+    a, b = 0, 1
     for _ in range(giants):
         a, b = (e0 * a + e1 * b) % m, (f0 * a + f1 * b) % m
     for _ in range(blocks):

@@ -447,6 +447,14 @@ class TestScan:
         monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 64)
         assert cli_module._resolve_workers(None) == 3
 
+    def test_default_workers_without_affinity_follow_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("LUCAS_WORKERS", raising=False)
+        monkeypatch.delattr(cli_module.os, "sched_getaffinity")
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 6)
+        assert cli_module._resolve_workers(None) == 6
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: None)
+        assert cli_module._resolve_workers(None) == 1
+
     def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("LUCAS_WORKERS", "many")
         code, _, err = run_cli(

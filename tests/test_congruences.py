@@ -908,8 +908,8 @@ WALK_KN = ((200, 200), (199, 150), (64, 101), (13, 29), (240, 250), (300, 200))
 class TestModularWalkSweep:
     # The recurrence walk against the doubling reference u_pair_mod, on every
     # (P, Q) of the query mix, at moduli shaped like the ratio oracle's
-    # |U_k|*|U_n| and at 2^61 - 1; first with no table, then from the tail of
-    # a table grown by exact reads.
+    # |U_k|*|U_n| and at 2^61 - 1; first with no table, then with a table
+    # grown by exact reads.
     @pytest.mark.parametrize("pq", WIDE_PAIRS, ids=str)
     def test_walk_matches_doubling(self, fresh_tables, pq):
         params = make_params(*pq)

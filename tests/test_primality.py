@@ -449,6 +449,20 @@ class TestRankOfApparition:
             rank = rank_of_apparition_fib(p)
             assert (p - legendre_symbol(5, p)) % rank == 0
 
+    def test_no_index_within_the_limit(self):
+        # F_1, F_2, F_3 = 1, 1, 2; the first multiple of 7 is F_8 = 21.
+        assert primality_module._apparition_index(FIBONACCI_PARAMS, 7, 3) is None
+
+    @pytest.mark.parametrize("index, message", [
+        (None, "no Fibonacci index at or below 8 is divisible by 7"),
+        (3, "rank 3 of p = 7 does not divide 8"),
+    ], ids=["no_index", "rank_not_dividing_bound"])
+    def test_invariant_violations(self, monkeypatch, index, message):
+        monkeypatch.setattr(primality_module, "_apparition_index", lambda params, p, limit: index)
+        with pytest.raises(InternalInvariantViolation) as excinfo:
+            rank_of_apparition_fib(7)
+        assert str(excinfo.value) == message
+
 
 # ---------------------------------------------------------------------------
 # Long sweeps (pytest -m slow)

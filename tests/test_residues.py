@@ -1,6 +1,6 @@
 import pytest
 
-from lucaskit import BadModulus, ResidueClass, pow_signed_mod
+from lucaskit import TRIVIAL_MODULUS, BadModulus, ResidueClass, pow_signed_mod
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -12,3 +12,8 @@ def test_input_guards(call, error, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+def test_str():
+    assert str(ResidueClass(3, 7)) == "3 mod 7"
+    assert str(TRIVIAL_MODULUS) == "trivial modulus"

@@ -493,8 +493,8 @@ class TestModularWalk:
         assert sequences._tables == {}
 
     def test_concurrent_growth_keeps_walks_exact(self, fresh_tables):
-        # Modular reads walk from a table's tail while other threads grow it;
-        # a walk must start from the window it read, not a later one.
+        # Modular reads hit or walk from (U_0, U_1) while other threads grow
+        # or clear the tables; neither may read a term that is not there.
         pairs = [make_params(*pq) for pq in ((1, -1), (-7, 3), (-8, -9))]
         m = 2**70 + 1
         expected = {
@@ -558,11 +558,33 @@ class TestModularWalk:
                     expected = u_pair_mod(params, n, m)[0] if m > 1 else 0
                     assert _u_term_mod(params, n, m) == expected, (params, n, m)
 
-        check(0)  # no table: the walk starts from (U_0, U_1)
+        check(0)  # no table
         _u_term(params, 500)
         stored = len(sequences._tables[pq])
-        check(stored - 2)  # from the table's last two terms; n = stored is 2 steps
+        check(stored - 2)  # past a full table: hits, then walks from (U_0, U_1)
         assert len(sequences._tables[pq]) == stored
+
+    def test_every_miss_walks_from_the_start(self, fresh_tables, monkeypatch):
+        # A miss walks all n steps whatever the pair's table holds: none, a
+        # partial table, or a (1, -1) table full at the default budget.
+        walked = []
+
+        def plan(steps, block, weight):
+            walked.append(steps)
+            return _walk_plan(steps, block, weight)
+
+        monkeypatch.setattr(sequences, "_walk_plan", plan)
+        partial, full = make_params(-7, 3), FIBONACCI_PARAMS
+        _u_term(partial, 40)
+        _u_term(full, 5000)
+        stored = len(sequences._tables[(1, -1)])
+        assert 40 < stored < 5000
+        m = 2**200 + 1
+        cold = make_params(5, -3)
+        for params, n in [(cold, 300), (partial, 41), (partial, 500), (full, stored), (full, 4 * stored)]:
+            walked.clear()
+            assert _u_term_mod(params, n, m) == u_pair_mod(params, n, m)[0], (params, n)
+            assert walked == [n], (params, n)
 
     @pytest.mark.parametrize("pq, block", WALK_PAIRS)
     def test_wide_moduli_match_doubling(self, fresh_tables, monkeypatch, pq, block):
