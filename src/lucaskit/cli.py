@@ -80,7 +80,7 @@ def _emit(record: dict[str, Any], args: argparse.Namespace) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params = make_params(args.p, args.q)
-    record: dict[str, Any] = {"p": args.p, "q": args.q, "n": args.n}
+    record: dict[str, Any] = {"p": str(args.p), "q": str(args.q), "n": str(args.n)}
     if args.mod is None:
         u_n, u_next = u_pair_exact(params, args.n)
     else:

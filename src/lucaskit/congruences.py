@@ -11,28 +11,31 @@ describes that walk), and the Mersenne one builds 2^{kn} - 1 in full.
 Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
 shift r, its domain check and its modulus, the one place that modulus is
-decided. A side is a prepare step, once per (P, Q, k), and the step it
-returns, which gives the least nonnegative residue for one n. A closed form
-has one of two shapes: a per-n kernel with nothing to prepare, or, for the
-five families modulo |U_k|, a residue formula in U_{k+1}, Q^k and U_r modulo
-|U_k|, which its prepare step reads once. Each caller reads the modulus
-once per instance, or once per (P, Q, k) when it is |U_k|: 0 or 1 makes the
-instance a TrivialModulus, and any other is handed to both sides. There are
-two such callers. _evaluate_side runs one side of one instance, and the
-public functions and evaluate_congruence return its Outcome values.
-grid_batch, the congruence-grid scan's unit of work, prepares each side of
-each grid variant once per (P, Q, k) and steps it over n. It first stores the
-pair's table up to the widest index the grid reads, so none of its oracle
-reads walks.
+decided. A side is a prepare step, once per (P, Q, k) and r, and the column
+it returns: a function of n values, in any order, and their moduli, which
+returns their least nonnegative residues in that order. Each closed form is
+written once, as a comprehension over n (main's as one loop); for the five
+families modulo |U_k| it is a residue formula in U_{k+1}, the powers of Q^k
+and U_r modulo |U_k|, which the prepare step reads once. The recurrence
+oracles read every term of a column in one sequences._u_terms_mod call.
+Each caller reads the modulus once per instance, or once per (P, Q, k) when
+it is |U_k|: 0 or 1 makes the instance a TrivialModulus, and any other is
+handed to both sides. There are two such callers. _evaluate_side runs one
+side of one instance as a column of one, and the public functions and
+evaluate_congruence return its Outcome values. grid_batch, the
+congruence-grid scan's unit of work, prepares both sides of each grid
+variant once per (P, Q, k) and calls each column once, on every n the
+variant checks. It first stores the pair's table up to the widest index the
+grid reads, so within the table's budget no oracle read walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, wraps
+from functools import lru_cache, wraps
 from math import gcd
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalInvariantViolation, NotApplicable
 from .residues import (
@@ -49,6 +52,7 @@ from .sequences import (
     _u_term,
     _u_term_mod,
     _u_term_reserve,
+    _u_terms_mod,
     make_params,
 )
 
@@ -78,15 +82,20 @@ def classify_case(n: int, k: int) -> CaseTag:
     return _case(n, k)
 
 
+# The members as plain names: on Python 3.11 each CaseTag.X read costs about
+# as much as the rest of _case.
+_ODD_N, _EVEN_N_ODD_K, _MIXED_QUOTIENTS, _ODD_QUOTIENTS = CaseTag
+
+
 def _case(n: int, k: int) -> CaseTag:
     if n & 1:
-        return CaseTag.ODD_N
+        return _ODD_N
     if k & 1:
-        return CaseTag.EVEN_N_ODD_K
+        return _EVEN_N_ODD_K
     d = gcd(n, k)
     if (n // d) & 1 and (k // d) & 1:
-        return CaseTag.BOTH_EVEN_ODD_QUOTIENTS
-    return CaseTag.BOTH_EVEN_MIXED_QUOTIENTS
+        return _ODD_QUOTIENTS
+    return _MIXED_QUOTIENTS
 
 
 def _sign_pow(exponent: int) -> int:
@@ -142,90 +151,130 @@ def _modulus_mersenne(params: LucasParams, k: int, n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Closed-form sides. Every side is a prepare step (params, k, r, modulus) ->
-# step, once per (P, Q, k) and r, and its step (n, modulus) -> residue, on a
-# checked domain and the family's modulus, which exceeds 1; a modulus that
-# moves with n may be None when preparing. r is the shift family's, else None.
-# A closed form is a _per_n kernel, which prepares nothing, or a residue
-# formula under _mod_u_k, bound to the constants it reads modulo |U_k|.
+# column, once per (P, Q, k) and r, and its column (ns, moduli) -> residues,
+# which takes n values in any order, each on a checked domain with the
+# family's modulus, which exceeds 1, and returns their residues in that
+# order. A modulus that moves with n may be None when preparing. r is the
+# shift family's, else None. Each closed form is one comprehension over n, or
+# for main one loop, bound to what it reads once per (P, Q, k).
 # ---------------------------------------------------------------------------
 
-Step = Callable[[int, int], int]
-Prepare = Callable[[LucasParams, int, Optional[int], Optional[int]], Step]
+Column = Callable[[Sequence[int], Sequence[int]], list[int]]
+Prepare = Callable[[LucasParams, int, Optional[int], Optional[int]], Column]
+Powers = Union[Sequence[int], Mapping[int, int]]  # Q^{ke} mod |U_k| at index e
 
 
-def _per_n(kernel: Callable[[LucasParams, int, Optional[int], int, int], int]) -> Prepare:
-    """Decorator for a side with nothing to prepare: kernel(params, k, r, n, modulus)."""
-    return wraps(kernel)(lambda params, k, r, modulus: partial(kernel, params, k, r))
+def _q_powers(q_k: int, ns: Sequence[int], modulus: int) -> Powers:
+    """Q^{ke} mod |U_k|, indexed by e, at every e = n // 2 and n // 2 - 1 >= 0 of ns.
+
+    Those are the exponents the formulas read. Dense n (the largest under
+    twice their count) get every power up to the largest, one product each;
+    others get pow per exponent, so one large n costs O(log n) products.
+    """
+    top = max(ns, default=0) // 2
+    if top < 2 * len(ns):
+        return _power_list(q_k, top, modulus)
+    return {e: pow(q_k, e, modulus) for n in ns for e in (n // 2 - 1, n // 2) if e >= 0}
 
 
-def _mod_u_k(formula: Callable[[int, int, int, int, int], int]) -> Prepare:
-    """Decorator for a side modulo |U_k|: formula(u_next, q_k, u_r, n, modulus).
+@lru_cache(maxsize=32)
+def _power_list(base: int, top: int, modulus: int) -> tuple[int, ...]:
+    """(base^0, ..., base^top) mod modulus, one product each.
+
+    Cached, as the 11 variants modulo |U_k| of a grid batch read the same list.
+    """
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * base % modulus)
+    return tuple(powers)
+
+
+def _mod_u_k(formula: Callable[..., list[int]]) -> Prepare:
+    """Decorator for a side modulo |U_k|: formula(u_next, powers, u_r, ns, modulus).
 
     Its prepare step reads U_{k+1}, Q^k and U_r (1 without r) mod |U_k| once;
-    Q^{ke} = pow(Q^k, e).
+    powers[e] = Q^{ke} mod |U_k| (see _q_powers). The formula reduces by the
+    prepared modulus, which every item of such a column has.
     """
 
-    def prepare(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Step:
+    def prepare(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Column:
         u_next = _u_term(params, k + 1) % modulus
         u_r = 1 if r is None else _u_term(params, r) % modulus
-        return partial(formula, u_next, pow_signed_mod(params.q_coeff, k, modulus), u_r)
+        q_k = pow_signed_mod(params.q_coeff, k, modulus)
+        return lambda ns, moduli: formula(u_next, _q_powers(q_k, ns, modulus), u_r, ns, modulus)
 
     return wraps(formula)(prepare)
 
 
 @_mod_u_k
-def _lemma1(u_next: int, q_k: int, u_r: int, n: int, modulus: int) -> int:
-    if n == 0:
-        return 0
-    if n & 1:
-        return n * pow(q_k, (n - 1) // 2, modulus) % modulus
-    return n * u_next * pow(q_k, (n - 2) // 2, modulus) % modulus
+def _lemma1(u_next: int, powers: Powers, u_r: int, ns: Sequence[int], m: int) -> list[int]:
+    return [
+        0 if n == 0
+        else n * powers[(n - 1) // 2] % m if n & 1
+        else n * u_next * powers[(n - 2) // 2] % m
+        for n in ns
+    ]
 
 
 @_mod_u_k
-def _lemma2(u_next: int, q_k: int, u_r: int, n: int, modulus: int) -> int:
-    if n & 1:
-        return u_next * pow(q_k, (n - 1) // 2, modulus) % modulus
-    return pow(q_k, n // 2, modulus)
+def _lemma2(u_next: int, powers: Powers, u_r: int, ns: Sequence[int], m: int) -> list[int]:
+    return [u_next * powers[(n - 1) // 2] % m if n & 1 else powers[n // 2] for n in ns]
 
 
 @_mod_u_k
-def _cor6(u_next: int, q_k: int, u_r: int, n: int, modulus: int) -> int:
-    if n == 0:
-        return 0
-    a = 1 - (n & 1)  # parity_indicator(n)
-    return n * (u_next if a else 1) * pow(q_k, (n - a - 1) // 2, modulus) % modulus
+def _cor6(u_next: int, powers: Powers, u_r: int, ns: Sequence[int], m: int) -> list[int]:
+    return [
+        0 if n == 0 else n * (u_next if a else 1) * powers[(n - a - 1) // 2] % m
+        for n in ns
+        for a in (1 - (n & 1),)  # parity_indicator(n)
+    ]
 
 
 @_mod_u_k
-def _cor7(u_next: int, q_k: int, u_r: int, n: int, modulus: int) -> int:
-    a = 1 - (n & 1)  # parity_indicator(n)
-    return (1 if a else u_next) * pow(q_k, (n + a - 1) // 2, modulus) % modulus
+def _cor7(u_next: int, powers: Powers, u_r: int, ns: Sequence[int], m: int) -> list[int]:
+    return [
+        (1 if a else u_next) * powers[(n + a - 1) // 2] % m
+        for n in ns
+        for a in (1 - (n & 1),)  # parity_indicator(n)
+    ]
 
 
 @_mod_u_k
-def _general_shift(u_next: int, q_k: int, u_r: int, n: int, modulus: int) -> int:
-    a = 1 - (n & 1)  # parity_indicator(n)
-    return u_r * (1 if a else u_next) * pow(q_k, (n + a - 1) // 2, modulus) % modulus
+def _general_shift(
+    u_next: int, powers: Powers, u_r: int, ns: Sequence[int], m: int
+) -> list[int]:
+    return [
+        u_r * (1 if a else u_next) * powers[(n + a - 1) // 2] % m
+        for n in ns
+        for a in (1 - (n & 1),)  # parity_indicator(n)
+    ]
 
 
-@_per_n
-def _main(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
-    d = gcd(n, k)
-    ratio = exact_div(_u_term(params, n), _u_term(params, d))
-    if _case(n, k) is CaseTag.BOTH_EVEN_ODD_QUOTIENTS:
-        doubled_exponent = k * n - k - n
-        lead = d * _u_term(params, d + 1)
-    else:
-        doubled_exponent = k * n - k - n + d
-        lead = d
-    if doubled_exponent < 0 or doubled_exponent & 1:
-        raise InternalInvariantViolation(
-            f"exponent {doubled_exponent}/2 must be a nonnegative integer "
-            f"(n = {n}, k = {k}, case {_case(n, k).value})"
-        )
-    value = lead * ratio * pow_signed_mod(params.q_coeff, doubled_exponent // 2, modulus)
-    return value % modulus
+def _main(params: LucasParams, k: int, r: Optional[int], modulus: Optional[int]) -> Column:
+    """Its column reads the signed U_n once per n, and gcd(n, k) and the case once."""
+    q = params.q_coeff
+
+    def column(ns: Sequence[int], moduli: Sequence[int]) -> list[int]:
+        residues = []
+        for n, m in zip(ns, moduli):
+            d = gcd(n, k)
+            case = _case(n, k)
+            ratio = exact_div(_u_term(params, n), _u_term(params, d))
+            if case is _ODD_QUOTIENTS:
+                doubled_exponent = k * n - k - n
+                lead = d * _u_term(params, d + 1)
+            else:
+                doubled_exponent = k * n - k - n + d
+                lead = d
+            if doubled_exponent < 0 or doubled_exponent & 1:
+                raise InternalInvariantViolation(
+                    f"exponent {doubled_exponent}/2 must be a nonnegative integer "
+                    f"(n = {n}, k = {k}, case {case.value})"
+                )
+            residues.append(lead * ratio * pow(q, doubled_exponent // 2, m) % m)
+        return residues
+
+    return column
 
 
 # The Fibonacci kernels ignore params: they are the closed forms specialized
@@ -234,51 +283,51 @@ def _main(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -
 # exercised on its own; the two must agree pointwise (tested).
 
 
-@_per_n
-def _fib_shifted(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
-    if n & 1:
-        value = _u_term(FIBONACCI_PARAMS, k + 1) * _sign_pow(k * (n - 1) // 2)
-    else:
-        value = _sign_pow(k * n // 2)
-    return value % modulus
+def _fib_shifted(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Column:
+    f_next = _u_term(FIBONACCI_PARAMS, k + 1)
+    return lambda ns, moduli: [
+        (f_next * _sign_pow(k * (n - 1) // 2) if n & 1 else _sign_pow(k * n // 2)) % m
+        for n, m in zip(ns, moduli)
+    ]
 
 
-@_per_n
-def _fib_ratio(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
-    if n == 0:
-        return 0
-    if n & 1:
-        value = n * _sign_pow(k * (n - 1) // 2)
-    else:
-        value = n * _u_term(FIBONACCI_PARAMS, k + 1) * _sign_pow(k * (n - 2) // 2)
-    return value % modulus
+def _fib_ratio(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Column:
+    f_next = _u_term(FIBONACCI_PARAMS, k + 1)
+    return lambda ns, moduli: [
+        0 if n == 0
+        else n * _sign_pow(k * (n - 1) // 2) % m if n & 1
+        else n * f_next * _sign_pow(k * (n - 2) // 2) % m
+        for n, m in zip(ns, moduli)
+    ]
 
 
-@_per_n
-def _fib_main(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
-    d = gcd(n, k)
-    ratio = exact_div(modulus, _u_term(FIBONACCI_PARAMS, d))
-    if _case(n, k) is CaseTag.BOTH_EVEN_ODD_QUOTIENTS:
-        value = d * ratio * _u_term(FIBONACCI_PARAMS, d + 1) * _sign_pow((k * n - k - n) // 2)
-    else:
-        value = d * ratio * _sign_pow((k * n - k - n + d) // 2)
-    return value % modulus
+def _fib_main(params: LucasParams, k: int, r: Optional[int], modulus: Optional[int]) -> Column:
+    return lambda ns, moduli: [
+        d * exact_div(m, _u_term(FIBONACCI_PARAMS, d)) * (
+            _u_term(FIBONACCI_PARAMS, d + 1) * _sign_pow((k * n - k - n) // 2)
+            if _case(n, k) is _ODD_QUOTIENTS
+            else _sign_pow((k * n - k - n + d) // 2)
+        ) % m
+        for n, m in zip(ns, moduli)
+        for d in (gcd(n, k),)
+    ]
 
 
-@_per_n
-def _mersenne(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
-    d = gcd(n, k)
-    return d * exact_div(modulus, (1 << d) - 1) % modulus
+def _mersenne(params: LucasParams, k: int, r: Optional[int], modulus: Optional[int]) -> Column:
+    return lambda ns, moduli: [
+        d * exact_div(m, (1 << d) - 1) % m for n, m in zip(ns, moduli) for d in (gcd(n, k),)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Oracle sides: brute force by the recurrence (never u_pair_* or a
 # closed-form side), or by the full numerator for Mersenne. They take
-# nothing from the closed form but the modulus.
+# nothing from the closed form but the modulus, and the recurrence sides read
+# every U_{kn+s} of a column through one _u_terms_mod call.
 # ---------------------------------------------------------------------------
 
 
-def _ratio_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | None) -> Step:
+def _ratio_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | None) -> Column:
     """U_{kn}/U_k mod m, read from U_{kn} mod |U_k|*m by the recurrence; the context is U_k.
 
     U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as exact_div does,
@@ -286,25 +335,26 @@ def _ratio_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | 
     Past the stored table no product much wider than (|U_k|*m)^2 is built (see _u_term_mod).
     """
     u_k = _u_term(params, k)
-    width, negative = abs(u_k), u_k < 0
+    width, sign = abs(u_k), -1 if u_k < 0 else 1
 
-    def step(n: int, m: int) -> int:
-        if width == 0:
+    def column(ns: Sequence[int], moduli: Sequence[int]) -> list[int]:
+        if width == 0 and ns:
             raise InternalInvariantViolation("exact division by a zero term")
-        quotient = exact_div(_u_term_mod(params, k * n, width * m), width)
-        return (-quotient if negative else quotient) % m
+        residues = _u_terms_mod(params, [k * n for n in ns], [width * m for m in moduli])
+        return [sign * exact_div(u, width) % m for u, m in zip(residues, moduli)]
 
-    return step
+    return column
 
 
-def _shifted_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | None) -> Step:
+def _shifted_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | None) -> Column:
     shift = 1 if r is None else r  # families without an r (lemma2, cor7, fib19) shift by 1
-    return lambda n, m: _u_term_mod(params, k * n + shift, m)
+    return lambda ns, moduli: _u_terms_mod(params, [k * n + shift for n in ns], moduli)
 
 
-@_per_n
-def _mersenne_oracle(params: LucasParams, k: int, r: Optional[int], n: int, modulus: int) -> int:
-    return exact_div((1 << (k * n)) - 1, (1 << k) - 1) % modulus
+def _mersenne_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | None) -> Column:
+    return lambda ns, moduli: [
+        exact_div((1 << (k * n)) - 1, (1 << k) - 1) % m for n, m in zip(ns, moduli)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +396,13 @@ SPECIALIZED_FAMILIES = tuple(name for name, f in FAMILY_TABLE.items() if f.force
 def _evaluate_side(
     family: str, side: str, params: LucasParams, k: int, n: int, r: Optional[int] = None
 ) -> Outcome:
-    """One side ("closed_form" or "oracle") of one instance: check, modulus, prepare, step."""
+    """One side ("closed_form" or "oracle") of one instance: check, modulus, a column of one."""
     entry = FAMILY_TABLE[family]
     entry.check(k, n, r)
     modulus = entry.modulus(params, k, n)
     if modulus <= 1:
         return TRIVIAL_MODULUS
-    return ResidueClass(getattr(entry, side)(params, k, r, modulus)(n, modulus), modulus)
+    return ResidueClass(getattr(entry, side)(params, k, r, modulus)([n], [modulus])[0], modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +626,14 @@ GRID_VARIANTS = tuple(
 def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[int, str], ...]]:
     """Check every n and family variant of one (P, Q, k); details only for mismatches.
 
-    Returns one mark per item ("-" skipped, "+" held, "x" mismatch) and the
-    (n, detail) of each mismatch. |U_k| is read once for the batch, and both
-    sides of each variant are prepared once, unless that modulus is 0 or 1.
-    Each item runs its family's domain check and reads a modulus that moves
-    with n (main's |U_n|). It is skipped when it lies outside the domain (main
-    at n = 0) or the modulus is 0 or 1; otherwise both prepared steps get that
-    modulus, and it holds when their residues are equal.
+    Returns one mark per item ("-" skipped, "+" held, "x" mismatch), ordered
+    by n and then by variant, and the (n, detail) of each mismatch in the
+    same order. |U_k| is read once for the batch. Each item runs its family's
+    domain check and reads a modulus that moves with n (main's |U_n|). It is
+    skipped when it lies outside the domain (main at n = 0) or the modulus is
+    0 or 1. A variant with items left prepares both sides once and calls each
+    side's column once, on those items in n order; an item holds when the two
+    residues are equal.
     """
     p, q, k, n_lo, hi = unit
     params = make_params(p, q)
@@ -590,30 +641,42 @@ def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[i
     # serves every batch of this pair.
     _u_term_reserve(params, hi * hi + SHIFT_R_RANGE[-1])
     u_k = _modulus_k(params, k, n_lo)
-    variants = []
-    for name, r in GRID_VARIANTS:
-        family = FAMILY_TABLE[name]
-        modulus = u_k if family.modulus is _modulus_k else None  # None when it moves with n
-        sides = (None, None)
-        if modulus is None or modulus > 1:
-            sides = family.closed_form(params, k, r, modulus), family.oracle(params, k, r, modulus)
-        variants.append((name, r, family.check, family.modulus, modulus, *sides))
-    marks = []
+    span = range(n_lo, hi + 1)
+    width = len(GRID_VARIANTS)
+    marks = ["-"] * (len(span) * width)  # item (n, variant) at (n - n_lo) * width + index
     failed = []
-    for n in range(n_lo, hi + 1):
-        for name, r, check, modulus_of, fixed_modulus, closed_form, oracle in variants:
+    for index, (name, r) in enumerate(GRID_VARIANTS):
+        family = FAMILY_TABLE[name]
+        check, modulus_of = family.check, family.modulus
+        fixed = u_k if modulus_of is _modulus_k else None  # None when it moves with n
+        ns, moduli = [], []
+        for n in span:
             try:
                 check(k, n, r)
             except ValueError:
-                marks.append("-")
                 continue
-            modulus = modulus_of(params, k, n) if fixed_modulus is None else fixed_modulus
-            if modulus <= 1:
-                marks.append("-")
-            elif closed_form(n, modulus) == oracle(n, modulus):
-                marks.append("+")
-            else:
-                marks.append("x")
-                shift = "" if r is None else f" r={r}"
-                failed.append((n, f"family={name} p={p} q={q} k={k} n={n}{shift}"))
-    return "".join(marks), tuple(failed)
+            modulus = modulus_of(params, k, n) if fixed is None else fixed
+            if modulus > 1:
+                ns.append(n)
+                moduli.append(modulus)
+        if not ns:
+            continue
+        closed = family.closed_form(params, k, r, fixed)(ns, moduli)
+        oracle = family.oracle(params, k, r, fixed)(ns, moduli)
+        if closed == oracle:
+            variant_marks = ["+"] * len(ns)
+        else:
+            variant_marks = ["+" if a == b else "x" for a, b in zip(closed, oracle)]
+            shift = "" if r is None else f" r={r}"
+            failed += [
+                (n, index, f"family={name} p={p} q={q} k={k} n={n}{shift}")
+                for n, a, b in zip(ns, closed, oracle)
+                if a != b
+            ]
+        if len(ns) == len(span):  # no item of the variant was skipped
+            marks[index::width] = variant_marks
+        else:
+            for n, mark in zip(ns, variant_marks):
+                marks[(n - n_lo) * width + index] = mark
+    failed.sort()
+    return "".join(marks), tuple((n, detail) for n, _, detail in failed)

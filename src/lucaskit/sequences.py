@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import BadModulus, CoprimalityViolation, ZeroPair
 
@@ -284,6 +284,28 @@ def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
     for _ in range(rest):
         a, b = b, p * b - q * a
     return a % m
+
+
+def _u_terms_mod(params: LucasParams, indices: Sequence[int], moduli: Sequence[int]) -> list[int]:
+    """[U_j mod m for j, m in zip(indices, moduli)], in that order, for moduli m >= 1.
+
+    Each stored index is read from the (P, Q) table and reduced, one term-cache
+    hit per term; only the indices past the table's end (or negative, which
+    raise) go to _u_term_mod, which counts one miss and walks for each.
+    """
+    global _hits
+    terms = _tables.get((params.p_coeff, params.q_coeff), ())
+    stored = len(terms)
+    residues = [
+        terms[j] % m if 0 <= j < stored else _u_term_mod(params, j, m)
+        for j, m in zip(indices, moduli)
+    ]
+    # A negative index has raised by now, so the hits are the indices below stored.
+    if max(indices, default=0) < stored:
+        _hits += len(residues)
+    else:
+        _hits += sum(map(stored.__gt__, indices))
+    return residues
 
 
 def _u_term_reserve(params: LucasParams, n: int) -> list[int]:

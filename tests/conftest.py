@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from lucaskit import make_params
+import lucaskit.sequences as sequences
 from lucaskit.sequences import _u_term
 
 # P in 1..5, Q in -3..3, coprime pairs only: the shared coefficient grid.
@@ -24,3 +25,9 @@ def fresh_tables():
     _u_term.cache_clear()
     yield
     _u_term.cache_clear()
+
+
+@pytest.fixture
+def small_tables(fresh_tables, monkeypatch):
+    # About 60 stored terms per (P, Q), so indices up to 150 walk past the table.
+    monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)

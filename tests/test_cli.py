@@ -8,7 +8,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lucaskit.cli as cli_module
@@ -52,7 +52,7 @@ class TestEval:
     def test_fibonacci(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "-p", "1", "-q", "-1", "-n", "12")
         assert code == 0
-        assert parse_lines(out) == [{"p": 1, "q": -1, "n": 12, "u": "144"}]
+        assert parse_lines(out) == [{"p": "1", "q": "-1", "n": "12", "u": "144"}]
 
     def test_mersenne(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "-p", "3", "-q", "2", "-n", "5")
@@ -516,7 +516,7 @@ class TestOutputContract:
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         cases = [
             (["eval", "-p", "1", "-q", "-1", "-n", "10", "--no-timing"],
-             0, '{"p":1,"q":-1,"n":10,"u":"55"}\n', ""),
+             0, '{"p":"1","q":"-1","n":"10","u":"55"}\n', ""),
             (["scan", "--method", "remark", "--from", "3", "--to", "9", "--workers", "0"],
              2, "", "error: --workers must be >= 1\n"),
         ]
@@ -725,6 +725,34 @@ class TestGridMatchesPublicPath:
                 )
         assert marks == "".join(expected)
 
+    @settings(
+        deadline=None,
+        max_examples=40,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(pq=st.sampled_from(WIDE_PAIRS), k=st.integers(1, 12), n_lo=st.sampled_from([0, 1, 5]))
+    @example(pq=(-8, -9), k=12, n_lo=0)
+    @example(pq=(1, -1), k=7, n_lo=1)
+    def test_marks_match_evaluate_congruence_past_the_table(self, small_tables, pq, k, n_lo):
+        # At most 69 stored terms per pair: the columns of k >= 6, which read
+        # up to index 12k + 6, cross the table's end and walk the rest.
+        p, q = pq
+        marks, failed = congruences_module.grid_batch((p, q, k, n_lo, 12))
+        assert failed == ()
+        if k >= 6:
+            assert len(sequences_module._tables[(p, q)]) <= 69 < k * 12 + 6
+        expected = []
+        for n in range(n_lo, 13):
+            for family, r in congruences_module.GRID_VARIANTS:
+                try:
+                    report = evaluate_congruence(family, p=p, q=q, k=k, n=n, r=r)
+                except ValueError:
+                    expected.append("-")
+                    continue
+                assert report.holds, (family, pq, k, n, r)
+                expected.append("-" if isinstance(report.rhs, TrivialModulus) else "+")
+        assert marks == "".join(expected)
+
     def test_variants_come_from_the_table(self):
         assert congruences_module.GRID_VARIANTS == tuple(
             (family, None) for family in ("lemma1", "lemma2", "cor6", "cor7", "main")
@@ -732,37 +760,85 @@ class TestGridMatchesPublicPath:
 
 
 class TestGridWork:
-    # The work of the whole 1..24 grid, counted at the term table's readers.
+    # The work of grid batches, counted at the readers the grid calls.
 
-    def _count_reads(self, monkeypatch):
-        counts = {"_u_term": 0, "_u_term_mod": 0}
-        for name in counts:
-            real = getattr(sequences_module, name)
+    def _count_calls(self, monkeypatch, module, names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(module, name)
 
             def reader(*args, real=real, name=name):
                 counts[name] += 1
                 return real(*args)
 
-            for module in (sequences_module, congruences_module):
-                monkeypatch.setattr(module, name, reader)
+            monkeypatch.setattr(module, name, reader)
         return counts
 
-    def test_term_reads_per_item(self, monkeypatch):
-        counts = self._count_reads(monkeypatch)
+    def test_grid_walks_no_term(self, monkeypatch):
+        # One reserve per batch stores every index the 1..24 grid reads, so no
+        # oracle read reaches _u_term_mod, and each oracle variant with an
+        # item to check reads its terms in one column call.
+        walks = self._count_calls(monkeypatch, sequences_module, ["_u_term_mod"])
+        counts = self._count_calls(
+            monkeypatch, congruences_module, ["_u_term_reserve", "_u_terms_mod"]
+        )
         scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
-        items = scan["checked"] + scan["skipped"]
         assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
-        assert counts["_u_term_mod"] == scan["checked"]  # one oracle read per checked item
-        assert counts["_u_term"] <= 0.5 * items
+        assert walks["_u_term_mod"] == 0
+        batches = [(p, q, k) for p, q in congruences_module.COEFFICIENT_GRID for k in range(1, 25)]
+        assert counts["_u_term_reserve"] == len(batches)
+        columns = 0
+        for p, q, k in batches:
+            params = make_params(p, q)
+            if abs(u_at(params, k)) > 1:
+                columns += len(congruences_module.GRID_VARIANTS) - 1
+            if any(abs(u_at(params, n)) > 1 for n in range(1, 25)):
+                columns += 1  # main, whose modulus |U_n| moves with n
+        assert counts["_u_terms_mod"] == columns
+
+    @pytest.mark.parametrize("p, q, k, columns", [
+        (1, -1, 1, 1),  # |U_1| = 1: only main has items
+        (1, -1, 7, 12),
+        (1, 1, 3, 0),  # U_3(1, 1) = 0, and no |U_n| exceeds 1
+        (4, 3, 13, 12),
+        (5, -3, 24, 12),
+    ])
+    def test_one_reserve_and_one_read_per_oracle_variant(
+        self, fresh_tables, monkeypatch, p, q, k, columns
+    ):
+        # A batch reserves the table once and reads each oracle variant's terms
+        # in one column call, all stored; only the batch that first grows the
+        # table counts a miss.
+        real = sequences_module._u_terms_mod
+        reads = []
+
+        def reader(params, indices, moduli):
+            reads.append(list(indices))
+            return real(params, indices, moduli)
+
+        monkeypatch.setattr(congruences_module, "_u_terms_mod", reader)
+        counts = self._count_calls(monkeypatch, congruences_module, ["_u_term_reserve"])
+        misses, term_reads = [], []
+        for hi in (24, 24, 12):
+            reads.clear()
+            counts["_u_term_reserve"] = 0
+            start = sequences_module._u_term.cache_info().misses
+            congruences_module.grid_batch((p, q, k, 1, hi))
+            misses.append(sequences_module._u_term.cache_info().misses - start)
+            assert counts["_u_term_reserve"] == 1
+            assert len(reads) == columns
+            stored = len(sequences_module._tables[(p, q)])
+            assert all(max(indices) < stored for indices in reads)
+        assert misses == [1, 0, 0]
 
     @pytest.mark.parametrize("p, q, k", [(1, -1, 7), (3, -2, 6), (2, 1, 5), (1, 1, 3)])
     def test_u_k_families_read_no_term_per_n(self, monkeypatch, p, q, k):
-        # Without main, a batch's term reads are its preparing alone: the
-        # same over n in 1..12 as over 1..24.
+        # Without main, a batch's exact term reads are its preparing alone:
+        # the same over n in 1..12 as over 1..24.
         monkeypatch.setattr(congruences_module, "GRID_VARIANTS", tuple(
             variant for variant in congruences_module.GRID_VARIANTS if variant[0] != "main"
         ))
-        counts = self._count_reads(monkeypatch)
+        counts = self._count_calls(monkeypatch, congruences_module, ["_u_term"])
         reads = []
         for hi in (12, 24):
             counts["_u_term"] = 0
@@ -770,28 +846,6 @@ class TestGridWork:
             assert len(marks) == 11 * hi
             reads.append(counts["_u_term"])
         assert reads[0] == reads[1] <= 21, reads
-
-    @pytest.mark.parametrize("p, q, k", [(1, -1, 1), (4, 3, 13), (5, -3, 24)])
-    def test_batch_oracle_reads_are_table_hits(self, fresh_tables, monkeypatch, p, q, k):
-        # The batch's one reserve stores every index the grid reads, so no
-        # oracle read walks past the table, and a batch adds at most that miss.
-        real = sequences_module._u_term_mod
-        reads, walks = [], []
-
-        def reader(params, n, m):
-            reads.append(n)
-            if n >= len(sequences_module._tables.get((params.p_coeff, params.q_coeff), ())):
-                walks.append(n)
-            return real(params, n, m)
-
-        monkeypatch.setattr(congruences_module, "_u_term_mod", reader)
-        misses = []
-        for _ in range(2):
-            start = sequences_module._u_term.cache_info().misses
-            congruences_module.grid_batch((p, q, k, 1, 24))
-            misses.append(sequences_module._u_term.cache_info().misses - start)
-        assert misses == [1, 0]
-        assert reads and walks == []
 
 
 def _crash_worker(n):
@@ -866,22 +920,22 @@ class TestFailureContract:
 def _break_kernel(monkeypatch, family, side, hit):
     """Add 1 to the residue of one side ("closed_form" or "oracle") at one (P, Q, k, n).
 
-    The family table's prepare step is replaced by one whose steps carry the
+    The family table's prepare step is replaced by one whose columns carry the
     fault, so the grid, evaluate_congruence and the public functions all see it.
     """
     entry = congruences_module.FAMILY_TABLE[family]
     prepare = getattr(entry, side)
 
     def broken(params, k, r, modulus):
-        step = prepare(params, k, r, modulus)
+        column = prepare(params, k, r, modulus)
 
-        def broken_step(n, modulus):
-            value = step(n, modulus)
-            if (params.p_coeff, params.q_coeff, k, n) == hit:
-                return (value + 1) % modulus
-            return value
+        def broken_column(ns, moduli):
+            return [
+                (value + 1) % m if (params.p_coeff, params.q_coeff, k, n) == hit else value
+                for n, m, value in zip(ns, moduli, column(ns, moduli))
+            ]
 
-        return broken_step
+        return broken_column
 
     monkeypatch.setitem(
         congruences_module.FAMILY_TABLE, family, entry._replace(**{side: broken})
@@ -923,6 +977,20 @@ class TestGridMismatches:
             '"workers":1}\n'
         )
 
+    def test_mismatches_in_one_batch_come_in_n_order(self, capsys, monkeypatch):
+        # lemma1 precedes shift among the variants, but its fault is at a later n.
+        _break_kernel(monkeypatch, "lemma1", "closed_form", (2, -1, 3, 5))
+        _break_kernel(monkeypatch, "shift", "oracle", (2, -1, 3, 2))
+        code, out, _ = run_cli(capsys, *GRID_1_8)
+        assert code == 1
+        assert parse_lines(out)[0]["mismatches"] == [
+            {"n": 2, "detail": f"family=shift p=2 q=-1 k=3 n=2 r={r}"} for r in range(7)
+        ] + [{"n": 5, "detail": "family=lemma1 p=2 q=-1 k=3 n=5"}]
+        code, out, _ = run_cli(capsys, *GRID_1_8, "--fail-fast")
+        assert parse_lines(out)[0]["mismatches"] == [
+            {"n": 2, "detail": "family=shift p=2 q=-1 k=3 n=2 r=0"}
+        ]
+
     @pytest.mark.parametrize("fail_fast, counts", [
         ([], '"checked":14592,"skipped":4608'),
         (["--fail-fast"], '"checked":627,"skipped":374'),
@@ -939,7 +1007,7 @@ class TestGridMismatches:
 
 
 def _guard_kernels(monkeypatch):
-    """Make every table side fail on a modulus <= 1; returns the list its steps append to.
+    """Make every table side fail on a modulus <= 1; returns the list its columns append to.
 
     A prepare step may see None in place of the modulus only when its family's
     modulus moves with n.
@@ -955,14 +1023,15 @@ def _guard_kernels(monkeypatch):
                     assert not fixed, (family, params, k, r)
                 else:
                     assert modulus > 1, (family, params, k, r, modulus)
-                step = prepare(params, k, r, modulus)
+                column = prepare(params, k, r, modulus)
 
-                def guarded_step(n, modulus):
-                    assert modulus > 1, (family, params, k, n, r, modulus)
+                def guarded_column(ns, moduli):
+                    for n, m in zip(ns, moduli):
+                        assert m > 1, (family, params, k, n, r, m)
                     calls.append(family)
-                    return step(n, modulus)
+                    return column(ns, moduli)
 
-                return guarded_step
+                return guarded_column
 
             guarded[side] = guard
         monkeypatch.setitem(FAMILY_TABLE, family, entry._replace(**guarded))

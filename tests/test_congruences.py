@@ -505,20 +505,26 @@ class TestOneDomainPerFamily:
                 fixed = None  # the modulus moves with n, unless it is |U_k|
                 if entry.modulus is congruences._modulus_k:
                     fixed = entry.modulus(params, k, 0)
-                closed_step = None
+                closed_column = None
                 if fixed is None or fixed > 1:
-                    closed_step = entry.closed_form(params, k, None, fixed)  # prepared once per k
+                    closed_column = entry.closed_form(params, k, None, fixed)  # prepared once per k
+                residues = []  # the closed form of every n with a residue, in n order
                 for n in range(2, 13):
                     closed = _evaluate_side(family, "closed_form", params, k, n)
                     assert public(k, n) == closed, (family, k, n)
                     if isinstance(closed, ResidueClass):
-                        assert closed_step(n, closed.modulus) == closed.value, (family, k, n)
+                        residues.append((n, closed))
                     oracle = _evaluate_side(family, "oracle", params, k, n)
                     if family == "mersenne22":
                         assert mersenne_ratio_lhs_exact(n, k) == oracle
                     report = evaluate_congruence(family, k=k, n=n)
                     assert (report.rhs, report.lhs) == (closed, oracle), (family, k, n)
                     assert report.holds
+                if residues:  # one call of the column over every such n
+                    column = closed_column(
+                        [n for n, _ in residues], [closed.modulus for _, closed in residues]
+                    )
+                    assert column == [closed.value for _, closed in residues], (family, k)
 
 
 def test_exact_div_flags_nonzero_remainder():
@@ -583,8 +589,8 @@ def _nested_codes(fn):
     return found
 
 
-# Each closed form's prepare step, the kernel it wraps when it prepares
-# nothing, and the code of both, its per-n step included.
+# Each closed form's prepare step, the formula it wraps when it has one, and
+# the code of both, its column included.
 CLOSED_FORMS = {entry.closed_form for entry in FAMILY_TABLE.values()}
 CLOSED_FORMS |= {getattr(f, "__wrapped__", f) for f in CLOSED_FORMS}
 CLOSED_FORM_CODES = set().union(
@@ -602,7 +608,7 @@ def _prepared(family):
 
 class TestOracleIndependence:
     # An oracle must not share the formula under test: no closed-form side
-    # (neither its prepare step nor its per-n step), no Q-power, no index
+    # (neither its prepare step nor its column), no Q-power, no index
     # doubling. Its context is U_k alone, read by the oracle itself.
 
     @pytest.mark.parametrize("family", FAMILY_TABLE)
@@ -615,7 +621,9 @@ class TestOracleIndependence:
             shared = {
                 f.__name__
                 for f in reached
-                if f in CLOSED_FORMS or f is pow_signed_mod or "u_pair" in f.__name__
+                if f in CLOSED_FORMS
+                or f in (pow_signed_mod, congruences._q_powers)
+                or "u_pair" in f.__name__
             } | {code.co_qualname for code in codes & CLOSED_FORM_CODES}
             assert not shared, (family, start, shared)
 
@@ -623,7 +631,7 @@ class TestOracleIndependence:
     def test_oracle_context_reads_u_k_only(self, family, monkeypatch):
         params, k, n, r, modulus = _prepared(family)
         reads = []
-        for name in ("_u_term", "_u_term_mod"):
+        for name in ("_u_term", "_u_terms_mod"):
             real = getattr(congruences, name)
 
             def reader(params, j, *m, real=real, name=name):
@@ -631,12 +639,12 @@ class TestOracleIndependence:
                 return real(params, j, *m)
 
             monkeypatch.setattr(congruences, name, reader)
-        step = FAMILY_TABLE[family].oracle(params, k, r, modulus)
+        column = FAMILY_TABLE[family].oracle(params, k, r, modulus)
         assert set(reads) <= {("_u_term", k)}, (family, reads)
         reads.clear()
-        step(n, modulus)
+        column([n], [modulus])
         shift = 0 if family in ("lemma1", "cor6", "main", "fib20", "fib21") else r or 1
-        expected = [] if family == "mersenne22" else [("_u_term_mod", k * n + shift)]
+        expected = [] if family == "mersenne22" else [("_u_terms_mod", [k * n + shift])]
         assert reads == expected, (family, reads)
 
     @pytest.mark.parametrize("direct", [mersenne_sum_residue_direct, fibonacci_sum_residue_direct])
@@ -651,12 +659,6 @@ class TestOracleIndependence:
 # ---------------------------------------------------------------------------
 # Reduced oracles against full-width terms
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def small_tables(fresh_tables, monkeypatch):
-    # About 60 stored terms per (P, Q), so indices up to 150 walk past the table.
-    monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
 
 
 def full_width_ratio(params, k, n, modulus):
@@ -757,7 +759,7 @@ def full_width_reference(family, params, k, n, r, term):
 
 
 def check_prepared_sides(pq, k, r, order):
-    """Prepare each side once, as the grid does, then step it over n in the given order."""
+    """Prepare each side once, as the grid does, then call its column on n in the given order."""
     params = make_params(*pq)
     memo = {}
 
@@ -777,6 +779,7 @@ def check_prepared_sides(pq, k, r, order):
             sides = [
                 prepare(params, k, shift, fixed) for prepare in (entry.closed_form, entry.oracle)
             ]
+        ns, moduli, expected = [], [], []
         for n in order:
             try:
                 entry.check(k, n, shift)
@@ -793,13 +796,17 @@ def check_prepared_sides(pq, k, r, order):
                 assert single == [TRIVIAL_MODULUS] * 2, (family, pq, k, n, r)
                 continue
             reference = full_width_reference(family, params, k, n, shift, term)
-            expected = ResidueClass(reference, modulus)
-            stepped = [ResidueClass(step(n, modulus), modulus) for step in sides]
-            assert stepped == single == [expected] * 2, (family, pq, k, n, r)
+            assert single == [ResidueClass(reference, modulus)] * 2, (family, pq, k, n, r)
+            ns.append(n)
+            moduli.append(modulus)
+            expected.append(reference)
+        if ns:
+            columns = [column(ns, moduli) for column in sides]
+            assert columns == [expected] * 2, (family, pq, k, r)
 
 
 class TestPreparedSides:
-    # One prepared context serves every n of a (P, Q, k), in any order.
+    # One prepared context serves every n of a (P, Q, k), in any order, in one column call.
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -833,7 +840,11 @@ class TestReducedOracleInvariants:
     ])
     def test_non_divisible_residue_raises(self, monkeypatch, oracle):
         monkeypatch.setattr(
-            congruences, "_u_term_mod", lambda params, n, m: (u_at(params, n) + 1) % m
+            congruences,
+            "_u_terms_mod",
+            lambda params, indices, moduli: [
+                (u_at(params, n) + 1) % m for n, m in zip(indices, moduli)
+            ],
         )
         with pytest.raises(InternalInvariantViolation):
             oracle()

@@ -24,7 +24,7 @@ from lucaskit import (
     u_pair_mod,
     v_at,
 )
-from lucaskit.sequences import _u_term, _u_term_mod, _walk_plan
+from lucaskit.sequences import _u_term, _u_term_mod, _u_terms_mod, _walk_plan
 
 PELL = make_params(2, -1)
 
@@ -545,6 +545,28 @@ class TestModularWalk:
         assert len(sequences._tables[(-7, 3)]) == 501
         assert _u_term(cold, 60) == u_at(cold, 60)
         assert len(sequences._tables[(5, -3)]) == 61
+
+    def test_column_read_counts_one_hit_or_miss_per_term(self, fresh_tables):
+        # Stored indices are reduced from the table, in the order given; the
+        # two past its end each walk, as one miss; nothing is stored.
+        params = make_params(-7, 3)
+        _u_term(params, 40)
+        state, start = table_state(), _u_term.cache_info()
+        indices = [40, 0, 500, 7, 41, 7]
+        moduli = [97, 2, 2**70 + 1, 1, 5, 2**70 + 1]
+        assert _u_terms_mod(params, indices, moduli) == [
+            u_at(params, j) % m for j, m in zip(indices, moduli)
+        ]
+        info = _u_term.cache_info()
+        assert (info.hits - start.hits, info.misses - start.misses) == (4, 2)
+        assert _u_terms_mod(params, [3, 40, 3], [7, 7, 2]) == [
+            u_at(params, 3) % 7, u_at(params, 40) % 7, u_at(params, 3) % 2,
+        ]
+        assert _u_term.cache_info()[:2] == (info.hits + 3, info.misses)  # all stored: 3 hits
+        assert table_state() == state
+        assert _u_terms_mod(params, [], []) == []
+        with pytest.raises(ValueError):
+            _u_terms_mod(params, [3, -1], [7, 7])
 
     @pytest.mark.parametrize("pq, block", WALK_PAIRS)
     def test_giant_steps_match_doubling(self, fresh_tables, monkeypatch, pq, block):
