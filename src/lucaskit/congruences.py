@@ -14,10 +14,10 @@ shift r, its domain check and its modulus, the one place that modulus is
 decided. A side is a prepare step, once per (P, Q, k) and r, and the column
 it returns: a function of n values, in any order, and their moduli, which
 returns their least nonnegative residues in that order. Each closed form is
-written once, as a comprehension over n (main's as one loop); for the five
-families modulo |U_k| it is a residue formula in U_{k+1}, the powers of Q^k
-and U_r modulo |U_k|, which the prepare step reads once. The recurrence
-oracles read every term of a column in one sequences._u_terms_mod call.
+written once, as one loop over n; for the five families modulo |U_k| it is a
+residue formula in U_{k+1}, Q^k and U_r modulo |U_k|, which the prepare
+step reads once. The recurrence oracles read every term of a column in one
+sequences._u_terms_mod call.
 Each caller reads the modulus once per instance, or once per (P, Q, k) when
 it is |U_k|: 0 or 1 makes the instance a TrivialModulus, and any other is
 handed to both sides. There are two such callers. _evaluate_side runs one
@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, wraps
+from functools import partial, wraps
 from math import gcd
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InternalInvariantViolation, NotApplicable
 from .residues import (
@@ -84,7 +84,10 @@ def classify_case(n: int, k: int) -> CaseTag:
 
 # The members as plain names: on Python 3.11 each CaseTag.X read costs about
 # as much as the rest of _case.
-_ODD_N, _EVEN_N_ODD_K, _MIXED_QUOTIENTS, _ODD_QUOTIENTS = CaseTag
+_ODD_N = CaseTag.ODD_N
+_EVEN_N_ODD_K = CaseTag.EVEN_N_ODD_K
+_MIXED_QUOTIENTS = CaseTag.BOTH_EVEN_MIXED_QUOTIENTS
+_ODD_QUOTIENTS = CaseTag.BOTH_EVEN_ODD_QUOTIENTS
 
 
 def _case(n: int, k: int) -> CaseTag:
@@ -155,168 +158,190 @@ def _modulus_mersenne(params: LucasParams, k: int, n: int) -> int:
 # which takes n values in any order, each on a checked domain with the
 # family's modulus, which exceeds 1, and returns their residues in that
 # order. A modulus that moves with n may be None when preparing. r is the
-# shift family's, else None. Each closed form is one comprehension over n, or
-# for main one loop, bound to what it reads once per (P, Q, k).
+# shift family's, else None. A closed form is one loop over n: a _per_column
+# kernel, which prepares nothing, or a residue formula under _mod_u_k, bound
+# to the constants it reads modulo |U_k|.
 # ---------------------------------------------------------------------------
 
 Column = Callable[[Sequence[int], Sequence[int]], list[int]]
 Prepare = Callable[[LucasParams, int, Optional[int], Optional[int]], Column]
-Powers = Union[Sequence[int], Mapping[int, int]]  # Q^{ke} mod |U_k| at index e
 
 
-def _q_powers(q_k: int, ns: Sequence[int], modulus: int) -> Powers:
-    """Q^{ke} mod |U_k|, indexed by e, at every e = n // 2 and n // 2 - 1 >= 0 of ns.
-
-    Those are the exponents the formulas read. Dense n (the largest under
-    twice their count) get every power up to the largest, one product each;
-    others get pow per exponent, so one large n costs O(log n) products.
-    """
-    top = max(ns, default=0) // 2
-    if top < 2 * len(ns):
-        return _power_list(q_k, top, modulus)
-    return {e: pow(q_k, e, modulus) for n in ns for e in (n // 2 - 1, n // 2) if e >= 0}
+def _per_column(
+    kernel: Callable[[LucasParams, int, Optional[int], Sequence[int], Sequence[int]], list[int]]
+) -> Prepare:
+    """Decorator for a side with nothing to prepare: kernel(params, k, r, ns, moduli)."""
+    return wraps(kernel)(lambda params, k, r, modulus: partial(kernel, params, k, r))
 
 
-@lru_cache(maxsize=32)
-def _power_list(base: int, top: int, modulus: int) -> tuple[int, ...]:
-    """(base^0, ..., base^top) mod modulus, one product each.
-
-    Cached, as the 11 variants modulo |U_k| of a grid batch read the same list.
-    """
-    powers = [1]
-    for _ in range(top):
-        powers.append(powers[-1] * base % modulus)
-    return tuple(powers)
-
-
-def _mod_u_k(formula: Callable[..., list[int]]) -> Prepare:
-    """Decorator for a side modulo |U_k|: formula(u_next, powers, u_r, ns, modulus).
+def _mod_u_k(
+    formula: Callable[[int, int, int, int, Sequence[int], Sequence[int]], list[int]]
+) -> Prepare:
+    """Decorator for a side modulo |U_k|: formula(u_next, q_k, u_r, modulus, ns, moduli).
 
     Its prepare step reads U_{k+1}, Q^k and U_r (1 without r) mod |U_k| once;
-    powers[e] = Q^{ke} mod |U_k| (see _q_powers). The formula reduces by the
-    prepared modulus, which every item of such a column has.
+    Q^{ke} = pow(Q^k, e). The formula reduces by the prepared modulus, which
+    every item of such a column has.
     """
 
     def prepare(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Column:
         u_next = _u_term(params, k + 1) % modulus
         u_r = 1 if r is None else _u_term(params, r) % modulus
         q_k = pow_signed_mod(params.q_coeff, k, modulus)
-        return lambda ns, moduli: formula(u_next, _q_powers(q_k, ns, modulus), u_r, ns, modulus)
+        return partial(formula, u_next, q_k, u_r, modulus)
 
     return wraps(formula)(prepare)
 
 
 @_mod_u_k
-def _lemma1(u_next: int, powers: Powers, u_r: int, ns: Sequence[int], m: int) -> list[int]:
-    return [
-        0 if n == 0
-        else n * powers[(n - 1) // 2] % m if n & 1
-        else n * u_next * powers[(n - 2) // 2] % m
-        for n in ns
-    ]
+def _lemma1(
+    u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
+    residues = []
+    for n in ns:
+        if n == 0:
+            residues.append(0)
+        elif n & 1:
+            residues.append(n * pow(q_k, (n - 1) // 2, m) % m)
+        else:
+            residues.append(n * u_next * pow(q_k, (n - 2) // 2, m) % m)
+    return residues
 
 
 @_mod_u_k
-def _lemma2(u_next: int, powers: Powers, u_r: int, ns: Sequence[int], m: int) -> list[int]:
-    return [u_next * powers[(n - 1) // 2] % m if n & 1 else powers[n // 2] for n in ns]
+def _lemma2(
+    u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
+    residues = []
+    for n in ns:
+        if n & 1:
+            residues.append(u_next * pow(q_k, (n - 1) // 2, m) % m)
+        else:
+            residues.append(pow(q_k, n // 2, m))
+    return residues
 
 
 @_mod_u_k
-def _cor6(u_next: int, powers: Powers, u_r: int, ns: Sequence[int], m: int) -> list[int]:
-    return [
-        0 if n == 0 else n * (u_next if a else 1) * powers[(n - a - 1) // 2] % m
-        for n in ns
-        for a in (1 - (n & 1),)  # parity_indicator(n)
-    ]
+def _cor6(
+    u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
+    residues = []
+    for n in ns:
+        a = 1 - (n & 1)  # parity_indicator(n)
+        residues.append(n * (u_next if a else 1) * pow(q_k, (n - a - 1) // 2, m) % m if n else 0)
+    return residues
 
 
 @_mod_u_k
-def _cor7(u_next: int, powers: Powers, u_r: int, ns: Sequence[int], m: int) -> list[int]:
-    return [
-        (1 if a else u_next) * powers[(n + a - 1) // 2] % m
-        for n in ns
-        for a in (1 - (n & 1),)  # parity_indicator(n)
-    ]
+def _cor7(
+    u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
+    residues = []
+    for n in ns:
+        a = 1 - (n & 1)  # parity_indicator(n)
+        residues.append((1 if a else u_next) * pow(q_k, (n + a - 1) // 2, m) % m)
+    return residues
 
 
 @_mod_u_k
 def _general_shift(
-    u_next: int, powers: Powers, u_r: int, ns: Sequence[int], m: int
+    u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int], moduli: Sequence[int]
 ) -> list[int]:
-    return [
-        u_r * (1 if a else u_next) * powers[(n + a - 1) // 2] % m
-        for n in ns
-        for a in (1 - (n & 1),)  # parity_indicator(n)
-    ]
+    residues = []
+    for n in ns:
+        a = 1 - (n & 1)  # parity_indicator(n)
+        residues.append(u_r * (1 if a else u_next) * pow(q_k, (n + a - 1) // 2, m) % m)
+    return residues
 
 
-def _main(params: LucasParams, k: int, r: Optional[int], modulus: Optional[int]) -> Column:
-    """Its column reads the signed U_n once per n, and gcd(n, k) and the case once."""
-    q = params.q_coeff
-
-    def column(ns: Sequence[int], moduli: Sequence[int]) -> list[int]:
-        residues = []
-        for n, m in zip(ns, moduli):
-            d = gcd(n, k)
-            case = _case(n, k)
-            ratio = exact_div(_u_term(params, n), _u_term(params, d))
-            if case is _ODD_QUOTIENTS:
-                doubled_exponent = k * n - k - n
-                lead = d * _u_term(params, d + 1)
-            else:
-                doubled_exponent = k * n - k - n + d
-                lead = d
-            if doubled_exponent < 0 or doubled_exponent & 1:
-                raise InternalInvariantViolation(
-                    f"exponent {doubled_exponent}/2 must be a nonnegative integer "
-                    f"(n = {n}, k = {k}, case {case.value})"
-                )
-            residues.append(lead * ratio * pow(q, doubled_exponent // 2, m) % m)
-        return residues
-
-    return column
+@_per_column
+def _main(
+    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
+    """Reads the signed U_n once per n, and gcd(n, k) and the case once."""
+    residues = []
+    for n, m in zip(ns, moduli):
+        d = gcd(n, k)
+        case = _case(n, k)
+        ratio = exact_div(_u_term(params, n), _u_term(params, d))
+        if case is _ODD_QUOTIENTS:
+            doubled_exponent = k * n - k - n
+            lead = d * _u_term(params, d + 1)
+        else:
+            doubled_exponent = k * n - k - n + d
+            lead = d
+        if doubled_exponent < 0 or doubled_exponent & 1:
+            raise InternalInvariantViolation(
+                f"exponent {doubled_exponent}/2 must be a nonnegative integer "
+                f"(n = {n}, k = {k}, case {case.value})"
+            )
+        residues.append(lead * ratio * pow(params.q_coeff, doubled_exponent // 2, m) % m)
+    return residues
 
 
 # The Fibonacci kernels ignore params: they are the closed forms specialized
-# to (1, -1), with (-1)^e kept as a sign, and are implemented directly rather
+# to (P, Q) = (1, -1), with (-1)^e kept as a sign. Implemented directly rather
 # than by delegating to the general kernels, so the sign bookkeeping gets
 # exercised on its own; the two must agree pointwise (tested).
 
 
-def _fib_shifted(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Column:
+@_per_column
+def _fib_shifted(
+    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
     f_next = _u_term(FIBONACCI_PARAMS, k + 1)
-    return lambda ns, moduli: [
-        (f_next * _sign_pow(k * (n - 1) // 2) if n & 1 else _sign_pow(k * n // 2)) % m
-        for n, m in zip(ns, moduli)
-    ]
+    residues = []
+    for n, m in zip(ns, moduli):
+        if n & 1:
+            value = f_next * _sign_pow(k * (n - 1) // 2)
+        else:
+            value = _sign_pow(k * n // 2)
+        residues.append(value % m)
+    return residues
 
 
-def _fib_ratio(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Column:
+@_per_column
+def _fib_ratio(
+    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
     f_next = _u_term(FIBONACCI_PARAMS, k + 1)
-    return lambda ns, moduli: [
-        0 if n == 0
-        else n * _sign_pow(k * (n - 1) // 2) % m if n & 1
-        else n * f_next * _sign_pow(k * (n - 2) // 2) % m
-        for n, m in zip(ns, moduli)
-    ]
+    residues = []
+    for n, m in zip(ns, moduli):
+        if n == 0:
+            value = 0
+        elif n & 1:
+            value = n * _sign_pow(k * (n - 1) // 2)
+        else:
+            value = n * f_next * _sign_pow(k * (n - 2) // 2)
+        residues.append(value % m)
+    return residues
 
 
-def _fib_main(params: LucasParams, k: int, r: Optional[int], modulus: Optional[int]) -> Column:
-    return lambda ns, moduli: [
-        d * exact_div(m, _u_term(FIBONACCI_PARAMS, d)) * (
-            _u_term(FIBONACCI_PARAMS, d + 1) * _sign_pow((k * n - k - n) // 2)
-            if _case(n, k) is _ODD_QUOTIENTS
-            else _sign_pow((k * n - k - n + d) // 2)
-        ) % m
-        for n, m in zip(ns, moduli)
-        for d in (gcd(n, k),)
-    ]
+@_per_column
+def _fib_main(
+    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
+    residues = []
+    for n, m in zip(ns, moduli):
+        d = gcd(n, k)
+        ratio = exact_div(m, _u_term(FIBONACCI_PARAMS, d))
+        if _case(n, k) is _ODD_QUOTIENTS:
+            value = d * ratio * _u_term(FIBONACCI_PARAMS, d + 1) * _sign_pow((k * n - k - n) // 2)
+        else:
+            value = d * ratio * _sign_pow((k * n - k - n + d) // 2)
+        residues.append(value % m)
+    return residues
 
 
-def _mersenne(params: LucasParams, k: int, r: Optional[int], modulus: Optional[int]) -> Column:
-    return lambda ns, moduli: [
-        d * exact_div(m, (1 << d) - 1) % m for n, m in zip(ns, moduli) for d in (gcd(n, k),)
-    ]
+@_per_column
+def _mersenne(
+    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
+    residues = []
+    for n, m in zip(ns, moduli):
+        d = gcd(n, k)
+        residues.append(d * exact_div(m, (1 << d) - 1) % m)
+    return residues
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +356,7 @@ def _ratio_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | 
     """U_{kn}/U_k mod m, read from U_{kn} mod |U_k|*m by the recurrence; the context is U_k.
 
     U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as exact_div does,
-    a zero U_k included) and sgn(U_k) times the quotient is congruent to U_{kn}/U_k mod m.
+    not assumed), and the quotient is U_{kn}/|U_k| mod m; U_k's sign is applied after.
     Past the stored table no product much wider than (|U_k|*m)^2 is built (see _u_term_mod).
     """
     u_k = _u_term(params, k)
@@ -340,8 +365,11 @@ def _ratio_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | 
     def column(ns: Sequence[int], moduli: Sequence[int]) -> list[int]:
         if width == 0 and ns:
             raise InternalInvariantViolation("exact division by a zero term")
-        residues = _u_terms_mod(params, [k * n for n in ns], [width * m for m in moduli])
-        return [sign * exact_div(u, width) % m for u, m in zip(residues, moduli)]
+        wide = _u_terms_mod(params, list(map(k.__mul__, ns)), list(map(width.__mul__, moduli)))
+        residues = []
+        for u, m in zip(wide, moduli):
+            residues.append(sign * exact_div(u, width) % m)
+        return residues
 
     return column
 
@@ -351,10 +379,14 @@ def _shifted_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int 
     return lambda ns, moduli: _u_terms_mod(params, [k * n + shift for n in ns], moduli)
 
 
-def _mersenne_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | None) -> Column:
-    return lambda ns, moduli: [
-        exact_div((1 << (k * n)) - 1, (1 << k) - 1) % m for n, m in zip(ns, moduli)
-    ]
+@_per_column
+def _mersenne_oracle(
+    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
+    residues = []
+    for n, m in zip(ns, moduli):
+        residues.append(exact_div((1 << (k * n)) - 1, (1 << k) - 1) % m)
+    return residues
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +676,7 @@ def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[i
     span = range(n_lo, hi + 1)
     width = len(GRID_VARIANTS)
     marks = ["-"] * (len(span) * width)  # item (n, variant) at (n - n_lo) * width + index
-    failed = []
+    failed = {}  # (n, detail) of each mismatch, keyed by its mark's position
     for index, (name, r) in enumerate(GRID_VARIANTS):
         family = FAMILY_TABLE[name]
         check, modulus_of = family.check, family.modulus
@@ -663,20 +695,12 @@ def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[i
             continue
         closed = family.closed_form(params, k, r, fixed)(ns, moduli)
         oracle = family.oracle(params, k, r, fixed)(ns, moduli)
-        if closed == oracle:
-            variant_marks = ["+"] * len(ns)
-        else:
-            variant_marks = ["+" if a == b else "x" for a, b in zip(closed, oracle)]
-            shift = "" if r is None else f" r={r}"
-            failed += [
-                (n, index, f"family={name} p={p} q={q} k={k} n={n}{shift}")
-                for n, a, b in zip(ns, closed, oracle)
-                if a != b
-            ]
-        if len(ns) == len(span):  # no item of the variant was skipped
-            marks[index::width] = variant_marks
-        else:
-            for n, mark in zip(ns, variant_marks):
-                marks[(n - n_lo) * width + index] = mark
-    failed.sort()
-    return "".join(marks), tuple((n, detail) for n, _, detail in failed)
+        for n, a, b in zip(ns, closed, oracle):
+            position = (n - n_lo) * width + index
+            if a == b:
+                marks[position] = "+"
+            else:
+                marks[position] = "x"
+                shift = "" if r is None else f" r={r}"
+                failed[position] = (n, f"family={name} p={p} q={q} k={k} n={n}{shift}")
+    return "".join(marks), tuple(map(failed.get, sorted(failed)))

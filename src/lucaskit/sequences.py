@@ -301,10 +301,7 @@ def _u_terms_mod(params: LucasParams, indices: Sequence[int], moduli: Sequence[i
         for j, m in zip(indices, moduli)
     ]
     # A negative index has raised by now, so the hits are the indices below stored.
-    if max(indices, default=0) < stored:
-        _hits += len(residues)
-    else:
-        _hits += sum(map(stored.__gt__, indices))
+    _hits += sum(map(stored.__gt__, indices))
     return residues
 
 

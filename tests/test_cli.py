@@ -777,14 +777,16 @@ class TestGridWork:
     def test_grid_walks_no_term(self, monkeypatch):
         # One reserve per batch stores every index the 1..24 grid reads, so no
         # oracle read reaches _u_term_mod, and each oracle variant with an
-        # item to check reads its terms in one column call.
-        walks = self._count_calls(monkeypatch, sequences_module, ["_u_term_mod"])
+        # item to check reads its terms in one column call. Exact term reads,
+        # in either module, stay under one per two items.
+        walks = self._count_calls(monkeypatch, sequences_module, ["_u_term_mod", "_u_term"])
         counts = self._count_calls(
-            monkeypatch, congruences_module, ["_u_term_reserve", "_u_terms_mod"]
+            monkeypatch, congruences_module, ["_u_term_reserve", "_u_terms_mod", "_u_term"]
         )
         scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
         assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
         assert walks["_u_term_mod"] == 0
+        assert walks["_u_term"] + counts["_u_term"] <= 0.5 * (scan["checked"] + scan["skipped"])
         batches = [(p, q, k) for p, q in congruences_module.COEFFICIENT_GRID for k in range(1, 25)]
         assert counts["_u_term_reserve"] == len(batches)
         columns = 0

@@ -621,9 +621,7 @@ class TestOracleIndependence:
             shared = {
                 f.__name__
                 for f in reached
-                if f in CLOSED_FORMS
-                or f in (pow_signed_mod, congruences._q_powers)
-                or "u_pair" in f.__name__
+                if f in CLOSED_FORMS or f is pow_signed_mod or "u_pair" in f.__name__
             } | {code.co_qualname for code in codes & CLOSED_FORM_CODES}
             assert not shared, (family, start, shared)
 
