@@ -200,12 +200,14 @@ def run_scan(
             marks.append(unit_marks)
             mismatches.extend(failed)
 
-    if workers <= 1:
+    if workers <= 1 or not units:
         consume(map(check, units))
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        # The pool starts all its processes up front: never more than there are units.
+        processes = min(workers, len(units))
+        pool = ProcessPoolExecutor(max_workers=processes)
         try:
-            chunk = max(1, len(units) // (workers * 8))
+            chunk = max(1, len(units) // (processes * 8))
             consume(pool.map(check, units, chunksize=chunk))
         finally:
             pool.shutdown(wait=False, cancel_futures=True)

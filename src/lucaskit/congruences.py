@@ -11,29 +11,30 @@ describes that walk), and the Mersenne one builds 2^{kn} - 1 in full.
 Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
 shift r, its domain check and its modulus, the one place that modulus is
-decided. A side is a prepare step, once per (P, Q, k) and r, and the column
-it returns: a function of n values, in any order, and their moduli, which
-returns their least nonnegative residues in that order. Each closed form is
-written once, as one loop over n; for the five families modulo |U_k| it is a
-residue formula in U_{k+1}, Q^k and U_r modulo |U_k|, which the prepare
-step reads once. The recurrence oracles read every term of a column in one
+decided. A side is one call, side(params, k, r, ns, moduli): it takes n
+values of one (P, Q, k) and r, in any order, with their moduli, and returns
+their least nonnegative residues in that order. Each closed form is written
+once, as one loop over n; for the five families modulo |U_k| it is a residue
+formula in U_{k+1}, Q^k and U_r modulo |U_k|, which each call reads once.
+The recurrence oracles read every term of a call in one
 sequences._u_terms_mod call.
-Each caller reads the modulus once per instance, or once per (P, Q, k) when
-it is |U_k|: 0 or 1 makes the instance a TrivialModulus, and any other is
-handed to both sides. There are two such callers. _evaluate_side runs one
-side of one instance as a column of one, and the public functions and
+The caller checks the domain and reads the modulus: 0 or 1 makes the
+instance a TrivialModulus, and any other is handed to both sides. There are
+two callers. _evaluate checks one instance once, reads its modulus once and
+runs each side it is asked for on that one n; the public functions and
 evaluate_congruence return its Outcome values. grid_batch, the
-congruence-grid scan's unit of work, prepares both sides of each grid
-variant once per (P, Q, k) and calls each column once, on every n the
-variant checks. It first stores the pair's table up to the widest index the
-grid reads, so within the table's budget no oracle read walks.
+congruence-grid scan's unit of work, checks its (P, Q, k) once, reads |U_k|
+once and main's |U_n| once per n, and calls each side of each grid variant
+once, on every n the variant checks. It first stores the pair's table up to
+the widest index the grid reads, so within the table's budget no oracle read
+walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial, wraps
+from functools import wraps
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -153,50 +154,41 @@ def _modulus_mersenne(params: LucasParams, k: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form sides. Every side is a prepare step (params, k, r, modulus) ->
-# column, once per (P, Q, k) and r, and its column (ns, moduli) -> residues,
-# which takes n values in any order, each on a checked domain with the
-# family's modulus, which exceeds 1, and returns their residues in that
-# order. A modulus that moves with n may be None when preparing. r is the
-# shift family's, else None. A closed form is one loop over n: a _per_column
-# kernel, which prepares nothing, or a residue formula under _mod_u_k, bound
-# to the constants it reads modulo |U_k|.
+# Closed-form sides. Every side is one call (params, k, r, ns, moduli) ->
+# residues: it takes n values in any order, each on a checked domain with
+# the family's modulus, which exceeds 1, and returns their residues in that
+# order. r is the shift family's, else None. A closed form is one loop over
+# n: a plain side, or a residue formula under _mod_u_k.
 # ---------------------------------------------------------------------------
-
-Column = Callable[[Sequence[int], Sequence[int]], list[int]]
-Prepare = Callable[[LucasParams, int, Optional[int], Optional[int]], Column]
-
-
-def _per_column(
-    kernel: Callable[[LucasParams, int, Optional[int], Sequence[int], Sequence[int]], list[int]]
-) -> Prepare:
-    """Decorator for a side with nothing to prepare: kernel(params, k, r, ns, moduli)."""
-    return wraps(kernel)(lambda params, k, r, modulus: partial(kernel, params, k, r))
 
 
 def _mod_u_k(
-    formula: Callable[[int, int, int, int, Sequence[int], Sequence[int]], list[int]]
-) -> Prepare:
-    """Decorator for a side modulo |U_k|: formula(u_next, q_k, u_r, modulus, ns, moduli).
+    formula: Callable[[int, int, int, int, Sequence[int]], list[int]]
+) -> Callable[..., list[int]]:
+    """Decorator for a side modulo |U_k|: formula(u_next, q_k, u_r, m, ns).
 
-    Its prepare step reads U_{k+1}, Q^k and U_r (1 without r) mod |U_k| once;
-    Q^{ke} = pow(Q^k, e). The formula reduces by the prepared modulus, which
-    every item of such a column has.
+    Each call reads U_{k+1}, Q^k and U_r (1 without r) mod m = |U_k| once,
+    taking m from moduli[0], since every item of such a side has it;
+    Q^{ke} = pow(Q^k, e). An empty column reads nothing.
     """
 
-    def prepare(params: LucasParams, k: int, r: Optional[int], modulus: int) -> Column:
-        u_next = _u_term(params, k + 1) % modulus
-        u_r = 1 if r is None else _u_term(params, r) % modulus
-        q_k = pow_signed_mod(params.q_coeff, k, modulus)
-        return partial(formula, u_next, q_k, u_r, modulus)
+    @wraps(formula)
+    def side(
+        params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+    ) -> list[int]:
+        if not ns:
+            return []
+        m = moduli[0]
+        u_next = _u_term(params, k + 1) % m
+        u_r = 1 if r is None else _u_term(params, r) % m
+        q_k = pow_signed_mod(params.q_coeff, k, m)
+        return formula(u_next, q_k, u_r, m, ns)
 
-    return wraps(formula)(prepare)
+    return side
 
 
 @_mod_u_k
-def _lemma1(
-    u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int], moduli: Sequence[int]
-) -> list[int]:
+def _lemma1(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
     residues = []
     for n in ns:
         if n == 0:
@@ -209,9 +201,7 @@ def _lemma1(
 
 
 @_mod_u_k
-def _lemma2(
-    u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int], moduli: Sequence[int]
-) -> list[int]:
+def _lemma2(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
     residues = []
     for n in ns:
         if n & 1:
@@ -222,9 +212,7 @@ def _lemma2(
 
 
 @_mod_u_k
-def _cor6(
-    u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int], moduli: Sequence[int]
-) -> list[int]:
+def _cor6(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
     residues = []
     for n in ns:
         a = 1 - (n & 1)  # parity_indicator(n)
@@ -233,9 +221,7 @@ def _cor6(
 
 
 @_mod_u_k
-def _cor7(
-    u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int], moduli: Sequence[int]
-) -> list[int]:
+def _cor7(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
     residues = []
     for n in ns:
         a = 1 - (n & 1)  # parity_indicator(n)
@@ -244,9 +230,7 @@ def _cor7(
 
 
 @_mod_u_k
-def _general_shift(
-    u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int], moduli: Sequence[int]
-) -> list[int]:
+def _general_shift(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
     residues = []
     for n in ns:
         a = 1 - (n & 1)  # parity_indicator(n)
@@ -254,7 +238,6 @@ def _general_shift(
     return residues
 
 
-@_per_column
 def _main(
     params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
 ) -> list[int]:
@@ -285,7 +268,6 @@ def _main(
 # exercised on its own; the two must agree pointwise (tested).
 
 
-@_per_column
 def _fib_shifted(
     params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
 ) -> list[int]:
@@ -300,7 +282,6 @@ def _fib_shifted(
     return residues
 
 
-@_per_column
 def _fib_ratio(
     params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
 ) -> list[int]:
@@ -317,7 +298,6 @@ def _fib_ratio(
     return residues
 
 
-@_per_column
 def _fib_main(
     params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
 ) -> list[int]:
@@ -333,7 +313,6 @@ def _fib_main(
     return residues
 
 
-@_per_column
 def _mersenne(
     params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
 ) -> list[int]:
@@ -348,11 +327,13 @@ def _mersenne(
 # Oracle sides: brute force by the recurrence (never u_pair_* or a
 # closed-form side), or by the full numerator for Mersenne. They take
 # nothing from the closed form but the modulus, and the recurrence sides read
-# every U_{kn+s} of a column through one _u_terms_mod call.
+# every U_{kn+s} of a call through one _u_terms_mod call.
 # ---------------------------------------------------------------------------
 
 
-def _ratio_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | None) -> Column:
+def _ratio_oracle(
+    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
     """U_{kn}/U_k mod m, read from U_{kn} mod |U_k|*m by the recurrence; the context is U_k.
 
     U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as exact_div does,
@@ -360,26 +341,23 @@ def _ratio_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | 
     Past the stored table no product much wider than (|U_k|*m)^2 is built (see _u_term_mod).
     """
     u_k = _u_term(params, k)
+    if u_k == 0 and ns:
+        raise InternalInvariantViolation("exact division by a zero term")
     width, sign = abs(u_k), -1 if u_k < 0 else 1
-
-    def column(ns: Sequence[int], moduli: Sequence[int]) -> list[int]:
-        if width == 0 and ns:
-            raise InternalInvariantViolation("exact division by a zero term")
-        wide = _u_terms_mod(params, list(map(k.__mul__, ns)), list(map(width.__mul__, moduli)))
-        residues = []
-        for u, m in zip(wide, moduli):
-            residues.append(sign * exact_div(u, width) % m)
-        return residues
-
-    return column
+    wide = _u_terms_mod(params, list(map(k.__mul__, ns)), list(map(width.__mul__, moduli)))
+    residues = []
+    for u, m in zip(wide, moduli):
+        residues.append(sign * exact_div(u, width) % m)
+    return residues
 
 
-def _shifted_oracle(params: LucasParams, k: int, r: Optional[int], modulus: int | None) -> Column:
+def _shifted_oracle(
+    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+) -> list[int]:
     shift = 1 if r is None else r  # families without an r (lemma2, cor7, fib19) shift by 1
-    return lambda ns, moduli: _u_terms_mod(params, [k * n + shift for n in ns], moduli)
+    return _u_terms_mod(params, [k * n + shift for n in ns], moduli)
 
 
-@_per_column
 def _mersenne_oracle(
     params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
 ) -> list[int]:
@@ -397,8 +375,8 @@ def _mersenne_oracle(
 class Family(NamedTuple):
     """Everything the library knows about one congruence family."""
 
-    closed_form: Prepare
-    oracle: Prepare
+    closed_form: Callable[..., list[int]]  # (params, k, r, ns, moduli) -> residues
+    oracle: Callable[..., list[int]]
     forced: Optional[tuple[int, int]]  # fixed (P, Q), or None for explicit -p/-q
     needs_r: bool
     check: Callable[[int, int, Optional[int]], Optional[CaseTag]]
@@ -425,16 +403,30 @@ GENERAL_FAMILIES = tuple(name for name, f in FAMILY_TABLE.items() if f.forced is
 SPECIALIZED_FAMILIES = tuple(name for name, f in FAMILY_TABLE.items() if f.forced is not None)
 
 
+def _evaluate(
+    family: str, sides: Sequence[str], params: LucasParams, k: int, n: int, r: Optional[int]
+) -> tuple[list[Outcome], Optional[CaseTag]]:
+    """The given sides ("closed_form", "oracle") of one instance, in order, and its case tag.
+
+    The domain is checked once, its result being the case tag, and the modulus
+    read once; each side then runs on the one n.
+    """
+    entry = FAMILY_TABLE[family]
+    tag = entry.check(k, n, r)
+    modulus = entry.modulus(params, k, n)
+    if modulus <= 1:
+        return [TRIVIAL_MODULUS] * len(sides), tag
+    return [
+        ResidueClass(getattr(entry, side)(params, k, r, [n], [modulus])[0], modulus)
+        for side in sides
+    ], tag
+
+
 def _evaluate_side(
     family: str, side: str, params: LucasParams, k: int, n: int, r: Optional[int] = None
 ) -> Outcome:
-    """One side ("closed_form" or "oracle") of one instance: check, modulus, a column of one."""
-    entry = FAMILY_TABLE[family]
-    entry.check(k, n, r)
-    modulus = entry.modulus(params, k, n)
-    if modulus <= 1:
-        return TRIVIAL_MODULUS
-    return ResidueClass(getattr(entry, side)(params, k, r, modulus)([n], [modulus])[0], modulus)
+    """One side ("closed_form" or "oracle") of one instance."""
+    return _evaluate(family, (side,), params, k, n, r)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +475,8 @@ def main_theorem_rhs(params: LucasParams, n: int, k: int) -> tuple[Outcome, Case
     the exponent. Both exponents are proven even and nonnegative for
     n, k >= 1, so that is asserted rather than handled.
     """
-    return _evaluate_side("main", "closed_form", params, k, n), _case(n, k)
+    (rhs,), tag = _evaluate("main", ("closed_form",), params, k, n, None)
+    return rhs, tag
 
 
 class FibFamily(str, Enum):
@@ -611,8 +604,7 @@ def evaluate_congruence(
     if not entry.needs_r and r is not None:
         raise ValueError(f"-r applies to the shift family only, not {family}")
 
-    rhs = _evaluate_side(family, "closed_form", params, k, n, r)
-    lhs = _evaluate_side(family, "oracle", params, k, n, r)
+    (rhs, lhs), case_tag = _evaluate(family, ("closed_form", "oracle"), params, k, n, r)
     return CongruenceReport(
         family=family,
         p_coeff=p,
@@ -622,7 +614,7 @@ def evaluate_congruence(
         r=r,
         lhs=lhs,
         rhs=rhs,
-        case_tag=entry.check(k, n, r),
+        case_tag=case_tag,
         holds=lhs == rhs,
     )
 
@@ -660,41 +652,44 @@ def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[i
 
     Returns one mark per item ("-" skipped, "+" held, "x" mismatch), ordered
     by n and then by variant, and the (n, detail) of each mismatch in the
-    same order. |U_k| is read once for the batch. Each item runs its family's
-    domain check and reads a modulus that moves with n (main's |U_n|). It is
-    skipped when it lies outside the domain (main at n = 0) or the modulus is
-    0 or 1. A variant with items left prepares both sides once and calls each
-    side's column once, on those items in n order; an item holds when the two
-    residues are equal.
+    same order. The unit is checked once: k >= 1 and n >= 0 (with r in
+    SHIFT_R_RANGE) leave only main at n = 0 outside a family's domain, and
+    its modulus |U_0| = 0 is trivial, so no item runs a domain check. |U_k|
+    is read once for the batch: a variant modulo |U_k| takes every n when it
+    exceeds 1, and none otherwise. main reads |U_n| once per n and takes the
+    n where it exceeds 1. A variant with items calls each side once, on
+    those items in n order; an item holds when the two residues are equal.
     """
     p, q, k, n_lo, hi = unit
+    if k < 1 or n_lo < 0:
+        raise ValueError(f"a grid unit needs k >= 1 and n >= 0, got k = {k}, n = {n_lo}")
     params = make_params(p, q)
     # No index of the (P, Q) grid exceeds hi*hi + max r: one table extension
     # serves every batch of this pair.
     _u_term_reserve(params, hi * hi + SHIFT_R_RANGE[-1])
     u_k = _modulus_k(params, k, n_lo)
     span = range(n_lo, hi + 1)
+    u_k_moduli = [u_k] * len(span)
     width = len(GRID_VARIANTS)
     marks = ["-"] * (len(span) * width)  # item (n, variant) at (n - n_lo) * width + index
     failed = {}  # (n, detail) of each mismatch, keyed by its mark's position
     for index, (name, r) in enumerate(GRID_VARIANTS):
         family = FAMILY_TABLE[name]
-        check, modulus_of = family.check, family.modulus
-        fixed = u_k if modulus_of is _modulus_k else None  # None when it moves with n
-        ns, moduli = [], []
-        for n in span:
-            try:
-                check(k, n, r)
-            except ValueError:
+        if family.modulus is _modulus_k:
+            if u_k <= 1:
                 continue
-            modulus = modulus_of(params, k, n) if fixed is None else fixed
-            if modulus > 1:
-                ns.append(n)
-                moduli.append(modulus)
-        if not ns:
-            continue
-        closed = family.closed_form(params, k, r, fixed)(ns, moduli)
-        oracle = family.oracle(params, k, r, fixed)(ns, moduli)
+            ns, moduli = span, u_k_moduli
+        else:
+            ns, moduli = [], []
+            for n in span:
+                modulus = family.modulus(params, k, n)
+                if modulus > 1:
+                    ns.append(n)
+                    moduli.append(modulus)
+            if not ns:
+                continue
+        closed = family.closed_form(params, k, r, ns, moduli)
+        oracle = family.oracle(params, k, r, ns, moduli)
         for n, a, b in zip(ns, closed, oracle):
             position = (n - n_lo) * width + index
             if a == b:

@@ -425,6 +425,35 @@ class TestScan:
         del r1["workers"], r2["workers"]
         assert r1 == r2
 
+    def test_pool_never_outnumbers_units(self, monkeypatch):
+        # The pool starts all its processes up front, so it is sized to the
+        # units; the record keeps the requested count. A recorder stands in
+        # for the pool and checks the units in this process.
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, check, units, chunksize):
+                return map(check, units)
+
+            def shutdown(self, wait, cancel_futures):
+                pass
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", Recorder)
+        grid_units = len(congruences_module.COEFFICIENT_GRID) * 2
+        for method, lo, hi, workers, processes in [
+            ("remark", 3, 3, 4096, [1]),
+            ("remark", 3, 9, 2, [2]),
+            ("congruence-grid", 1, 2, 4096, [grid_units]),
+            ("congruence-grid", 0, 0, 4096, []),  # no unit: no pool
+        ]:
+            started.clear()
+            record = cli_module.run_scan(method, lo, hi, workers)
+            assert (started, record["workers"]) == (processes, workers), (method, lo, hi)
+            assert record == dict(cli_module.run_scan(method, lo, hi, 1), workers=workers)
+
     def test_env_var_sets_default_workers(self, capsys, monkeypatch):
         monkeypatch.setenv("LUCAS_WORKERS", "2")
         code, out, _ = run_cli(
@@ -701,7 +730,7 @@ class TestGridMatchesPublicPath:
         params = make_params(p, q)
         marks, failed = congruences_module.grid_batch((p, q, k, 0, 12))
         assert "x" not in marks and failed == ()
-        # A batch prepared at a later first n marks the same items alike.
+        # A batch that starts at a later first n marks the same items alike.
         width = len(congruences_module.GRID_VARIANTS)
         later = congruences_module.grid_batch((p, q, k, n_lo, 12))
         assert later == (marks[n_lo * width:], ())
@@ -752,6 +781,29 @@ class TestGridMatchesPublicPath:
                 assert report.holds, (family, pq, k, n, r)
                 expected.append("-" if isinstance(report.rhs, TrivialModulus) else "+")
         assert marks == "".join(expected)
+
+    def test_grid_domain_rests_on_trivial_moduli(self, fresh_tables):
+        # grid_batch runs no domain check: over k >= 1, n >= 0 and r in 0..6, every
+        # item outside its family's domain has a modulus of 0 or 1, which it skips.
+        # The tables of every wide pair are dropped after, to leave the budget as found.
+        outside = set()
+        for p, q in WIDE_PAIRS:
+            params = make_params(p, q)
+            for family, r in congruences_module.GRID_VARIANTS:
+                entry = FAMILY_TABLE[family]
+                for k in range(1, 13):
+                    for n in range(0, 13):
+                        try:
+                            entry.check(k, n, r)
+                        except ValueError:
+                            outside.add((family, n))
+                            assert entry.modulus(params, k, n) <= 1, (family, p, q, k, n, r)
+        assert outside == {("main", 0)}
+
+    @pytest.mark.parametrize("unit", [(1, -1, 0, 0, 8), (1, -1, 3, -1, 8)])
+    def test_unit_outside_the_grid_is_rejected(self, unit):
+        with pytest.raises(ValueError, match="a grid unit needs k >= 1 and n >= 0"):
+            congruences_module.grid_batch(unit)
 
     def test_variants_come_from_the_table(self):
         assert congruences_module.GRID_VARIANTS == tuple(
@@ -922,22 +974,17 @@ class TestFailureContract:
 def _break_kernel(monkeypatch, family, side, hit):
     """Add 1 to the residue of one side ("closed_form" or "oracle") at one (P, Q, k, n).
 
-    The family table's prepare step is replaced by one whose columns carry the
-    fault, so the grid, evaluate_congruence and the public functions all see it.
+    The family table's side is replaced by one that carries the fault, so the
+    grid, evaluate_congruence and the public functions all see it.
     """
     entry = congruences_module.FAMILY_TABLE[family]
-    prepare = getattr(entry, side)
+    real = getattr(entry, side)
 
-    def broken(params, k, r, modulus):
-        column = prepare(params, k, r, modulus)
-
-        def broken_column(ns, moduli):
-            return [
-                (value + 1) % m if (params.p_coeff, params.q_coeff, k, n) == hit else value
-                for n, m, value in zip(ns, moduli, column(ns, moduli))
-            ]
-
-        return broken_column
+    def broken(params, k, r, ns, moduli):
+        return [
+            (value + 1) % m if (params.p_coeff, params.q_coeff, k, n) == hit else value
+            for n, m, value in zip(ns, moduli, real(params, k, r, ns, moduli))
+        ]
 
     monkeypatch.setitem(
         congruences_module.FAMILY_TABLE, family, entry._replace(**{side: broken})
@@ -1009,31 +1056,16 @@ class TestGridMismatches:
 
 
 def _guard_kernels(monkeypatch):
-    """Make every table side fail on a modulus <= 1; returns the list its columns append to.
-
-    A prepare step may see None in place of the modulus only when its family's
-    modulus moves with n.
-    """
+    """Make every table side fail on a modulus <= 1; returns the list its calls append to."""
     calls = []
     for family, entry in list(FAMILY_TABLE.items()):
         guarded = {}
         for side in ("closed_form", "oracle"):
-            def guard(params, k, r, modulus, prepare=getattr(entry, side), entry=entry,
-                      family=family):
-                if modulus is None:
-                    fixed = entry.modulus is congruences_module._modulus_k
-                    assert not fixed, (family, params, k, r)
-                else:
-                    assert modulus > 1, (family, params, k, r, modulus)
-                column = prepare(params, k, r, modulus)
-
-                def guarded_column(ns, moduli):
-                    for n, m in zip(ns, moduli):
-                        assert m > 1, (family, params, k, n, r, m)
-                    calls.append(family)
-                    return column(ns, moduli)
-
-                return guarded_column
+            def guard(params, k, r, ns, moduli, real=getattr(entry, side), family=family):
+                for n, m in zip(ns, moduli):
+                    assert m > 1, (family, params, k, n, r, m)
+                calls.append(family)
+                return real(params, k, r, ns, moduli)
 
             guarded[side] = guard
         monkeypatch.setitem(FAMILY_TABLE, family, entry._replace(**guarded))

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import types
 from math import gcd
 
@@ -502,12 +503,6 @@ class TestOneDomainPerFamily:
             entry = FAMILY_TABLE[family]
             params = make_params(*entry.forced)
             for k in range(1, 13):
-                fixed = None  # the modulus moves with n, unless it is |U_k|
-                if entry.modulus is congruences._modulus_k:
-                    fixed = entry.modulus(params, k, 0)
-                closed_column = None
-                if fixed is None or fixed > 1:
-                    closed_column = entry.closed_form(params, k, None, fixed)  # prepared once per k
                 residues = []  # the closed form of every n with a residue, in n order
                 for n in range(2, 13):
                     closed = _evaluate_side(family, "closed_form", params, k, n)
@@ -520,11 +515,26 @@ class TestOneDomainPerFamily:
                     report = evaluate_congruence(family, k=k, n=n)
                     assert (report.rhs, report.lhs) == (closed, oracle), (family, k, n)
                     assert report.holds
-                if residues:  # one call of the column over every such n
-                    column = closed_column(
-                        [n for n, _ in residues], [closed.modulus for _, closed in residues]
+                if residues:  # one call of the side over every such n
+                    column = entry.closed_form(
+                        params, k, None,
+                        [n for n, _ in residues], [closed.modulus for _, closed in residues],
                     )
                     assert column == [closed.value for _, closed in residues], (family, k)
+
+
+@pytest.mark.parametrize("family", FAMILY_TABLE)
+def test_every_side_has_one_signature(family):
+    # Every side is one call on a batch of n; a side modulo |U_k| wraps a formula
+    # of the residues it reads once per call.
+    entry = FAMILY_TABLE[family]
+    for side in (entry.closed_form, entry.oracle):
+        signature = inspect.signature(side, follow_wrapped=False)
+        assert list(signature.parameters) == ["params", "k", "r", "ns", "moduli"], side
+        if hasattr(side, "__wrapped__"):
+            assert side.__code__ is congruences._lemma1.__code__  # the one decorator, _mod_u_k
+            formula = inspect.signature(side.__wrapped__)
+            assert list(formula.parameters) == ["u_next", "q_k", "u_r", "m", "ns"], side
 
 
 def test_exact_div_flags_nonzero_remainder():
@@ -589,16 +599,14 @@ def _nested_codes(fn):
     return found
 
 
-# Each closed form's prepare step, the formula it wraps when it has one, and
-# the code of both, its column included.
+# Each closed-form side, the formula it wraps when it has one, and the code
+# of both.
 CLOSED_FORMS = {entry.closed_form for entry in FAMILY_TABLE.values()}
 CLOSED_FORMS |= {getattr(f, "__wrapped__", f) for f in CLOSED_FORMS}
-CLOSED_FORM_CODES = set().union(
-    *(_nested_codes(f) for f in CLOSED_FORMS if not hasattr(f, "__wrapped__"))
-)
+CLOSED_FORM_CODES = set().union(*map(_nested_codes, CLOSED_FORMS))
 
 
-def _prepared(family):
+def _instance(family):
     """(params, k, n, r, modulus) of one instance of the family with a modulus over 1."""
     entry = FAMILY_TABLE[family]
     params = make_params(*(entry.forced or (2, -1)))
@@ -608,26 +616,24 @@ def _prepared(family):
 
 class TestOracleIndependence:
     # An oracle must not share the formula under test: no closed-form side
-    # (neither its prepare step nor its column), no Q-power, no index
-    # doubling. Its context is U_k alone, read by the oracle itself.
+    # (neither its wrapper nor its formula), no Q-power, no index doubling.
+    # Its context is U_k alone, read by the oracle itself.
 
     @pytest.mark.parametrize("family", FAMILY_TABLE)
     def test_table_oracles_reach_no_closed_form(self, family):
-        params, k, n, r, modulus = _prepared(family)
-        prepare = FAMILY_TABLE[family].oracle
-        for start in (prepare, prepare(params, k, r, modulus)):
-            reached, codes = _reachable(start)
-            assert {sequences._u_term_mod, exact_div} & reached  # the walk sees the oracle's work
-            shared = {
-                f.__name__
-                for f in reached
-                if f in CLOSED_FORMS or f is pow_signed_mod or "u_pair" in f.__name__
-            } | {code.co_qualname for code in codes & CLOSED_FORM_CODES}
-            assert not shared, (family, start, shared)
+        oracle = FAMILY_TABLE[family].oracle
+        reached, codes = _reachable(oracle)
+        assert {sequences._u_term_mod, exact_div} & reached  # the walk sees the oracle's work
+        shared = {
+            f.__name__
+            for f in reached
+            if f in CLOSED_FORMS or f is pow_signed_mod or "u_pair" in f.__name__
+        } | {code.co_qualname for code in codes & CLOSED_FORM_CODES}
+        assert not shared, (family, oracle, shared)
 
     @pytest.mark.parametrize("family", FAMILY_TABLE)
     def test_oracle_context_reads_u_k_only(self, family, monkeypatch):
-        params, k, n, r, modulus = _prepared(family)
+        params, k, n, r, modulus = _instance(family)
         reads = []
         for name in ("_u_term", "_u_terms_mod"):
             real = getattr(congruences, name)
@@ -637,13 +643,14 @@ class TestOracleIndependence:
                 return real(params, j, *m)
 
             monkeypatch.setattr(congruences, name, reader)
-        column = FAMILY_TABLE[family].oracle(params, k, r, modulus)
-        assert set(reads) <= {("_u_term", k)}, (family, reads)
-        reads.clear()
-        column([n], [modulus])
+        FAMILY_TABLE[family].oracle(params, k, r, [n], [modulus])
+        # One call reads U_k alone of the exact terms, and U_{kn+shift} by one _u_terms_mod.
+        assert {read for read in reads if read[0] == "_u_term"} <= {("_u_term", k)}, (
+            family, reads,
+        )
         shift = 0 if family in ("lemma1", "cor6", "main", "fib20", "fib21") else r or 1
         expected = [] if family == "mersenne22" else [("_u_terms_mod", [k * n + shift])]
-        assert reads == expected, (family, reads)
+        assert [read for read in reads if read[0] != "_u_term"] == expected, (family, reads)
 
     @pytest.mark.parametrize("direct", [mersenne_sum_residue_direct, fibonacci_sum_residue_direct])
     def test_direct_sum_residues_reach_no_divisor_classes(self, direct):
@@ -742,7 +749,7 @@ class TestReducedOracles:
 
 
 # ---------------------------------------------------------------------------
-# Prepared sides against one-instance evaluation and full-width terms
+# One side call per (P, Q, k) against one-instance evaluation and full-width terms
 # ---------------------------------------------------------------------------
 
 GRID_FAMILIES = ("lemma1", "lemma2", "cor6", "cor7", "shift", "main")
@@ -756,8 +763,12 @@ def full_width_reference(family, params, k, n, r, term):
     return term(k * n + (r if family == "shift" else 1)) % modulus
 
 
-def check_prepared_sides(pq, k, r, order):
-    """Prepare each side once, as the grid does, then call its column on n in the given order."""
+def check_one_call_sides(pq, k, r, order):
+    """Call each side once, as the grid does, on every n with a modulus over 1, in the given order.
+
+    A family with no such n calls each side on an empty column, which returns [] and reads
+    nothing that could raise (the ratio oracle's zero U_k included).
+    """
     params = make_params(*pq)
     memo = {}
 
@@ -769,14 +780,6 @@ def check_prepared_sides(pq, k, r, order):
     for family in GRID_FAMILIES:
         entry = FAMILY_TABLE[family]
         shift = r if entry.needs_r else None
-        fixed = None  # the modulus moves with n, unless it is |U_k|
-        if entry.modulus is congruences._modulus_k:
-            fixed = entry.modulus(params, k, 0)
-        sides = None
-        if fixed is None or fixed > 1:
-            sides = [
-                prepare(params, k, shift, fixed) for prepare in (entry.closed_form, entry.oracle)
-            ]
         ns, moduli, expected = [], [], []
         for n in order:
             try:
@@ -798,13 +801,12 @@ def check_prepared_sides(pq, k, r, order):
             ns.append(n)
             moduli.append(modulus)
             expected.append(reference)
-        if ns:
-            columns = [column(ns, moduli) for column in sides]
-            assert columns == [expected] * 2, (family, pq, k, r)
+        columns = [side(params, k, shift, ns, moduli) for side in (entry.closed_form, entry.oracle)]
+        assert columns == [expected] * 2, (family, pq, k, r)
 
 
-class TestPreparedSides:
-    # One prepared context serves every n of a (P, Q, k), in any order, in one column call.
+class TestOneCallSides:
+    # One call of each side serves every n of a (P, Q, k), in any order.
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -815,15 +817,15 @@ class TestPreparedSides:
     )
     @example(pq=(-3, 2), k=2, r=1, order=list(range(40, -1, -1)))  # U_2 = -3
     @example(pq=(-8, -9), k=3, r=6, order=list(range(41)))  # U_3 = 73
-    @example(pq=(1, 1), k=3, r=2, order=list(range(41)))  # U_3 = 0: ratio context unread
-    def test_steps_match_single_instances_and_full_terms(self, pq, k, r, order):
-        check_prepared_sides(pq, k, r, order)
+    @example(pq=(1, 1), k=3, r=2, order=list(range(41)))  # U_3 = 0: empty ratio columns
+    def test_calls_match_single_instances_and_full_terms(self, pq, k, r, order):
+        check_one_call_sides(pq, k, r, order)
 
     @pytest.mark.parametrize("pq", [(1, -1), (-3, 2), (2, 1)])
     def test_k_0_is_trivial_and_raises_nothing(self, pq):
-        # U_0 = 0: lemma2, cor7 and shift are trivial at every n and prepare
+        # U_0 = 0: lemma2, cor7 and shift are trivial at every n and read
         # nothing; lemma1, cor6 and main reject k = 0 in their domain check.
-        check_prepared_sides(pq, 0, 4, list(range(41)))
+        check_one_call_sides(pq, 0, 4, list(range(41)))
         params = make_params(*pq)
         for family, r in [("lemma2", None), ("cor7", None), ("shift", 4)]:
             report = evaluate_congruence(family, p=pq[0], q=pq[1], k=0, n=7, r=r)

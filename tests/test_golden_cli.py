@@ -147,7 +147,7 @@ TRIVIAL_MODULI = [
 ]
 
 # Grid batches that start past n = 1 or at n = 0, and single instances at a
-# large n, where a prepared family side meets its longest run of n.
+# large n, where a family side meets its longest run of n.
 BATCH_EDGES = [
     ["scan", "--method", "congruence-grid", "--from", "5", "--to", "9"],
     ["scan", "--method", "congruence-grid", "--from", "7", "--to", "7"],
