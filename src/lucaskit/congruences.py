@@ -5,7 +5,7 @@ shifted term U_{kn+r}) modulo some sequence term, expressed without ever
 building the huge numerator? Each evaluator here is paired with a brute-force
 oracle that reaches the numerator's index the slow way, so the two can be
 compared on a grid: the general and Fibonacci oracles read terms by the
-defining recurrence reduced modulo what they need (sequences._u_term_mod
+defining recurrence reduced modulo what they need (sequences._u_walk_mod
 describes that walk), and the Mersenne one builds 2^{kn} - 1 in full.
 
 Both sides of every family are private plain-int kernels, listed in one
@@ -26,8 +26,9 @@ evaluate_congruence return its Outcome values. grid_batch, the
 congruence-grid scan's unit of work, checks its (P, Q, k) once, reads |U_k|
 once and main's |U_n| once per n, and calls each side of each grid variant
 once, on every n the variant checks. It first stores the pair's table up to
-the widest index the grid reads, so within the table's budget no oracle read
-walks.
+the widest index the grid reads. The term table holds one (P, Q) under one
+budget, and a new pair replaces it, so within that budget no oracle read
+walks, whatever the process read before.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .sequences import (
     MERSENNE_PARAMS,
     LucasParams,
     _u_term,
-    _u_term_mod,
     _u_term_reserve,
     _u_terms_mod,
     make_params,
@@ -338,7 +338,7 @@ def _ratio_oracle(
 
     U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as exact_div does,
     not assumed), and the quotient is U_{kn}/|U_k| mod m; U_k's sign is applied after.
-    Past the stored table no product much wider than (|U_k|*m)^2 is built (see _u_term_mod).
+    Past the stored table no product much wider than (|U_k|*m)^2 is built (see _u_walk_mod).
     """
     u_k = _u_term(params, k)
     if u_k == 0 and ns:
@@ -523,7 +523,7 @@ def repetition_law_check(params: LucasParams, k: int, n: int, i: int) -> bool:
     u_k = _u_term(params, k)
     if u_k % hypothesis:
         raise NotApplicable(f"{n}^{i} does not divide U_{k} = {u_k}")
-    return _u_term_mod(params, k * n, hypothesis * n) == 0
+    return _u_terms_mod(params, [k * n], [hypothesis * n]) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +664,8 @@ def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[i
     if k < 1 or n_lo < 0:
         raise ValueError(f"a grid unit needs k >= 1 and n >= 0, got k = {k}, n = {n_lo}")
     params = make_params(p, q)
-    # No index of the (P, Q) grid exceeds hi*hi + max r: one table extension
-    # serves every batch of this pair.
+    # No index of the (P, Q) grid exceeds hi*hi + max r: one table extension,
+    # which replaces another pair's table, serves every batch of this pair.
     _u_term_reserve(params, hi * hi + SHIFT_R_RANGE[-1])
     u_k = _modulus_k(params, k, n_lo)
     span = range(n_lo, hi + 1)

@@ -139,19 +139,17 @@ def u_pair_exact(params: LucasParams, n: int) -> tuple[int, int]:
 # Exact term table
 # ---------------------------------------------------------------------------
 
-# One prefix table [U_0, U_1, ...] per (P, Q), grown by the recurrence. Each
-# stored term is charged its bit length plus SLOT_BITS, the size of a small
-# int object and its list slot, so tables of tiny terms stay bounded too. A
-# table stores no term that would take it past TABLE_BITS, or all tables
-# together past CACHE_BITS; larger indices are walked from its tail and not
-# kept. A new (P, Q) that finds less than TABLE_BITS of room left clears all
-# tables first.
+# One prefix table [U_0, U_1, ...], of one (P, Q) at a time, grown by the
+# recurrence. Each stored term is charged its bit length plus SLOT_BITS, the
+# size of a small int object and its list slot, so a table of tiny terms stays
+# bounded too. The table stores no term that would take it past TABLE_BITS;
+# larger indices are walked from its tail and not kept. An exact read or a
+# reserve for another (P, Q) replaces the table, so every pair starts with the
+# whole budget; a modular read of another pair leaves it as it is.
 TABLE_BITS = 1 << 21  # 256 KiB
-CACHE_BITS = 1 << 23  # 1 MiB
 SLOT_BITS = 8 * 36
 
-_tables: dict[tuple[int, int], list[int]] = {}
-_table_bits: dict[tuple[int, int], int] = {}
+_tables: dict[tuple[int, int], list[int]] = {}  # at most one entry
 _stored_bits = 0
 _hits = 0
 _misses = 0
@@ -161,7 +159,7 @@ _grow_lock = threading.Lock()
 class TermCacheInfo(NamedTuple):
     hits: int
     misses: int
-    currsize: int  # stored terms, over all tables
+    currsize: int  # stored terms in the one table
 
 
 def _u_term(params: LucasParams, n: int) -> int:
@@ -179,7 +177,7 @@ def _u_term_miss(params: LucasParams, n: int) -> int:
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     terms = _u_term_reserve(params, n)
-    stored = len(terms)  # tables only grow, so this window stays consistent
+    stored = len(terms)  # a held table only grows, so this window stays consistent
     if n < stored:
         return terms[n]
     p, q = params.p_coeff, params.q_coeff
@@ -189,7 +187,7 @@ def _u_term_miss(params: LucasParams, n: int) -> int:
     return b
 
 
-# A giant step of _u_term_mod costs about one block step per GIANT_STEP_BITS
+# A giant step of _u_walk_mod costs about one block step per GIANT_STEP_BITS
 # bits of the modulus, and at least one: its m-by-m products and their
 # reductions grow with m, a block step's m-by-64-bit ones barely do. 400 is
 # the middle of the best range in a sweep of moduli of 1,400 to 15,000 bits.
@@ -197,7 +195,7 @@ GIANT_STEP_BITS = 400
 
 
 class WalkPlan(NamedTuple):
-    """The steps of a _u_term_mod miss from (U_0, U_1); sum(plan) transition applications.
+    """The steps of a _u_walk_mod walk from (U_0, U_1); sum(plan) transition applications.
 
     Building the giant step's transition takes `giant` block steps, then the
     walk takes `giants` giant steps, `blocks` block steps and `singles`
@@ -211,7 +209,7 @@ class WalkPlan(NamedTuple):
 
 
 def _walk_plan(steps: int, block: int, weight: int = 1) -> WalkPlan:
-    """How _u_term_mod walks `steps` recurrence steps with blocks of `block` steps.
+    """How _u_walk_mod walks `steps` recurrence steps with blocks of `block` steps.
 
     `weight` is what one giant step costs, counted in block steps: a giant
     step multiplies ints as wide as the modulus, a block step multiplies them
@@ -229,41 +227,31 @@ def _walk_plan(steps: int, block: int, weight: int = 1) -> WalkPlan:
     return WalkPlan(giant, giants, blocks, singles)
 
 
-def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
-    """U_n mod m by the defining recurrence, for m >= 1.
+def _u_walk_mod(params: LucasParams, n: int, m: int) -> int:
+    """U_n mod m, for m >= 1, by the defining recurrence; reads no table.
 
-    A stored term is read from the (P, Q) table and reduced, a term-cache
-    hit. Any other index is one miss that stores nothing and walks n steps
-    mod m from (U_0, U_1) = (0, 1), whatever the table holds, so
-    _walk_plan(n, block, w) is the whole cost of every miss. Each step
-    widens a term by at most (|P| + |Q|).bit_length() bits, and a block is
-    as many steps as about 64 bits of such growth allows (at least one).
-    The recurrence is linear, so the block's transition is walked once,
-    from (1, 0) and from (0, 1), into four exact ints of at most about 64
-    bits (or 0, 1, -Q and P when the block is one step). A giant step
-    multiplies ints as wide as m, which costs about
-    w = max(1, m.bit_length() // GIANT_STEP_BITS) block steps. A walk of 16
-    blocks or more first applies the block's transition g = isqrt(blocks * w)
-    times to (1, 0) and (0, 1), reducing mod m once the result is wider than
-    m, which gives the transition of g blocks; it applies that one
-    blocks // g times (see _walk_plan, which takes no giant step when g
-    would cover the walk). It then applies the block's transition to each
-    remaining whole block and takes the last steps one by one, reducing
-    after every transition. That is O(sqrt(n * w)) products of ints no wider
-    than m, none much wider than m^2. Only a short walk of a pair whose
-    block is one step still pays one transition per step. Never squares a
-    transition and never uses the doubling formula: the congruence oracles
-    rely on this independence.
+    The walk takes n steps mod m from (U_0, U_1) = (0, 1), so
+    _walk_plan(n, block, w) is its whole cost. Each step widens a term by
+    at most (|P| + |Q|).bit_length() bits, and a block is as many steps as
+    about 64 bits of such growth allows (at least one). The recurrence is
+    linear, so the block's transition is walked once, from (1, 0) and from
+    (0, 1), into four exact ints of at most about 64 bits (or 0, 1, -Q and P
+    when the block is one step). A giant step multiplies ints as wide as m,
+    which costs about w = max(1, m.bit_length() // GIANT_STEP_BITS) block
+    steps. A walk of 16 blocks or more first applies the block's transition
+    g = isqrt(blocks * w) times to (1, 0) and (0, 1), reducing mod m once the
+    result is wider than m, which gives the transition of g blocks; it
+    applies that one blocks // g times (see _walk_plan, which takes no giant
+    step when g would cover the walk). It then applies the block's
+    transition to each remaining whole block and takes the last steps one by
+    one, reducing after every transition. That is O(sqrt(n * w)) products of
+    ints no wider than m, none much wider than m^2. Only a short walk of a
+    pair whose block is one step still pays one transition per step. Never
+    squares a transition and never uses the doubling formula: the
+    congruence oracles rely on this independence.
     """
-    global _hits, _misses
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    terms = _tables.get((params.p_coeff, params.q_coeff))
-    if terms is not None and n < len(terms):
-        _hits += 1
-        return terms[n] % m
-    with _grow_lock:
-        _misses += 1
     p, q = params.p_coeff, params.q_coeff
     block = max(1, 64 // (abs(p) + abs(q)).bit_length())
     c0, d0, c1, d1 = 1, 0, 0, 1  # the block's transition, walked from (1, 0) and (0, 1)
@@ -289,46 +277,46 @@ def _u_term_mod(params: LucasParams, n: int, m: int) -> int:
 def _u_terms_mod(params: LucasParams, indices: Sequence[int], moduli: Sequence[int]) -> list[int]:
     """[U_j mod m for j, m in zip(indices, moduli)], in that order, for moduli m >= 1.
 
-    Each stored index is read from the (P, Q) table and reduced, one term-cache
-    hit per term; only the indices past the table's end (or negative, which
-    raise) go to _u_term_mod, which counts one miss and walks for each.
+    Each stored index is read from the (P, Q) table and reduced, one
+    term-cache hit; every other index is one miss, which _u_walk_mod walks
+    from the start and which stores nothing. A negative index raises
+    ValueError, and then the call counts nothing.
     """
-    global _hits
+    global _hits, _misses
     terms = _tables.get((params.p_coeff, params.q_coeff), ())
     stored = len(terms)
     residues = [
-        terms[j] % m if 0 <= j < stored else _u_term_mod(params, j, m)
+        terms[j] % m if 0 <= j < stored else _u_walk_mod(params, j, m)
         for j, m in zip(indices, moduli)
     ]
     # A negative index has raised by now, so the hits are the indices below stored.
-    _hits += sum(map(stored.__gt__, indices))
+    hits = sum(map(stored.__gt__, indices))
+    with _grow_lock:
+        _hits += hits
+        _misses += len(residues) - hits
     return residues
 
 
 def _u_term_reserve(params: LucasParams, n: int) -> list[int]:
-    """Store the (P, Q) table up to index n, or as far as the budgets allow; returns it.
+    """Store the (P, Q) table up to index n, or as far as TABLE_BITS allows; returns it.
 
-    Creating a table or growing one counts as a term-cache miss.
+    Another pair's table is dropped first. Creating the table or growing it
+    counts as a term-cache miss.
     """
     global _misses, _stored_bits
     key = (params.p_coeff, params.q_coeff)
     with _grow_lock:
         terms = _tables.get(key)
         if terms is None:
-            if CACHE_BITS - _stored_bits < TABLE_BITS:
-                _tables.clear()
-                _table_bits.clear()
-                _stored_bits = 0
+            _tables.clear()
             terms = _tables[key] = [0, 1]
-            _table_bits[key] = 1 + 2 * SLOT_BITS
-            _stored_bits += _table_bits[key]
+            _stored_bits = 1 + 2 * SLOT_BITS
         elif n < len(terms):
             return terms
         _misses += 1
         p, q = key
         a, b = terms[-2], terms[-1]
-        room = min(TABLE_BITS - _table_bits[key], CACHE_BITS - _stored_bits)
-        used = 0
+        used, room = 0, TABLE_BITS - _stored_bits
         for _ in range(n - len(terms) + 1):
             a, b = b, p * b - q * a
             cost = b.bit_length() + SLOT_BITS
@@ -336,20 +324,18 @@ def _u_term_reserve(params: LucasParams, n: int) -> list[int]:
                 break
             terms.append(b)
             used += cost
-        _table_bits[key] += used
         _stored_bits += used
     return terms
 
 
 def _term_cache_info() -> TermCacheInfo:
-    return TermCacheInfo(_hits, _misses, sum(len(t) for t in _tables.values()))
+    return TermCacheInfo(_hits, _misses, sum(map(len, _tables.values())))
 
 
 def _term_cache_clear() -> None:
     global _stored_bits
     with _grow_lock:
         _tables.clear()
-        _table_bits.clear()
         _stored_bits = 0
 
 

@@ -21,7 +21,8 @@ def param_grid():
 
 @pytest.fixture
 def fresh_tables():
-    # Empty term tables before and after the test, so budgets start from zero.
+    # Empty the term table (one (P, Q) under one budget; a new pair replaces it)
+    # before and after the test, so no read finds another test's terms.
     _u_term.cache_clear()
     yield
     _u_term.cache_clear()
@@ -29,5 +30,5 @@ def fresh_tables():
 
 @pytest.fixture
 def small_tables(fresh_tables, monkeypatch):
-    # About 60 stored terms per (P, Q), so indices up to 150 walk past the table.
+    # About 60 stored terms in the table, so indices up to 150 walk past it.
     monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)

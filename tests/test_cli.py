@@ -785,7 +785,6 @@ class TestGridMatchesPublicPath:
     def test_grid_domain_rests_on_trivial_moduli(self, fresh_tables):
         # grid_batch runs no domain check: over k >= 1, n >= 0 and r in 0..6, every
         # item outside its family's domain has a modulus of 0 or 1, which it skips.
-        # The tables of every wide pair are dropped after, to leave the budget as found.
         outside = set()
         for p, q in WIDE_PAIRS:
             params = make_params(p, q)
@@ -828,16 +827,16 @@ class TestGridWork:
 
     def test_grid_walks_no_term(self, monkeypatch):
         # One reserve per batch stores every index the 1..24 grid reads, so no
-        # oracle read reaches _u_term_mod, and each oracle variant with an
-        # item to check reads its terms in one column call. Exact term reads,
+        # oracle read reaches the walk _u_walk_mod, and each oracle variant with
+        # an item to check reads its terms in one column call. Exact term reads,
         # in either module, stay under one per two items.
-        walks = self._count_calls(monkeypatch, sequences_module, ["_u_term_mod", "_u_term"])
+        walks = self._count_calls(monkeypatch, sequences_module, ["_u_walk_mod", "_u_term"])
         counts = self._count_calls(
             monkeypatch, congruences_module, ["_u_term_reserve", "_u_terms_mod", "_u_term"]
         )
         scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
         assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
-        assert walks["_u_term_mod"] == 0
+        assert walks["_u_walk_mod"] == 0
         assert walks["_u_term"] + counts["_u_term"] <= 0.5 * (scan["checked"] + scan["skipped"])
         batches = [(p, q, k) for p, q in congruences_module.COEFFICIENT_GRID for k in range(1, 25)]
         assert counts["_u_term_reserve"] == len(batches)
@@ -849,6 +848,17 @@ class TestGridWork:
             if any(abs(u_at(params, n)) > 1 for n in range(1, 25)):
                 columns += 1  # main, whose modulus |U_n| moves with n
         assert counts["_u_terms_mod"] == columns
+
+    def test_grid_walks_no_term_after_other_pairs(self, fresh_tables, monkeypatch):
+        # Exact reads of 200 other pairs before the scan leave each grid pair
+        # the whole table budget, so its oracle columns walk no term (every
+        # walk plans once, so _walk_plan counts the walks).
+        for pq in WIDE_PAIRS:
+            sequences_module._u_term(make_params(*pq), 13)
+        walks = self._count_calls(monkeypatch, sequences_module, ["_walk_plan"])
+        scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
+        assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
+        assert walks["_walk_plan"] == 0
 
     @pytest.mark.parametrize("p, q, k, columns", [
         (1, -1, 1, 1),  # |U_1| = 1: only main has items

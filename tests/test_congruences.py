@@ -44,7 +44,7 @@ from lucaskit import (
     u_pair_mod,
 )
 from lucaskit.congruences import FAMILY_TABLE, _evaluate_side
-from lucaskit.sequences import _u_term_mod
+from lucaskit.sequences import _u_terms_mod
 
 PELL = make_params(2, -1)
 
@@ -623,7 +623,7 @@ class TestOracleIndependence:
     def test_table_oracles_reach_no_closed_form(self, family):
         oracle = FAMILY_TABLE[family].oracle
         reached, codes = _reachable(oracle)
-        assert {sequences._u_term_mod, exact_div} & reached  # the walk sees the oracle's work
+        assert {sequences._u_walk_mod, exact_div} & reached  # the walk sees the oracle's work
         shared = {
             f.__name__
             for f in reached
@@ -745,7 +745,7 @@ class TestReducedOracles:
             params = make_params(*pq)
             for n in (0, 1, 59, 60, 61, 500):
                 for m in (1, 2, 97, 2**70 + 1):
-                    assert _u_term_mod(params, n, m) == u_at(params, n) % m, (pq, n, m)
+                    assert _u_terms_mod(params, [n], [m]) == [u_at(params, n) % m], (pq, n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -868,9 +868,9 @@ class TestReducedOracleInvariants:
     @pytest.mark.parametrize("warm", [False, True])
     def test_negative_index_raises(self, fresh_tables, warm):
         if warm:
-            _u_term_mod(FIBONACCI_PARAMS, 10, 7)  # a negative index must not read from the end
+            sequences._u_term(FIBONACCI_PARAMS, 10)  # a negative index must not read from the end
         with pytest.raises(ValueError):
-            _u_term_mod(FIBONACCI_PARAMS, -1, 7)
+            _u_terms_mod(FIBONACCI_PARAMS, [-1], [7])
         with pytest.raises(ValueError):
             shifted_lhs_exact(FIBONACCI_PARAMS, 3, 1, -5)
         with pytest.raises(ValueError):
@@ -932,7 +932,7 @@ class TestModularWalkSweep:
 
         def check():
             for index, m in cases:
-                assert _u_term_mod(params, index, m) == u_pair_mod(params, index, m)[0], (
+                assert _u_terms_mod(params, [index], [m]) == [u_pair_mod(params, index, m)[0]], (
                     pq, index, m,
                 )
 

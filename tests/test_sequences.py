@@ -24,7 +24,7 @@ from lucaskit import (
     u_pair_mod,
     v_at,
 )
-from lucaskit.sequences import _u_term, _u_term_mod, _u_terms_mod, _walk_plan
+from lucaskit.sequences import _u_term, _u_terms_mod, _u_walk_mod, _walk_plan
 
 PELL = make_params(2, -1)
 
@@ -318,7 +318,7 @@ class TestOperationCounts:
 
 
 def stored_bits():
-    # Recount what the tables hold, by the same charge the table uses.
+    # Recount what the table holds, by the same charge the table uses.
     return sum(
         sum(t.bit_length() + sequences.SLOT_BITS for t in terms)
         for terms in sequences._tables.values()
@@ -364,49 +364,39 @@ class TestTermTable:
             assert _u_term(params, n) == u_at(params, n), n
         assert len(terms) == stored  # unstored terms stay unstored
 
-    def test_global_budget_clears_on_new_pair(self, fresh_tables, monkeypatch):
+    def test_new_pair_replaces_the_table(self, fresh_tables, monkeypatch):
+        # Exact reads and reserves over pairs that come back: each new pair
+        # replaces the one table and fills the whole budget again, whatever
+        # was read before it; a column read of another pair leaves it as it is.
         monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
-        monkeypatch.setattr(sequences, "CACHE_BITS", 50_000)
-        # Open several small tables, then grow them all: the later ones must
-        # stop storing at the global budget, not at their own.
-        for pq in WIDE_PAIRS[:8]:
-            _u_term(make_params(*pq), 10)
-        for pq in WIDE_PAIRS[:8]:
-            params = make_params(*pq)
-            assert _u_term(params, 400) == u_at(params, 400)
-            assert stored_bits() == sequences._stored_bits <= sequences.CACHE_BITS
-        assert len(sequences._tables) == 8
-        seen = []
-        for pq in WIDE_PAIRS[:40]:
-            params = make_params(*pq)
-            assert _u_term(params, 400) == u_at(params, 400)
-            assert _u_term(params, 37) == u_at(params, 37)
-            seen.append(pq)
-            assert stored_bits() == sequences._stored_bits <= sequences.CACHE_BITS
-        assert len(sequences._tables) < len(seen)  # some clear happened
-        assert list(sequences._tables) == seen[-len(sequences._tables):]
-        for pq in seen:  # cleared pairs rebuild their tables correctly
-            params = make_params(*pq)
-            assert _u_term(params, 123) == u_at(params, 123)
-            assert stored_bits() <= sequences.CACHE_BITS
+        pairs = WIDE_PAIRS[:5] + WIDE_PAIRS[3::-1] + WIDE_PAIRS[4:5] * 2 + WIDE_PAIRS[-3:]
 
-    @pytest.mark.parametrize("room, kept", [(0, True), (-1, False)])
-    def test_new_pair_clears_only_short_of_a_full_table(
-        self, fresh_tables, monkeypatch, room, kept
-    ):
-        # A new pair finds CACHE_BITS - stored = TABLE_BITS + room bits left:
-        # exactly a table's worth keeps the other tables, one bit less clears them.
-        _u_term(FIBONACCI_PARAMS, 30)
-        monkeypatch.setattr(
-            sequences, "CACHE_BITS", sequences._stored_bits + sequences.TABLE_BITS + room
-        )
-        assert _u_term(PELL, 30) == u_at(PELL, 30)
-        assert list(sequences._tables) == ([(1, -1)] if kept else []) + [(2, -1)]
-        assert stored_bits() == sequences._stored_bits
+        def full_length(params):
+            # Terms a fresh table holds, recounted by the same charge.
+            length, bits = 0, 0
+            while True:
+                cost = u_at(params, length).bit_length() + sequences.SLOT_BITS
+                if bits + cost > sequences.TABLE_BITS:
+                    return length
+                length, bits = length + 1, bits + cost
+
+        for i, pq in enumerate(pairs):
+            params = make_params(*pq)
+            if i % 2:
+                sequences._u_term_reserve(params, 30)
+            for n in (37, 0, 400, 5, 2000):
+                assert _u_term(params, n) == u_at(params, n), (pq, n)
+                assert list(sequences._tables) == [pq]
+                assert stored_bits() == sequences._stored_bits <= sequences.TABLE_BITS
+            assert len(sequences._tables[pq]) == full_length(params), pq
+            other = make_params(*pairs[i - 1])
+            assert _u_terms_mod(other, [3], [97]) == [u_at(other, 3) % 97]
+            assert list(sequences._tables) == [pq]
 
     def test_concurrent_growth_keeps_tables_exact(self, fresh_tables):
-        # Threads grow the same cold tables step by step at once; a lost or
-        # doubled append would shift every later term.
+        # Threads grow the same cold tables step by step at once, and replace
+        # each other's, as they alternate pairs; a lost or doubled append, or
+        # a term read from another pair's table, would shift every later term.
         pairs = [make_params(*pq) for pq in ((1, -1), (3, -5), (-2, 7))]
         errors = []
         barrier = threading.Barrier(6, timeout=60)
@@ -446,7 +436,7 @@ class TestTermTable:
         assert info.currsize == 51
 
 
-# Pairs and the block _u_term_mod derives for them: about 64 bits of growth
+# Pairs and the block _u_walk_mod derives for them: about 64 bits of growth
 # over (|P| + |Q|).bit_length() bits a step, at least one step. The wide pair
 # reduces at every step. The moduli run from 1 to wider than the block's
 # transition coefficients (2^400 + 1), and include one shaped like a ratio
@@ -463,7 +453,6 @@ WALK_BLOCKS = (0, 1, 15, 16, 17, 20, 35, 64, 71)
 def table_state():
     return (
         {key: len(terms) for key, terms in sequences._tables.items()},
-        dict(sequences._table_bits),
         sequences._stored_bits,
     )
 
@@ -473,7 +462,7 @@ class TestModularWalk:
         for n in indices:
             exact = u_at(params, n)
             for m in WALK_MODULI:
-                assert _u_term_mod(params, n, m) == exact % m, (params, n, m)
+                assert _u_terms_mod(params, [n], [m]) == [exact % m], (params, n, m)
 
     @pytest.mark.parametrize("pq, block", WALK_PAIRS)
     def test_every_walk_length_past_a_small_table(self, fresh_tables, monkeypatch, pq, block):
@@ -511,7 +500,7 @@ class TestModularWalk:
                     params = pairs[(seed + n) % len(pairs)]
                     if seed % 2:
                         _u_term(params, n)
-                    elif _u_term_mod(params, n + seed, m) != expected[params][n + seed]:
+                    elif _u_terms_mod(params, [n + seed], [m]) != [expected[params][n + seed]]:
                         errors.append((round_, params, n + seed))
                 barrier.wait()
                 if seed == 0:
@@ -535,7 +524,7 @@ class TestModularWalk:
         _u_term(table, 40)
         for params, n in [(table, 41), (table, 500), (cold, 0), (cold, 500)]:
             state, start = table_state(), _u_term.cache_info()
-            assert _u_term_mod(params, n, 2**70 + 1) == u_at(params, n) % (2**70 + 1)
+            assert _u_terms_mod(params, [n], [2**70 + 1]) == [u_at(params, n) % (2**70 + 1)]
             info = _u_term.cache_info()
             assert table_state() == state, (params, n)
             assert (info.hits, info.misses) == (start.hits, start.misses + 1), (params, n)
@@ -568,6 +557,22 @@ class TestModularWalk:
         with pytest.raises(ValueError):
             _u_terms_mod(params, [3, -1], [7, 7])
 
+    def test_column_matches_doubling(self, fresh_tables):
+        # Hits, misses and repeated indices, in any order, each equal their
+        # doubling residue; one negative index rejects the whole column
+        # before anything is counted.
+        params = make_params(-7, 3)
+        _u_term(params, 40)
+        indices = [41, 3, 500, 3, 40, 500, 0, 41, 2000]
+        moduli = [97, 97, 2**70 + 1, 2, 2**70 + 1, 2**70 + 1, 5, 2**400 + 1, 2**61 - 1]
+        assert _u_terms_mod(params, indices, moduli) == [
+            u_pair_mod(params, j, m)[0] for j, m in zip(indices, moduli)
+        ]
+        start = _u_term.cache_info()
+        with pytest.raises(ValueError):
+            _u_terms_mod(params, indices + [-1], moduli + [97])
+        assert _u_term.cache_info() == start
+
     @pytest.mark.parametrize("pq, block", WALK_PAIRS)
     def test_giant_steps_match_doubling(self, fresh_tables, monkeypatch, pq, block):
         monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
@@ -578,7 +583,7 @@ class TestModularWalk:
             for n in (start + s for s in steps):
                 for m in WALK_MODULI:
                     expected = u_pair_mod(params, n, m)[0] if m > 1 else 0
-                    assert _u_term_mod(params, n, m) == expected, (params, n, m)
+                    assert _u_terms_mod(params, [n], [m]) == [expected], (params, n, m)
 
         check(0)  # no table
         _u_term(params, 500)
@@ -605,7 +610,7 @@ class TestModularWalk:
         cold = make_params(5, -3)
         for params, n in [(cold, 300), (partial, 41), (partial, 500), (full, stored), (full, 4 * stored)]:
             walked.clear()
-            assert _u_term_mod(params, n, m) == u_pair_mod(params, n, m)[0], (params, n)
+            assert _u_terms_mod(params, [n], [m]) == [u_pair_mod(params, n, m)[0]], (params, n)
             assert walked == [n], (params, n)
 
     @pytest.mark.parametrize("pq, block", WALK_PAIRS)
@@ -626,14 +631,14 @@ class TestModularWalk:
         for m in moduli:
             for whole in (16, 17, 100, 3000):
                 n = whole * block + block - 1
-                assert _u_term_mod(params, n, m) == u_pair_mod(params, n, m)[0], (m.bit_length(), n)
+                assert _u_walk_mod(params, n, m) == u_pair_mod(params, n, m)[0], (m.bit_length(), n)
         assert sorted(set(weights)) == [5, 12, 37, 64]
 
     def test_wide_pair_long_walk(self, fresh_tables):
         # |P| + |Q| is 41 bits wide, so a block is one step: 100,003 of them.
         params = make_params(2**40 + 1, 3)
         for m in (2**61 - 1, 2**400 + 1, 2**1500 + 1):
-            assert _u_term_mod(params, 100_003, m) == u_pair_mod(params, 100_003, m)[0], m
+            assert _u_walk_mod(params, 100_003, m) == u_pair_mod(params, 100_003, m)[0], m
 
 
 class TestWalkPlan:
