@@ -9,7 +9,10 @@ crashed scan worker or exhausted memory.
 
 The CLI parses, encodes and aggregates. A per-value scan runs a
 CRITERION_TABLE entry per value; the congruence grid sends each (P, Q, k)
-unit to congruences.grid_batch, so no family protocol is known here.
+unit to congruences.grid_batch, so no family protocol is known here. A scan
+with more than one worker forks its workers itself (_fan_out): they take
+contiguous chunks of units from one pipe and send their outcomes back
+pickled, so importing this module loads no process pool.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from functools import cache, partial
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .congruences import (
     COEFFICIENT_GRID,
@@ -103,6 +104,8 @@ def cmd_congruence(args: argparse.Namespace) -> int:
 
 
 def cmd_primetest(args: argparse.Namespace) -> int:
+    if args.method not in PRIMETEST_METHODS:
+        raise ValueError(f"unknown primetest method {args.method!r}")
     criterion = CRITERION_TABLE[args.method]
     if args.diagnostic:
         if criterion.diagnostic is None:
@@ -164,6 +167,114 @@ def _resolve_workers(flag_value: Optional[int]) -> int:
         return os.cpu_count() or 1
 
 
+class WorkerCrashed(LucasKitError):
+    """A scan worker process ended without returning its outcomes."""
+
+
+# The parent queues every chunk number as one 4-byte record, in one write made
+# before it forks, while no worker reads yet: the write must fit in an empty
+# pipe. 4096 bytes is PIPE_BUF on Linux, and no Linux pipe holds less.
+_RECORD_BYTES = 4
+_MAX_CHUNKS = 4096 // _RECORD_BYTES
+
+
+def _check_chunks(
+    check: Callable[[Any], Outcomes], units: list[Any], size: int, queue: int, fail_fast: bool
+) -> dict[int, list[Outcomes] | Exception]:
+    """In a worker: check chunks taken from `queue` until it is empty.
+
+    Chunk c is units[c * size : (c + 1) * size]. The queue hands out chunks in
+    ascending order, so after a chunk with a mismatch under fail_fast, or one
+    that raised, every chunk this worker could still take comes later in the
+    input and is not needed.
+    """
+    done: dict[int, list[Outcomes] | Exception] = {}
+    while record := os.read(queue, _RECORD_BYTES):
+        c = int.from_bytes(record, "little")
+        try:
+            done[c] = outcomes = list(map(check, units[c * size : (c + 1) * size]))
+        except Exception as exc:  # the parent raises it when its merge reaches chunk c
+            done[c] = exc
+            break
+        if fail_fast and any(failed for _, failed in outcomes):
+            break
+    return done
+
+
+def _fan_out(
+    check: Callable[[Any], Outcomes], units: list[Any], processes: int, fail_fast: bool
+) -> Iterator[Outcomes]:
+    """Check `units` in `processes` forked workers; return the outcomes in input order.
+
+    The units are cut into contiguous chunks, about 8 per process. A worker
+    takes the next chunk number from one shared pipe whenever it is free, and
+    at the end pickles {chunk: outcomes} back through a pipe of its own. The
+    parent reads every pipe and reaps every worker before it returns; on any
+    error it kills and reaps those left. A worker that exits without its
+    outcomes raises WorkerCrashed. An exception raised by a check is raised
+    here when the merge reaches its chunk, as the in-process scan would.
+    """
+    import pickle  # here, so that only a parallel scan pays for these imports
+    import signal
+
+    size = max(1, len(units) // (processes * 8), -(-len(units) // _MAX_CHUNKS))
+    count = -(-len(units) // size)
+    queue, feed = os.pipe()
+    try:
+        os.write(feed, b"".join(c.to_bytes(_RECORD_BYTES, "little") for c in range(count)))
+    finally:
+        os.close(feed)
+    running: list[int] = []
+    readers: list[Any] = []
+    done: dict[int, list[Outcomes] | Exception] = {}
+    try:
+        for _ in range(processes):
+            result, sink = os.pipe()
+            readers.append(open(result, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        # Hold no read end, so a write gets EPIPE once the parent is gone.
+                        for reader in readers:
+                            reader.close()
+                        payload = _check_chunks(check, units, size, queue, fail_fast)
+                        with open(sink, "wb") as out:
+                            pickle.dump(payload, out)
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(sink)
+            running.append(pid)
+        for pid, reader in zip(running[:], readers):
+            data = reader.read()
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code or not data:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise WorkerCrashed(f"scan worker {pid} {how} before returning its outcomes")
+            done.update(pickle.loads(data))
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(queue)
+
+    def in_input_order() -> Iterator[Outcomes]:
+        for c in range(count):
+            part = done[c]
+            if isinstance(part, Exception):
+                raise part
+            yield from part
+
+    return in_input_order()
+
+
 def run_scan(
     method: str, lo: int, hi: int, workers: int = 1, fail_fast: bool = False
 ) -> dict[str, Any]:
@@ -200,17 +311,11 @@ def run_scan(
             marks.append(unit_marks)
             mismatches.extend(failed)
 
-    if workers <= 1 or not units:
+    if workers <= 1 or not units or not hasattr(os, "fork"):
         consume(map(check, units))
     else:
-        # The pool starts all its processes up front: never more than there are units.
-        processes = min(workers, len(units))
-        pool = ProcessPoolExecutor(max_workers=processes)
-        try:
-            chunk = max(1, len(units) // (processes * 8))
-            consume(pool.map(check, units, chunksize=chunk))
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+        # Every worker is forked up front: never more than there are units or chunks.
+        consume(_fan_out(check, units, min(workers, len(units), _MAX_CHUNKS), fail_fast))
 
     every_mark = "".join(marks)
     skipped = every_mark.count("-")
@@ -270,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cong = sub.add_parser(
         "congruence", help="check one congruence instance, closed form vs oracle"
     )
-    p_cong.add_argument("--family", choices=FAMILIES, required=True)
+    # lucaskit, not argparse, rejects an unknown --family or --method, so that
+    # its one error line does not depend on argparse's formatting.
+    p_cong.add_argument("--family", required=True, help=f"one of {', '.join(FAMILIES)}")
     p_cong.add_argument(
         "-p", type=int, default=None, help=f"coefficient P (required for {'/'.join(GENERAL_FAMILIES)})"
     )
@@ -282,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cong.set_defaults(func=cmd_congruence)
 
     p_prime = sub.add_parser("primetest", help="run a primality criterion against the oracle")
-    p_prime.add_argument("--method", choices=PRIMETEST_METHODS, required=True)
+    p_prime.add_argument(
+        "--method", required=True, help=f"one of {', '.join(PRIMETEST_METHODS)}"
+    )
     p_prime.add_argument("-n", type=int, required=True)
     p_prime.add_argument(
         "--diagnostic",
@@ -293,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prime.set_defaults(func=cmd_primetest)
 
     p_scan = sub.add_parser("scan", help="parallel agreement sweep over a range")
-    p_scan.add_argument("--method", choices=SCAN_METHODS, required=True)
+    p_scan.add_argument("--method", required=True, help=f"one of {', '.join(SCAN_METHODS)}")
     p_scan.add_argument("--from", dest="lo", type=int, required=True)
     p_scan.add_argument("--to", dest="hi", type=int, required=True)
     p_scan.add_argument(
@@ -325,8 +434,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (LucasKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BrokenProcessPool, MemoryError) as exc:
-        # A crashed worker or exhausted memory is no mismatch, so never exit 1.
+    except MemoryError as exc:
+        # Exhausted memory is no mismatch, so never exit 1.
         detail = " ".join(str(exc).split())
         message = f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
         print(f"error: {message}", file=sys.stderr)

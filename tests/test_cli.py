@@ -1,9 +1,9 @@
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
+import time
 from math import gcd
 from pathlib import Path
 
@@ -425,29 +425,25 @@ class TestScan:
         del r1["workers"], r2["workers"]
         assert r1 == r2
 
-    def test_pool_never_outnumbers_units(self, monkeypatch):
-        # The pool starts all its processes up front, so it is sized to the
-        # units; the record keeps the requested count. A recorder stands in
-        # for the pool and checks the units in this process.
+    def test_forks_never_outnumber_units_or_chunks(self, monkeypatch):
+        # The fan-out forks all its workers up front, so it is sized to the
+        # units and to the chunks one pipe write can queue; the record keeps
+        # the requested count. A recorder stands in for the fan-out, counts
+        # the workers it would fork and checks the units in this process.
         started = []
 
-        class Recorder:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def recorder(check, units, processes, fail_fast):
+            started.append(processes)
+            return map(check, units)
 
-            def map(self, check, units, chunksize):
-                return map(check, units)
-
-            def shutdown(self, wait, cancel_futures):
-                pass
-
-        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(cli_module, "_fan_out", recorder)
         grid_units = len(congruences_module.COEFFICIENT_GRID) * 2
         for method, lo, hi, workers, processes in [
             ("remark", 3, 3, 4096, [1]),
             ("remark", 3, 9, 2, [2]),
+            ("fib-sum", 1, 3000, 4096, [cli_module._MAX_CHUNKS]),
             ("congruence-grid", 1, 2, 4096, [grid_units]),
-            ("congruence-grid", 0, 0, 4096, []),  # no unit: no pool
+            ("congruence-grid", 0, 0, 4096, []),  # no unit: no fork
         ]:
             started.clear()
             record = cli_module.run_scan(method, lo, hi, workers)
@@ -555,6 +551,41 @@ class TestOutputContract:
             )
             assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
 
+    def test_import_loads_no_process_pool(self):
+        # Only a scan with more than one worker forks, and it needs neither.
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        code = (
+            "import lucaskit.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["congruence", "--family", "nope", "-k", "3", "-n", "2"],
+         "error: unknown congruence family 'nope'\n"),
+        (["primetest", "--method", "remark", "-n", "5"],
+         "error: unknown primetest method 'remark'\n"),
+        (["scan", "--method", "fib-sum-direct", "--from", "5", "--to", "9"],
+         "error: unknown scan method 'fib-sum-direct'\n"),
+    ])
+    def test_unknown_family_or_method_is_one_error_line(self, capsys, argv, err):
+        # lucaskit rejects the name, not argparse: no usage line precedes the error.
+        assert run_cli(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("command, flag, choices", [
+        ("congruence", "--family", cli_module.FAMILIES),
+        ("primetest", "--method", cli_module.PRIMETEST_METHODS),
+        ("scan", "--method", cli_module.SCAN_METHODS),
+    ])
+    def test_help_lists_the_choices(self, capsys, command, flag, choices):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = "".join(capsys.readouterr().out.split())
+        assert f"{flag}{flag.strip('-').upper()}oneof{','.join(choices)}" in help_text
+
     def test_one_parser_per_process_leaks_nothing_between_calls(self, capsys):
         # The parser is built once and shared; each call must still print
         # exactly what a fresh process prints for the same argv. Congruence
@@ -603,13 +634,13 @@ class TestOutputContract:
         assert record["checked"] < 49  # stopped early
 
 
-def _disagree_at(monkeypatch, target):
-    """Make the runner report the oracle as prime, and a disagreement, at n = target."""
+def _disagree_at(monkeypatch, *targets):
+    """Make the runner report the oracle as prime, and a disagreement, at each n of targets."""
     run = cli_module.run_criterion
 
     def patched(criterion, n):
         result, oracle, agree = run(criterion, n)
-        if n != target:
+        if n not in targets:
             return result, oracle, agree
         return result, True, False
 
@@ -654,10 +685,7 @@ class TestScanMismatchDetail:
 
     @pytest.mark.parametrize("workers", [
         "1",
-        pytest.param("2", marks=pytest.mark.skipif(
-            multiprocessing.get_context().get_start_method() != "fork",
-            reason="the injected mismatch reaches the workers only when they are forked",
-        )),
+        "2",
     ])
     def test_fail_fast_skipped_values_stop_at_the_mismatch(self, capsys, monkeypatch, workers):
         _disagree_at(monkeypatch, 21)
@@ -916,30 +944,39 @@ def _crash_worker(n):
     os._exit(1)
 
 
+def _kill_worker(n):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _violate_invariant(*args, **kwargs):
     raise InternalInvariantViolation("exponent -1/2 must be a nonnegative integer")
 
 
 class TestFailureContract:
-    # Exit 1 means a mathematical mismatch only: a broken pool or an
+    # Exit 1 means a mathematical mismatch only: a crashed worker or an
     # exhausted memory exits 2 with one "error: ..." line on stderr.
 
-    @pytest.mark.parametrize("exc", [
-        BrokenProcessPool("A process in the process pool was terminated abruptly"),
-        MemoryError(),
-        MemoryError("cannot allocate\n 8 GiB"),
+    @pytest.mark.parametrize("exc, err", [
+        (cli_module.WorkerCrashed("scan worker 7 exited with code 1 before returning its outcomes"),
+         "error: scan worker 7 exited with code 1 before returning its outcomes\n"),
+        (MemoryError(), "error: MemoryError\n"),
+        (MemoryError("cannot allocate\n 8 GiB"), "error: MemoryError: cannot allocate 8 GiB\n"),
     ])
-    def test_pool_and_memory_failures_exit_2(self, capsys, monkeypatch, exc):
+    def test_worker_and_memory_failures_exit_2(self, capsys, monkeypatch, exc, err):
         def fail(*args, **kwargs):
             raise exc
 
         monkeypatch.setattr(cli_module, "run_scan", fail)
-        code, out, err = run_cli(
+        assert run_cli(
             capsys, "scan", "--method", "remark", "--from", "3", "--to", "15",
             "--workers", "2", "--no-timing",
-        )
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: {type(exc).__name__}") and err.count("\n") == 1
+        ) == (2, "", err)
 
     @pytest.mark.parametrize("env, run_scan, workers, code, err", [
         (None, None, "0", 2, "error: --workers must be >= 1\n"),
@@ -966,10 +1003,6 @@ class TestFailureContract:
         assert type(excinfo.value) is ValueError
         assert str(excinfo.value) == "unknown scan method 'lemma9'"
 
-    @pytest.mark.skipif(
-        multiprocessing.get_context().get_start_method() != "fork",
-        reason="the patched check reaches the workers only when they are forked",
-    )
     def test_crashed_worker_exits_2(self, capsys, monkeypatch):
         remark = CRITERION_TABLE["remark"]
         monkeypatch.setitem(CRITERION_TABLE, "remark", remark._replace(evaluate=_crash_worker))
@@ -978,7 +1011,9 @@ class TestFailureContract:
             "--workers", "2", "--no-timing",
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: BrokenProcessPool: ") and err.count("\n") == 1
+        assert err.startswith("error: scan worker ") and err.count("\n") == 1
+        assert err.endswith(" exited with code 1 before returning its outcomes\n")
+        _assert_no_child_left()
 
 
 def _break_kernel(monkeypatch, family, side, hit):
@@ -1063,6 +1098,129 @@ class TestGridMismatches:
             '"mismatches":[{"n":4,"detail":"family=main p=1 q=-2 k=3 n=4"}],'
             '"workers":1}\n'
         )
+
+
+def _raise_in_worker_at(monkeypatch, faults):
+    """Make the remark check raise faults[n] at each n of `faults`, in whichever process runs it."""
+    remark = CRITERION_TABLE["remark"]
+
+    def evaluate(n):
+        if n in faults:
+            raise faults[n]
+        return remark.evaluate(n)
+
+    monkeypatch.setitem(CRITERION_TABLE, "remark", remark._replace(evaluate=evaluate))
+
+
+REMARK_3_15 = ["scan", "--method", "remark", "--from", "3", "--to", "15", "--no-timing"]
+
+
+class TestFanOut:
+    # A scan with more than one worker forks them; each case ends with no
+    # child left behind.
+
+    @pytest.mark.parametrize("faults, code, err", [
+        ({11: InternalInvariantViolation("U_0 must vanish")}, 1,
+         "invariant violated: U_0 must vanish\n"),
+        ({11: MemoryError()}, 2, "error: MemoryError\n"),
+        ({11: ValueError("n out of range")}, 2, "error: n out of range\n"),
+        # The first fault in input order is raised, whichever worker met it.
+        ({7: ValueError("first"), 15: MemoryError()}, 2, "error: first\n"),
+    ], ids=["invariant", "memory", "value", "first_in_order"])
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    def test_exception_in_a_worker_exits_as_in_process(
+        self, capsys, monkeypatch, faults, code, err, workers
+    ):
+        _raise_in_worker_at(monkeypatch, faults)
+        assert run_cli(capsys, *REMARK_3_15, "--workers", "1") == (code, "", err)
+        assert run_cli(capsys, *REMARK_3_15, "--workers", workers) == (code, "", err)
+        _assert_no_child_left()
+
+    def test_killed_worker_exits_2(self, capsys, monkeypatch):
+        remark = CRITERION_TABLE["remark"]
+        monkeypatch.setitem(CRITERION_TABLE, "remark", remark._replace(evaluate=_kill_worker))
+        code, out, err = run_cli(capsys, *REMARK_3_15, "--workers", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: scan worker ") and err.count("\n") == 1
+        assert err.endswith(" was killed by signal 9 before returning its outcomes\n")
+        _assert_no_child_left()
+
+    def test_worker_failing_mid_payload_exits_2(self, capsys, monkeypatch):
+        # The payload's first frame reaches the pipe before pickling the
+        # lambda fails, so the parent must not unpickle what it read.
+        monkeypatch.setattr(
+            cli_module, "_check_chunks", lambda *args: {0: ["+" * 200_000], 1: lambda: None}
+        )
+        code, out, err = run_cli(capsys, *REMARK_3_15, "--workers", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: scan worker ") and err.count("\n") == 1
+        assert err.endswith(" exited with code 1 before returning its outcomes\n")
+        _assert_no_child_left()
+
+    def test_interrupted_scan_kills_its_workers(self, monkeypatch):
+        # Workers that never finish are killed and reaped when the parent
+        # stops waiting for them.
+        monkeypatch.setattr(cli_module, "_check_chunks", lambda *args: time.sleep(60))
+
+        def interrupt(signum, frame):
+            raise TimeoutError("interrupted")
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        started = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            with pytest.raises(TimeoutError):
+                cli_module.run_scan("remark", 3, 15, 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 10
+        _assert_no_child_left()
+
+    def test_forks_one_worker_per_process(self, monkeypatch):
+        forked = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for method, lo, hi, workers in [
+            ("remark", 3, 9, 3), ("remark", 3, 4, 3), ("congruence-grid", 1, 2, 2),
+        ]:
+            forked.clear()
+            record = cli_module.run_scan(method, lo, hi, workers)
+            assert len(forked) == min(workers, hi - lo + 1), (method, lo, hi)
+            assert record == dict(cli_module.run_scan(method, lo, hi, 1), workers=workers)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("method, lo, hi, break_at", [
+        ("remark", 3, 120, (19, 71)),
+        ("fib-sum", 5, 301, (101, 201)),
+        ("congruence-grid", 1, 8, None),
+    ])
+    def test_records_match_at_every_worker_count(self, capsys, monkeypatch, method, lo, hi,
+                                                 break_at):
+        # Two injected mismatches, so that --fail-fast stops early.
+        if break_at is None:
+            _break_two_families(monkeypatch)
+        else:
+            _disagree_at(monkeypatch, *break_at)
+        argv = ["scan", "--method", method, "--from", str(lo), "--to", str(hi), "--no-timing"]
+        for fail_fast in ([], ["--fail-fast"]):
+            runs = []
+            for workers in ("1", "2", "3"):
+                code, out, err = run_cli(capsys, *argv, "--workers", workers, *fail_fast)
+                record = parse_lines(out)[0]
+                assert record.pop("workers") == int(workers)
+                runs.append((code, record, err))
+            assert runs[0] == runs[1] == runs[2]
+            assert runs[0][0] == 1
+            assert len(runs[0][1]["mismatches"]) == (1 if fail_fast else 2 if break_at else 8)
+        _assert_no_child_left()
 
 
 def _guard_kernels(monkeypatch):
