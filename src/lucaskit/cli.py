@@ -12,7 +12,9 @@ CRITERION_TABLE entry per value; the congruence grid sends each (P, Q, k)
 unit to congruences.grid_batch, so no family protocol is known here. A scan
 with more than one worker forks its workers itself (_fan_out): they take
 contiguous chunks of units from one pipe and send their outcomes back
-pickled, so importing this module loads no process pool.
+pickled, so importing this module loads no process pool. Each worker starts
+on a CPU of its own, round-robin over the parent's affinity set, and then
+gets the whole set back; a move the platform refuses is ignored.
 """
 
 from __future__ import annotations
@@ -201,6 +203,15 @@ def _check_chunks(
     return done
 
 
+def _place(cpu: int, cpus: list[int]) -> None:
+    """In a worker: move to `cpu`, then allow all of `cpus` again; an OSError is ignored."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _fan_out(
     check: Callable[[Any], Outcomes], units: list[Any], processes: int, fail_fast: bool
 ) -> Iterator[Outcomes]:
@@ -213,6 +224,13 @@ def _fan_out(
     error it kills and reaps those left. A worker that exits without its
     outcomes raises WorkerCrashed. An exception raised by a check is raised
     here when the merge reaches its chunk, as the in-process scan would.
+
+    Worker i first moves itself to cpus[i % len(cpus)] of the parent's
+    affinity set, read once before the first fork, and then restores the
+    whole set: it starts on a CPU of its own, since a freshly forked child
+    may otherwise stay on its parent's CPU while another idles, and the
+    kernel may still move it later. With fewer than two CPUs, or no
+    sched_setaffinity, no move is made; a move that fails is ignored.
     """
     import pickle  # here, so that only a parallel scan pays for these imports
     import signal
@@ -224,11 +242,12 @@ def _fan_out(
         os.write(feed, b"".join(c.to_bytes(_RECORD_BYTES, "little") for c in range(count)))
     finally:
         os.close(feed)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     running: list[int] = []
     readers: list[Any] = []
     done: dict[int, list[Outcomes] | Exception] = {}
     try:
-        for _ in range(processes):
+        for i in range(processes):
             result, sink = os.pipe()
             readers.append(open(result, "rb"))
             try:
@@ -239,6 +258,8 @@ def _fan_out(
                         # Hold no read end, so a write gets EPIPE once the parent is gone.
                         for reader in readers:
                             reader.close()
+                        if len(cpus) > 1:
+                            _place(cpus[i % len(cpus)], cpus)
                         payload = _check_chunks(check, units, size, queue, fail_fast)
                         with open(sink, "wb") as out:
                             pickle.dump(payload, out)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -1115,9 +1116,71 @@ def _raise_in_worker_at(monkeypatch, faults):
 REMARK_3_15 = ["scan", "--method", "remark", "--from", "3", "--to", "15", "--no-timing"]
 
 
+def _usable_cpus():
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+
+def _log_affinity_calls(monkeypatch, log):
+    """Wrap os.sched_setaffinity: each call, in any process, appends [pid, target, cpus] to `log`."""
+    real = os.sched_setaffinity
+
+    def logged(pid, cpus):
+        with open(log, "a") as out:
+            out.write(json.dumps([os.getpid(), pid, sorted(cpus)]) + "\n")
+        return real(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", logged)
+
+
 class TestFanOut:
     # A scan with more than one worker forks them; each case ends with no
     # child left behind.
+
+    @pytest.mark.skipif(len(_usable_cpus()) < 2, reason="needs two usable CPUs")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_worker_starts_on_a_cpu_of_its_own(self, monkeypatch, tmp_path, workers):
+        cpus = _usable_cpus()
+        expected = dict(cli_module.run_scan("congruence-grid", 1, 8, 1), workers=workers)
+        log = tmp_path / "affinity.log"
+        _log_affinity_calls(monkeypatch, log)
+        record = cli_module.run_scan("congruence-grid", 1, 8, workers)
+        calls = {}
+        for line in (log.read_text() if log.exists() else "").splitlines():
+            caller, target, cpu_set = json.loads(line)
+            assert target == 0
+            calls.setdefault(caller, []).append(cpu_set)
+        assert len(calls) == workers and os.getpid() not in calls
+        assert all(len(made) == 2 for made in calls.values())
+        # Round-robin over the parent's set: one CPU each, then the whole set back.
+        firsts = [first for first, _ in calls.values()]
+        assert all(len(first) == 1 and first[0] in cpus for first in firsts)
+        assert len({first[0] for first in firsts}) == min(workers, len(cpus))
+        assert all(second == cpus for _, second in calls.values())
+        assert _usable_cpus() == cpus
+        assert record == expected
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["refused", "refused_on_restore", "one_cpu", "unsupported"])
+    def test_placement_is_advisory(self, capsys, monkeypatch, tmp_path, case):
+        # A move the platform refuses, or has no call for, changes nothing.
+        code, out, err = run_cli(capsys, *GRID_1_8)
+        assert (code, err) == (0, "")
+        log = tmp_path / "affinity.log"
+        if case.startswith("refused"):
+            def refuse(pid, cpus):
+                if case == "refused" or len(cpus) > 1:
+                    raise OSError(errno.EINVAL, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        elif case == "one_cpu":
+            _log_affinity_calls(monkeypatch, log)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert run_cli(capsys, *GRID_1_8, "--workers", "2") == (0, out.replace(
+            '"workers":1', '"workers":2'), "")
+        assert not log.exists()
+        _assert_no_child_left()
 
     @pytest.mark.parametrize("faults, code, err", [
         ({11: InternalInvariantViolation("U_0 must vanish")}, 1,
