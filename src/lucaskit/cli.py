@@ -455,8 +455,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (LucasKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:
-        # Exhausted memory is no mismatch, so never exit 1.
+    except (MemoryError, OverflowError) as exc:
+        # Exhausted memory, or an int too large for a size, is no mismatch, so never exit 1.
         detail = " ".join(str(exc).split())
         message = f"{type(exc).__name__}: {detail}" if detail else type(exc).__name__
         print(f"error: {message}", file=sys.stderr)

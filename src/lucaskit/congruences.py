@@ -25,9 +25,9 @@ runs each side it is asked for on that one n; the public functions and
 evaluate_congruence return its Outcome values. grid_batch, the
 congruence-grid scan's unit of work, checks its (P, Q, k) once, reads |U_k|
 once and main's |U_n| once per n, and calls each side of each grid variant
-once, on every n the variant checks. It first stores the pair's table up to
-the widest index the grid reads. The term table holds one (P, Q) under one
-budget, and a new pair replaces it, so within that budget no oracle read
+once, on every n the variant checks. It first reserves the pair's table up
+to the widest index the grid reads. That reserve is the table's only write,
+as exact reads never store, so within the table's budget no oracle read
 walks, whatever the process read before.
 """
 
@@ -55,6 +55,7 @@ from .sequences import (
     _u_term_reserve,
     _u_terms_mod,
     make_params,
+    u_at,
 )
 
 
@@ -334,13 +335,13 @@ def _mersenne(
 def _ratio_oracle(
     params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
 ) -> list[int]:
-    """U_{kn}/U_k mod m, read from U_{kn} mod |U_k|*m by the recurrence; the context is U_k.
+    """U_{kn}/U_k mod m, read from U_{kn} mod |U_k|*m and U_k (u_at) by the recurrence.
 
     U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as exact_div does,
     not assumed), and the quotient is U_{kn}/|U_k| mod m; U_k's sign is applied after.
     Past the stored table no product much wider than (|U_k|*m)^2 is built (see _u_walk_mod).
     """
-    u_k = _u_term(params, k)
+    u_k = u_at(params, k)
     if u_k == 0 and ns:
         raise InternalInvariantViolation("exact division by a zero term")
     width, sign = abs(u_k), -1 if u_k < 0 else 1

@@ -305,10 +305,6 @@ def divisor_sum_breakdown(n: int) -> DivisorSumBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _fib(j: int) -> int:
-    return _u_term(FIBONACCI_PARAMS, j)
-
-
 def fibonacci_sum_residue_direct(n: int) -> ResidueClass:
     """Sum over 1 <= k < n of F_{kn}/F_k, mod F_n, without full-width terms.
 
@@ -319,7 +315,7 @@ def fibonacci_sum_residue_direct(n: int) -> ResidueClass:
     """
     if n < 3:
         raise ValueError(f"n must be >= 3 so the modulus F_n exceeds 1, got {n}")
-    f_n = _fib(n)
+    f_n = _u_term(FIBONACCI_PARAMS, n)
     total = 0
     lucas, lucas_next = 1, 3 % f_n  # L_k and L_{k+1} mod F_n, from k = 1
     for k in range(1, n):
@@ -332,16 +328,21 @@ def fibonacci_sum_residue_direct(n: int) -> ResidueClass:
 def fibonacci_sum_residue_exact(n: int) -> ResidueClass:
     """Secondary oracle for the same sum: full-width terms and exact division.
 
-    Terms grow like 0.2*k*n digits, so keep n modest (the tests stay at or
-    below 60).
+    The terms are read by the recurrence alone, in one walk over
+    F_0 ... F_{(n-1)n}, never by index doubling. They grow like 0.2*k*n
+    digits, so keep n modest (the tests stay at or below 60).
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    f_n = _fib(n)
-    total = 0
-    for k in range(1, n):
-        total = (total + exact_div(_fib(k * n), _fib(k))) % f_n
-    return ResidueClass(total, f_n)
+    low = []  # F_0 ... F_n
+    a, b, total = 0, 1, 0  # a = F_j
+    for j in range((n - 1) * n + 1):
+        if j <= n:
+            low.append(a)
+        if j and j % n == 0:  # a = F_{kn} with k = j // n
+            total += exact_div(a, low[j // n])
+        a, b = b, a + b
+    return ResidueClass(total % low[n], low[n])
 
 
 def fibonacci_sum_residue_fast(n: int) -> ResidueClass:
@@ -358,7 +359,7 @@ def fibonacci_sum_residue_fast(n: int) -> ResidueClass:
     f_n = u_pair_exact(FIBONACCI_PARAMS, n)[0]
     total = 0
     for d, phi in _divisor_classes(n):
-        term = d * exact_div(f_n, _fib(d)) % f_n
+        term = d * exact_div(f_n, _u_term(FIBONACCI_PARAMS, d)) % f_n
         if ((n - d) // 2) & 1:
             term = -term % f_n
         total = (total + phi * term) % f_n

@@ -139,13 +139,14 @@ def u_pair_exact(params: LucasParams, n: int) -> tuple[int, int]:
 # Exact term table
 # ---------------------------------------------------------------------------
 
-# One prefix table [U_0, U_1, ...], of one (P, Q) at a time, grown by the
-# recurrence. Each stored term is charged its bit length plus SLOT_BITS, the
-# size of a small int object and its list slot, so a table of tiny terms stays
-# bounded too. The table stores no term that would take it past TABLE_BITS;
-# larger indices are walked from its tail and not kept. An exact read or a
-# reserve for another (P, Q) replaces the table, so every pair starts with the
-# whole budget; a modular read of another pair leaves it as it is.
+# One prefix table [U_0, U_1, ...], of one (P, Q) at a time. _u_term_reserve
+# is its only writer: the congruence grid reserves each pair's table once,
+# and a reserve for another (P, Q) replaces it. Each stored term is charged
+# its bit length plus SLOT_BITS, the size of a small int object and its list
+# slot, so a table of tiny terms stays bounded too; the table stores no term
+# that would take it past TABLE_BITS. Reads never store: an exact read of an
+# index the table does not hold is taken by index doubling, and a modular
+# read walks the recurrence (_u_walk_mod).
 TABLE_BITS = 1 << 21  # 256 KiB
 SLOT_BITS = 8 * 36
 
@@ -163,28 +164,20 @@ class TermCacheInfo(NamedTuple):
 
 
 def _u_term(params: LucasParams, n: int) -> int:
-    """Exact U_n, read from the (P, Q) recurrence table (see TABLE_BITS)."""
-    global _hits
+    """Exact U_n: a stored index is one hit; any other index is one miss, by index doubling.
+
+    A read never stores (see TABLE_BITS). A negative index raises ValueError,
+    and then the read counts nothing.
+    """
+    global _hits, _misses
     terms = _tables.get((params.p_coeff, params.q_coeff))
     if terms is not None and 0 <= n < len(terms):
         _hits += 1
         return terms[n]
-    return _u_term_miss(params, n)
-
-
-def _u_term_miss(params: LucasParams, n: int) -> int:
-    """Extend the (P, Q) table towards n, then walk on past its end without storing."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    terms = _u_term_reserve(params, n)
-    stored = len(terms)  # a held table only grows, so this window stays consistent
-    if n < stored:
-        return terms[n]
-    p, q = params.p_coeff, params.q_coeff
-    a, b = terms[stored - 2], terms[stored - 1]
-    for _ in range(n - stored + 1):
-        a, b = b, p * b - q * a
-    return b
+    term = _u_pair(params, n, None, None)[0]
+    with _grow_lock:
+        _misses += 1
+    return term
 
 
 # A giant step of _u_walk_mod costs about one block step per GIANT_STEP_BITS
@@ -297,11 +290,11 @@ def _u_terms_mod(params: LucasParams, indices: Sequence[int], moduli: Sequence[i
     return residues
 
 
-def _u_term_reserve(params: LucasParams, n: int) -> list[int]:
-    """Store the (P, Q) table up to index n, or as far as TABLE_BITS allows; returns it.
+def _u_term_reserve(params: LucasParams, n: int) -> None:
+    """Store the (P, Q) table up to index n, or as far as TABLE_BITS allows.
 
-    Another pair's table is dropped first. Creating the table or growing it
-    counts as a term-cache miss.
+    The table's only writer. Another pair's table is dropped first. Creating
+    the table or growing it counts as a term-cache miss.
     """
     global _misses, _stored_bits
     key = (params.p_coeff, params.q_coeff)
@@ -312,7 +305,7 @@ def _u_term_reserve(params: LucasParams, n: int) -> list[int]:
             terms = _tables[key] = [0, 1]
             _stored_bits = 1 + 2 * SLOT_BITS
         elif n < len(terms):
-            return terms
+            return
         _misses += 1
         p, q = key
         a, b = terms[-2], terms[-1]
@@ -325,7 +318,6 @@ def _u_term_reserve(params: LucasParams, n: int) -> list[int]:
             terms.append(b)
             used += cost
         _stored_bits += used
-    return terms
 
 
 def _term_cache_info() -> TermCacheInfo:

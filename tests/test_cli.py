@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -879,11 +880,12 @@ class TestGridWork:
         assert counts["_u_terms_mod"] == columns
 
     def test_grid_walks_no_term_after_other_pairs(self, fresh_tables, monkeypatch):
-        # Exact reads of 200 other pairs before the scan leave each grid pair
-        # the whole table budget, so its oracle columns walk no term (every
-        # walk plans once, so _walk_plan counts the walks).
+        # Reserves and exact reads of 200 other pairs before the scan leave
+        # each grid pair the whole table budget, so its oracle columns walk no
+        # term (every walk plans once, so _walk_plan counts the walks).
         for pq in WIDE_PAIRS:
-            sequences_module._u_term(make_params(*pq), 13)
+            sequences_module._u_term_reserve(make_params(*pq), 13)
+            sequences_module._u_term(make_params(*pq), 500)
         walks = self._count_calls(monkeypatch, sequences_module, ["_walk_plan"])
         scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
         assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
@@ -978,6 +980,17 @@ class TestFailureContract:
             capsys, "scan", "--method", "remark", "--from", "3", "--to", "15",
             "--workers", "2", "--no-timing",
         ) == (2, "", err)
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--method", "divisor-sum", "--from", "1", "--to", str(2**64), "--workers", "1"],
+        ["congruence", "--family", "mersenne22", "-k", str(10**20), "-n", "3"],
+    ], ids=["scan_range", "mersenne_numerator"])
+    def test_overflow_exits_2(self, capsys, argv):
+        # Each fails at once, before any allocation: a range too long to list,
+        # and a shift too wide to build. The message is Python's own.
+        code, out, err = run_cli(capsys, *argv, "--no-timing")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: OverflowError: [^\n]+\n", err), err
 
     @pytest.mark.parametrize("env, run_scan, workers, code, err", [
         (None, None, "0", 2, "error: --workers must be >= 1\n"),

@@ -26,6 +26,7 @@ from lucaskit import (
     exact_div,
     fibonacci_rhs_family,
     fibonacci_sum_residue_direct,
+    fibonacci_sum_residue_exact,
     general_shift_rhs,
     lemma1_rhs,
     lemma2_rhs,
@@ -614,6 +615,10 @@ def _instance(family):
     return params, k, n, r, entry.modulus(params, k, n)
 
 
+def _no_doubling(*args):
+    raise AssertionError("an oracle reached index doubling")
+
+
 class TestOracleIndependence:
     # An oracle must not share the formula under test: no closed-form side
     # (neither its wrapper nor its formula), no Q-power, no index doubling.
@@ -635,7 +640,7 @@ class TestOracleIndependence:
     def test_oracle_context_reads_u_k_only(self, family, monkeypatch):
         params, k, n, r, modulus = _instance(family)
         reads = []
-        for name in ("_u_term", "_u_terms_mod"):
+        for name in ("_u_term", "u_at", "_u_terms_mod"):
             real = getattr(congruences, name)
 
             def reader(params, j, *m, real=real, name=name):
@@ -644,13 +649,60 @@ class TestOracleIndependence:
 
             monkeypatch.setattr(congruences, name, reader)
         FAMILY_TABLE[family].oracle(params, k, r, [n], [modulus])
-        # One call reads U_k alone of the exact terms, and U_{kn+shift} by one _u_terms_mod.
-        assert {read for read in reads if read[0] == "_u_term"} <= {("_u_term", k)}, (
+        # One call reads U_k alone of the exact terms, by the recurrence (u_at),
+        # and U_{kn+shift} by one _u_terms_mod.
+        assert {read for read in reads if read[0] != "_u_terms_mod"} <= {("u_at", k)}, (
             family, reads,
         )
         shift = 0 if family in ("lemma1", "cor6", "main", "fib20", "fib21") else r or 1
         expected = [] if family == "mersenne22" else [("_u_terms_mod", [k * n + shift])]
-        assert [read for read in reads if read[0] != "_u_term"] == expected, (family, reads)
+        assert [read for read in reads if read[0] == "_u_terms_mod"] == expected, (family, reads)
+
+    @pytest.mark.parametrize("reserve", [False, True], ids=["empty", "reserved"])
+    @pytest.mark.parametrize("family", FAMILY_TABLE)
+    def test_oracles_never_double(self, fresh_tables, monkeypatch, family, reserve):
+        # At run time: with index doubling made to raise, every oracle side
+        # answers, on an empty table and on one that stops inside the
+        # column, with the residues of full terms read by u_at.
+        entry = FAMILY_TABLE[family]
+        params = make_params(*(entry.forced or (2, -1)))
+        k, r = 5, 3 if entry.needs_r else None
+        ns, moduli, expected = [], [], []
+        for n in range(2, 10):
+            if family == "mersenne22":
+                m = (1 << n) - 1
+                value = exact_div((1 << k * n) - 1, (1 << k) - 1)
+            elif entry.oracle is congruences._ratio_oracle:
+                m = abs(u_at(params, n if entry.modulus is congruences._modulus_n else k))
+                value = exact_div(u_at(params, k * n), u_at(params, k))
+            else:
+                m = abs(u_at(params, k))
+                value = u_at(params, k * n + (r or 1))
+            if m <= 1:  # no side sees a trivial modulus
+                continue
+            ns.append(n)
+            moduli.append(m)
+            expected.append(value % m)
+        if reserve:
+            sequences._u_term_reserve(params, 25)
+        monkeypatch.setattr(sequences, "_u_pair", _no_doubling)
+        assert entry.oracle(params, k, r, ns, moduli) == expected
+
+    @pytest.mark.parametrize("reserve", [False, True], ids=["empty", "reserved"])
+    def test_exact_fibonacci_sum_never_doubles(self, fresh_tables, monkeypatch, reserve):
+        expected = {}
+        for n in (3, 5, 12, 29):
+            f_n = u_at(FIBONACCI_PARAMS, n)
+            total = sum(
+                exact_div(u_at(FIBONACCI_PARAMS, k * n), u_at(FIBONACCI_PARAMS, k))
+                for k in range(1, n)
+            )
+            expected[n] = ResidueClass(total % f_n, f_n)
+        if reserve:
+            sequences._u_term_reserve(FIBONACCI_PARAMS, 100)
+        monkeypatch.setattr(sequences, "_u_pair", _no_doubling)
+        for n, residue in expected.items():
+            assert fibonacci_sum_residue_exact(n) == residue, n
 
     @pytest.mark.parametrize("direct", [mersenne_sum_residue_direct, fibonacci_sum_residue_direct])
     def test_direct_sum_residues_reach_no_divisor_classes(self, direct):
@@ -734,15 +786,18 @@ class TestReducedOracles:
     @oracle_cases
     @edge_examples
     def test_match_full_width_terms_past_the_table(self, small_tables, pq, k, n, r):
+        sequences._u_term_reserve(make_params(*pq), k * n + r)
         check_reduced_oracles(pq, k, n, r)
 
     def test_small_tables_walk_past_their_end(self, small_tables):
-        check_reduced_oracles((-8, -9), 12, 12, 6)
+        sequences._u_term_reserve(make_params(-8, -9), 12 * 12 + 6)
         assert len(sequences._tables[(-8, -9)]) < 12 * 12
+        check_reduced_oracles((-8, -9), 12, 12, 6)
 
     def test_reader_matches_recurrence_past_the_table(self, small_tables):
         for pq in [(1, -1), (-7, 3), (1, 1)]:
             params = make_params(*pq)
+            sequences._u_term_reserve(params, 500)
             for n in (0, 1, 59, 60, 61, 500):
                 for m in (1, 2, 97, 2**70 + 1):
                     assert _u_terms_mod(params, [n], [m]) == [u_at(params, n) % m], (pq, n, m)
@@ -850,10 +905,8 @@ class TestReducedOracleInvariants:
             oracle()
 
     def test_zero_divisor_term_raises(self, monkeypatch):
-        real = congruences._u_term
-        monkeypatch.setattr(
-            congruences, "_u_term", lambda params, j: 0 if j == 3 else real(params, j)
-        )
+        real = congruences.u_at
+        monkeypatch.setattr(congruences, "u_at", lambda params, j: 0 if j == 3 else real(params, j))
         with pytest.raises(InternalInvariantViolation):
             main_lhs_exact(PELL, 4, 3)
 
@@ -868,7 +921,8 @@ class TestReducedOracleInvariants:
     @pytest.mark.parametrize("warm", [False, True])
     def test_negative_index_raises(self, fresh_tables, warm):
         if warm:
-            sequences._u_term(FIBONACCI_PARAMS, 10)  # a negative index must not read from the end
+            # a negative index must not read from the end
+            sequences._u_term_reserve(FIBONACCI_PARAMS, 10)
         with pytest.raises(ValueError):
             _u_terms_mod(FIBONACCI_PARAMS, [-1], [7])
         with pytest.raises(ValueError):
@@ -919,8 +973,8 @@ WALK_KN = ((200, 200), (199, 150), (64, 101), (13, 29), (240, 250), (300, 200))
 class TestModularWalkSweep:
     # The recurrence walk against the doubling reference u_pair_mod, on every
     # (P, Q) of the query mix, at moduli shaped like the ratio oracle's
-    # |U_k|*|U_n| and at 2^61 - 1; first with no table, then with a table
-    # grown by exact reads.
+    # |U_k|*|U_n| and at 2^61 - 1; first with no table, then with a
+    # reserved one.
     @pytest.mark.parametrize("pq", WIDE_PAIRS, ids=str)
     def test_walk_matches_doubling(self, fresh_tables, pq):
         params = make_params(*pq)
@@ -937,5 +991,5 @@ class TestModularWalkSweep:
                 )
 
         check()
-        sequences._u_term(params, 200)
+        sequences._u_term_reserve(params, 200)
         check()

@@ -330,6 +330,7 @@ class TestTermTable:
     @given(pq=st.sampled_from(WIDE_PAIRS), n=st.integers(0, 300))
     def test_table_and_doubling_agree_with_recurrence(self, pq, n):
         params = make_params(*pq)
+        sequences._u_term_reserve(params, 150)  # n past 150 is read by doubling
         assert _u_term(params, n) == u_at(params, n)
         assert u_pair_exact(params, n) == (u_at(params, n), u_at(params, n + 1))
 
@@ -338,36 +339,52 @@ class TestTermTable:
         params = make_params(*pq)
         for n in (2, 1, 0):
             assert _u_term(params, n) == u_at(params, n)
+        assert sequences._tables == {}  # reads never store
         assert u_pair_exact(params, 0) == (0, 1)
         assert u_pair_exact(params, 1) == (1, pq[0])
         assert u_pair_exact(params, 2) == (pq[0], u_at(params, 3))
 
     def test_negative_index_rejected(self, fresh_tables):
-        _u_term(FIBONACCI_PARAMS, 10)
+        sequences._u_term_reserve(FIBONACCI_PARAMS, 10)
         with pytest.raises(ValueError):
             _u_term(FIBONACCI_PARAMS, -1)
         with pytest.raises(ValueError):
             u_pair_exact(FIBONACCI_PARAMS, -1)
 
     @pytest.mark.parametrize("pq", [(1, -1), (-7, 3), (1, 1)])
-    def test_per_table_budget_and_tail_walk(self, fresh_tables, monkeypatch, pq):
+    def test_reserve_stops_at_the_budget_and_reads_past_it_double(
+        self, fresh_tables, monkeypatch, pq
+    ):
         monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
         params = make_params(*pq)
-        assert _u_term(params, 5000) == u_at(params, 5000)  # walked past the table
+        sequences._u_term_reserve(params, 5000)
         terms = sequences._tables[pq]
         stored = len(terms)
         assert stored < 5000
         assert stored_bits() <= sequences.TABLE_BITS
         next_cost = u_at(params, stored).bit_length() + sequences.SLOT_BITS
         assert stored_bits() + next_cost > sequences.TABLE_BITS  # the table is full
-        for n in (stored - 2, stored - 1, stored, stored + 1, 2 * stored):
+        doubled = spy_on_doubling(monkeypatch)
+        for n in (stored - 2, stored - 1, stored, stored + 1, 2 * stored, 5000):
             assert _u_term(params, n) == u_at(params, n), n
+        assert doubled == [stored, stored + 1, 2 * stored, 5000]
         assert len(terms) == stored  # unstored terms stay unstored
 
+    def test_read_past_the_table_doubles_once_and_stores_nothing(self, fresh_tables, monkeypatch):
+        params = make_params(-7, 3)
+        sequences._u_term_reserve(params, 40)
+        state, start = table_state(), _u_term.cache_info()
+        doubled = spy_on_doubling(monkeypatch)
+        assert _u_term(params, 41) == u_at(params, 41)
+        assert doubled == [41]
+        assert table_state() == state
+        info = _u_term.cache_info()
+        assert (info.hits, info.misses) == (start.hits, start.misses + 1)
+
     def test_new_pair_replaces_the_table(self, fresh_tables, monkeypatch):
-        # Exact reads and reserves over pairs that come back: each new pair
-        # replaces the one table and fills the whole budget again, whatever
-        # was read before it; a column read of another pair leaves it as it is.
+        # Reserves over pairs that come back: each new pair replaces the one
+        # table and fills the whole budget again, whatever was read before
+        # it; an exact or a column read of any pair leaves it as it is.
         monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
         pairs = WIDE_PAIRS[:5] + WIDE_PAIRS[3::-1] + WIDE_PAIRS[4:5] * 2 + WIDE_PAIRS[-3:]
 
@@ -382,21 +399,24 @@ class TestTermTable:
 
         for i, pq in enumerate(pairs):
             params = make_params(*pq)
-            if i % 2:
-                sequences._u_term_reserve(params, 30)
-            for n in (37, 0, 400, 5, 2000):
-                assert _u_term(params, n) == u_at(params, n), (pq, n)
+            for n in (30, 2000) if i % 2 else (2000,):
+                sequences._u_term_reserve(params, n)
                 assert list(sequences._tables) == [pq]
                 assert stored_bits() == sequences._stored_bits <= sequences.TABLE_BITS
-            assert len(sequences._tables[pq]) == full_length(params), pq
+            state = table_state()
+            assert state[0] == {pq: full_length(params)}, pq
             other = make_params(*pairs[i - 1])
+            for n in (37, 0, 400, 5, 2000):
+                assert _u_term(params, n) == u_at(params, n), (pq, n)
+                assert _u_term(other, n) == u_at(other, n), (pq, n)
             assert _u_terms_mod(other, [3], [97]) == [u_at(other, 3) % 97]
-            assert list(sequences._tables) == [pq]
+            assert table_state() == state
 
     def test_concurrent_growth_keeps_tables_exact(self, fresh_tables):
-        # Threads grow the same cold tables step by step at once, and replace
-        # each other's, as they alternate pairs; a lost or doubled append, or
-        # a term read from another pair's table, would shift every later term.
+        # Threads reserve the same cold tables step by step at once, and
+        # replace each other's, as they alternate pairs, reading each term
+        # just reserved; a lost or doubled append, or a term read from another
+        # pair's table, would shift every later term.
         pairs = [make_params(*pq) for pq in ((1, -1), (3, -5), (-2, 7))]
         errors = []
         barrier = threading.Barrier(6, timeout=60)
@@ -406,6 +426,7 @@ class TestTermTable:
                 barrier.wait()
                 for n in range(2, 400):
                     params = pairs[(seed + n) % len(pairs)]
+                    sequences._u_term_reserve(params, n)
                     if _u_term(params, n) != naive_u(params.p_coeff, params.q_coeff, n):
                         errors.append((round_, params, n))
                 barrier.wait()
@@ -426,13 +447,17 @@ class TestTermTable:
         assert errors == []
 
     def test_cache_info_counts(self, fresh_tables):
+        # A reserve that grows the table is one miss, a stored read one hit,
+        # and a read past the table one miss.
         start = _u_term.cache_info()
-        _u_term(FIBONACCI_PARAMS, 50)
+        sequences._u_term_reserve(FIBONACCI_PARAMS, 50)
         _u_term(FIBONACCI_PARAMS, 20)
         _u_term(FIBONACCI_PARAMS, 50)
+        _u_term(FIBONACCI_PARAMS, 51)
+        sequences._u_term_reserve(FIBONACCI_PARAMS, 50)  # already stored: counts nothing
         info = _u_term.cache_info()
         assert info.hits - start.hits == 2
-        assert info.misses - start.misses == 1
+        assert info.misses - start.misses == 2
         assert info.currsize == 51
 
 
@@ -448,6 +473,18 @@ WALK_MODULI = (1, 2, 97, 2**70 + 1, 2**400 + 1, abs(naive_u(-7, 3, 197) * naive_
 # Whole blocks of a walk: below, at and above the giant-step cut-over of 16,
 # exact multiples of the giant step (16 = 4*4, 20 = 5*4, 64 = 8*8) and not.
 WALK_BLOCKS = (0, 1, 15, 16, 17, 20, 35, 64, 71)
+
+
+def spy_on_doubling(monkeypatch):
+    """Record the index of every _u_pair call from now on; returns the list."""
+    real, indices = sequences._u_pair, []
+
+    def spy(params, n, m, counter):
+        indices.append(n)
+        return real(params, n, m, counter)
+
+    monkeypatch.setattr(sequences, "_u_pair", spy)
+    return indices
 
 
 def table_state():
@@ -468,7 +505,7 @@ class TestModularWalk:
     def test_every_walk_length_past_a_small_table(self, fresh_tables, monkeypatch, pq, block):
         monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
         params = make_params(*pq)
-        _u_term(params, 500)
+        sequences._u_term_reserve(params, 500)
         stored = len(sequences._tables[pq])
         assert stored < 500  # the table is full
         # From the last stored terms (hits), then 0 to 3 whole blocks and any remainder.
@@ -483,7 +520,8 @@ class TestModularWalk:
 
     def test_concurrent_growth_keeps_walks_exact(self, fresh_tables):
         # Modular reads hit or walk from (U_0, U_1) while other threads grow
-        # or clear the tables; neither may read a term that is not there.
+        # the tables by reserves or clear them; neither may read a term that
+        # is not there.
         pairs = [make_params(*pq) for pq in ((1, -1), (-7, 3), (-8, -9))]
         m = 2**70 + 1
         expected = {
@@ -499,7 +537,7 @@ class TestModularWalk:
                 for n in range(2, 400):
                     params = pairs[(seed + n) % len(pairs)]
                     if seed % 2:
-                        _u_term(params, n)
+                        sequences._u_term_reserve(params, n)
                     elif _u_terms_mod(params, [n + seed], [m]) != [expected[params][n + seed]]:
                         errors.append((round_, params, n + seed))
                 barrier.wait()
@@ -521,7 +559,7 @@ class TestModularWalk:
 
     def test_modular_read_stores_nothing(self, fresh_tables):
         table, cold = make_params(-7, 3), make_params(5, -3)
-        _u_term(table, 40)
+        sequences._u_term_reserve(table, 40)
         for params, n in [(table, 41), (table, 500), (cold, 0), (cold, 500)]:
             state, start = table_state(), _u_term.cache_info()
             assert _u_terms_mod(params, [n], [2**70 + 1]) == [u_at(params, n) % (2**70 + 1)]
@@ -529,17 +567,17 @@ class TestModularWalk:
             assert table_state() == state, (params, n)
             assert (info.hits, info.misses) == (start.hits, start.misses + 1), (params, n)
         assert list(sequences._tables) == [(-7, 3)]
-        # Exact reads still grow the table.
+        # Exact reads never store either.
+        state = table_state()
         assert _u_term(table, 500) == u_at(table, 500)
-        assert len(sequences._tables[(-7, 3)]) == 501
         assert _u_term(cold, 60) == u_at(cold, 60)
-        assert len(sequences._tables[(5, -3)]) == 61
+        assert table_state() == state
 
     def test_column_read_counts_one_hit_or_miss_per_term(self, fresh_tables):
         # Stored indices are reduced from the table, in the order given; the
         # two past its end each walk, as one miss; nothing is stored.
         params = make_params(-7, 3)
-        _u_term(params, 40)
+        sequences._u_term_reserve(params, 40)
         state, start = table_state(), _u_term.cache_info()
         indices = [40, 0, 500, 7, 41, 7]
         moduli = [97, 2, 2**70 + 1, 1, 5, 2**70 + 1]
@@ -562,7 +600,7 @@ class TestModularWalk:
         # doubling residue; one negative index rejects the whole column
         # before anything is counted.
         params = make_params(-7, 3)
-        _u_term(params, 40)
+        sequences._u_term_reserve(params, 40)
         indices = [41, 3, 500, 3, 40, 500, 0, 41, 2000]
         moduli = [97, 97, 2**70 + 1, 2, 2**70 + 1, 2**70 + 1, 5, 2**400 + 1, 2**61 - 1]
         assert _u_terms_mod(params, indices, moduli) == [
@@ -586,7 +624,7 @@ class TestModularWalk:
                     assert _u_terms_mod(params, [n], [m]) == [expected], (params, n, m)
 
         check(0)  # no table
-        _u_term(params, 500)
+        sequences._u_term_reserve(params, 500)
         stored = len(sequences._tables[pq])
         check(stored - 2)  # past a full table: hits, then walks from (U_0, U_1)
         assert len(sequences._tables[pq]) == stored
@@ -601,17 +639,23 @@ class TestModularWalk:
             return _walk_plan(steps, block, weight)
 
         monkeypatch.setattr(sequences, "_walk_plan", plan)
-        partial, full = make_params(-7, 3), FIBONACCI_PARAMS
-        _u_term(partial, 40)
-        _u_term(full, 5000)
-        stored = len(sequences._tables[(1, -1)])
-        assert 40 < stored < 5000
         m = 2**200 + 1
-        cold = make_params(5, -3)
-        for params, n in [(cold, 300), (partial, 41), (partial, 500), (full, stored), (full, 4 * stored)]:
+
+        def check(params, n):
             walked.clear()
             assert _u_terms_mod(params, [n], [m]) == [u_pair_mod(params, n, m)[0]], (params, n)
             assert walked == [n], (params, n)
+
+        check(make_params(5, -3), 300)
+        partial, full = make_params(-7, 3), FIBONACCI_PARAMS
+        sequences._u_term_reserve(partial, 40)
+        check(partial, 41)
+        check(partial, 500)
+        sequences._u_term_reserve(full, 5000)
+        stored = len(sequences._tables[(1, -1)])
+        assert 40 < stored < 5000
+        check(full, stored)
+        check(full, 4 * stored)
 
     @pytest.mark.parametrize("pq, block", WALK_PAIRS)
     def test_wide_moduli_match_doubling(self, fresh_tables, monkeypatch, pq, block):
