@@ -13,22 +13,23 @@ table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
 shift r, its domain check and its modulus, the one place that modulus is
 decided. A side is one call, side(params, k, r, ns, moduli): it takes n
 values of one (P, Q, k) and r, in any order, with their moduli, and returns
-their least nonnegative residues in that order. Each closed form is written
-once, as one loop over n; for the five families modulo |U_k| it is a residue
-formula in U_{k+1}, Q^k and U_r modulo |U_k|, which each call reads once.
-The recurrence oracles read every term of a call in one
-sequences._u_terms_mod call.
+their least nonnegative residues in that order. Each closed form is one loop
+over n. The five families modulo |U_k| are two residue formulas in U_{k+1},
+Q^k and U_r mod |U_k|, read once per call: lemma1 and cor6 are the ratio
+row, and lemma2, cor7 and shift the shift row. The recurrence oracles read
+every term of a call in one _u_terms_mod call.
 The caller checks the domain and reads the modulus: 0 or 1 makes the
-instance a TrivialModulus, and any other is handed to both sides. There are
-two callers. _evaluate checks one instance once, reads its modulus once and
-runs each side it is asked for on that one n; the public functions and
+instance a TrivialModulus, and any other is handed to both sides. _evaluate
+does so once for one instance, whose sides reuse a four-case check's tag,
+and runs each side it is asked for on that one n; the public functions and
 evaluate_congruence return its Outcome values. grid_batch, the
 congruence-grid scan's unit of work, checks its (P, Q, k) once, reads |U_k|
-once and main's |U_n| once per n, and calls each side of each grid variant
-once, on every n the variant checks. It first reserves the pair's table up
-to the widest index the grid reads. That reserve is the table's only write,
-as exact reads never store, so within the table's budget no oracle read
-walks, whatever the process read before.
+once and main's |U_n| once per n, and calls each distinct column (a side at
+one effective shift and modulus) once, on every n its variants check: 18
+calls for the 24 sides of 12 variants with items. It first reserves the pair's
+table up to the widest index the grid reads. That reserve is the table's
+only write, as exact reads never store, so within the table's budget no
+oracle read walks, whatever the process read before.
 """
 
 from __future__ import annotations
@@ -97,8 +98,7 @@ def _case(n: int, k: int) -> CaseTag:
         return _ODD_N
     if k & 1:
         return _EVEN_N_ODD_K
-    d = gcd(n, k)
-    if (n // d) & 1 and (k // d) & 1:
+    if n & -n == k & -k:  # n/d, k/d both odd: n and k hold the same power of 2
         return _ODD_QUOTIENTS
     return _MIXED_QUOTIENTS
 
@@ -158,8 +158,8 @@ def _modulus_mersenne(params: LucasParams, k: int, n: int) -> int:
 # Closed-form sides. Every side is one call (params, k, r, ns, moduli) ->
 # residues: it takes n values in any order, each on a checked domain with
 # the family's modulus, which exceeds 1, and returns their residues in that
-# order. r is the shift family's, else None. A closed form is one loop over
-# n: a plain side, or a residue formula under _mod_u_k.
+# order. r is the shift family's, a four-case family's tag of its one n, else
+# None. A closed form is one loop over n: a plain side, or a row under _mod_u_k.
 # ---------------------------------------------------------------------------
 
 
@@ -188,65 +188,40 @@ def _mod_u_k(
     return side
 
 
-@_mod_u_k
-def _lemma1(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
-    residues = []
-    for n in ns:
-        if n == 0:
-            residues.append(0)
-        elif n & 1:
-            residues.append(n * pow(q_k, (n - 1) // 2, m) % m)
-        else:
-            residues.append(n * u_next * pow(q_k, (n - 2) // 2, m) % m)
-    return residues
-
-
-@_mod_u_k
-def _lemma2(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
+def _ratio_row(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
+    """U_{kn}/U_k: n*U_{k+1}^{[n even]}*(Q^k)^{ceil(n/2)-1}, and 0 at n = 0."""
     residues = []
     for n in ns:
         if n & 1:
-            residues.append(u_next * pow(q_k, (n - 1) // 2, m) % m)
+            residues.append(n * pow(q_k, n >> 1, m) % m)
         else:
-            residues.append(pow(q_k, n // 2, m))
+            residues.append(n * u_next * pow(q_k, (n >> 1) - 1, m) % m if n else 0)
     return residues
 
 
-@_mod_u_k
-def _cor6(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
+def _shift_row(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
+    """U_{kn+r}: U_r*U_{k+1}^{[n odd]}*(Q^k)^{floor(n/2)}."""
+    odd = u_r * u_next
     residues = []
     for n in ns:
-        a = 1 - (n & 1)  # parity_indicator(n)
-        residues.append(n * (u_next if a else 1) * pow(q_k, (n - a - 1) // 2, m) % m if n else 0)
+        residues.append((odd if n & 1 else u_r) * pow(q_k, n >> 1, m) % m)
     return residues
 
 
-@_mod_u_k
-def _cor7(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
-    residues = []
-    for n in ns:
-        a = 1 - (n & 1)  # parity_indicator(n)
-        residues.append((1 if a else u_next) * pow(q_k, (n + a - 1) // 2, m) % m)
-    return residues
-
-
-@_mod_u_k
-def _general_shift(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
-    residues = []
-    for n in ns:
-        a = 1 - (n & 1)  # parity_indicator(n)
-        residues.append(u_r * (1 if a else u_next) * pow(q_k, (n + a - 1) // 2, m) % m)
-    return residues
+# Lemma 1 and Corollary 6 are one formula, as are Lemma 2, Corollary 7 and the
+# general shift at U_1 = 1: parity split and parity-unified forms alike.
+_lemma1 = _cor6 = _mod_u_k(_ratio_row)
+_lemma2 = _cor7 = _general_shift = _mod_u_k(_shift_row)
 
 
 def _main(
-    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+    params: LucasParams, k: int, r: Optional[CaseTag], ns: Sequence[int], moduli: Sequence[int]
 ) -> list[int]:
-    """Reads the signed U_n once per n, and gcd(n, k) and the case once."""
+    """Reads the signed U_n and gcd(n, k) once per n, and classifies it unless r is its tag."""
     residues = []
     for n, m in zip(ns, moduli):
         d = gcd(n, k)
-        case = _case(n, k)
+        case = r or _case(n, k)
         ratio = exact_div(_u_term(params, n), _u_term(params, d))
         if case is _ODD_QUOTIENTS:
             doubled_exponent = k * n - k - n
@@ -264,9 +239,7 @@ def _main(
 
 
 # The Fibonacci kernels ignore params: they are the closed forms specialized
-# to (P, Q) = (1, -1), with (-1)^e kept as a sign. Implemented directly rather
-# than by delegating to the general kernels, so the sign bookkeeping gets
-# exercised on its own; the two must agree pointwise (tested).
+# to (P, Q) = (1, -1), kept apart from the rows above (see fibonacci_rhs_family).
 
 
 def _fib_shifted(
@@ -300,13 +273,13 @@ def _fib_ratio(
 
 
 def _fib_main(
-    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+    params: LucasParams, k: int, r: Optional[CaseTag], ns: Sequence[int], moduli: Sequence[int]
 ) -> list[int]:
     residues = []
     for n, m in zip(ns, moduli):
         d = gcd(n, k)
         ratio = exact_div(m, _u_term(FIBONACCI_PARAMS, d))
-        if _case(n, k) is _ODD_QUOTIENTS:
+        if (r or _case(n, k)) is _ODD_QUOTIENTS:
             value = d * ratio * _u_term(FIBONACCI_PARAMS, d + 1) * _sign_pow((k * n - k - n) // 2)
         else:
             value = d * ratio * _sign_pow((k * n - k - n + d) // 2)
@@ -410,7 +383,8 @@ def _evaluate(
     """The given sides ("closed_form", "oracle") of one instance, in order, and its case tag.
 
     The domain is checked once, its result being the case tag, and the modulus
-    read once; each side then runs on the one n.
+    read once; each side then runs on the one n. A four-case family takes no
+    r, so its sides take the tag in r's place and do not classify n again.
     """
     entry = FAMILY_TABLE[family]
     tag = entry.check(k, n, r)
@@ -418,7 +392,7 @@ def _evaluate(
     if modulus <= 1:
         return [TRIVIAL_MODULUS] * len(sides), tag
     return [
-        ResidueClass(getattr(entry, side)(params, k, r, [n], [modulus])[0], modulus)
+        ResidueClass(getattr(entry, side)(params, k, tag or r, [n], [modulus])[0], modulus)
         for side in sides
     ], tag
 
@@ -658,8 +632,10 @@ def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[i
     its modulus |U_0| = 0 is trivial, so no item runs a domain check. |U_k|
     is read once for the batch: a variant modulo |U_k| takes every n when it
     exceeds 1, and none otherwise. main reads |U_n| once per n and takes the
-    n where it exceeds 1. A variant with items calls each side once, on
-    those items in n order; an item holds when the two residues are equal.
+    n where it exceeds 1. A column, keyed by the side object, the effective
+    shift (1 without r) and the modulus, runs once per batch on its items in
+    n order, for every variant with that key; an item holds when its two
+    residues are equal.
     """
     p, q, k, n_lo, hi = unit
     if k < 1 or n_lo < 0:
@@ -674,6 +650,7 @@ def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[i
     width = len(GRID_VARIANTS)
     marks = ["-"] * (len(span) * width)  # item (n, variant) at (n - n_lo) * width + index
     failed = {}  # (n, detail) of each mismatch, keyed by its mark's position
+    columns = {}  # (side, shift, modulus) -> the side's residues on its items
     for index, (name, r) in enumerate(GRID_VARIANTS):
         family = FAMILY_TABLE[name]
         if family.modulus is _modulus_k:
@@ -689,8 +666,16 @@ def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[i
                     moduli.append(modulus)
             if not ns:
                 continue
-        closed = family.closed_form(params, k, r, ns, moduli)
-        oracle = family.oracle(params, k, r, ns, moduli)
+        residues = []
+        for side in (family.closed_form, family.oracle):
+            key = (side, 1 if r is None else r, family.modulus)
+            if key not in columns:
+                columns[key] = side(params, k, r, ns, moduli)
+            residues.append(columns[key])
+        closed, oracle = residues
+        if closed == oracle and ns is span:
+            marks[index::width] = "+" * len(span)
+            continue
         for n, a, b in zip(ns, closed, oracle):
             position = (n - n_lo) * width + index
             if a == b:

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -840,6 +841,27 @@ class TestGridMatchesPublicPath:
         ) + tuple(("shift", r) for r in range(7))
 
 
+def _grid_columns(params, k, hi, side):
+    """How many distinct columns of one side a 1..hi batch of (params, k) calls.
+
+    A column is keyed by the side, the effective shift and the modulus; a
+    modulus with no item over 1 calls none.
+    """
+    table = congruences_module.FAMILY_TABLE
+    u_k = congruences_module._modulus_k(params, k, 1)
+    has_items = {
+        congruences_module._modulus_k: u_k > 1,
+        congruences_module._modulus_n: any(
+            congruences_module._modulus_n(params, k, n) > 1 for n in range(1, hi + 1)
+        ),
+    }
+    return len({
+        (getattr(table[name], side), 1 if r is None else r, table[name].modulus)
+        for name, r in congruences_module.GRID_VARIANTS
+        if has_items[table[name].modulus]
+    })
+
+
 class TestGridWork:
     # The work of grid batches, counted at the readers the grid calls.
 
@@ -857,9 +879,9 @@ class TestGridWork:
 
     def test_grid_walks_no_term(self, monkeypatch):
         # One reserve per batch stores every index the 1..24 grid reads, so no
-        # oracle read reaches the walk _u_walk_mod, and each oracle variant with
-        # an item to check reads its terms in one column call. Exact term reads,
-        # in either module, stay under one per two items.
+        # oracle read reaches the walk _u_walk_mod, and each distinct oracle
+        # column with an item to check reads its terms in one call. Exact term
+        # reads, in either module, stay under one per two items.
         walks = self._count_calls(monkeypatch, sequences_module, ["_u_walk_mod", "_u_term"])
         counts = self._count_calls(
             monkeypatch, congruences_module, ["_u_term_reserve", "_u_terms_mod", "_u_term"]
@@ -870,14 +892,9 @@ class TestGridWork:
         assert walks["_u_term"] + counts["_u_term"] <= 0.5 * (scan["checked"] + scan["skipped"])
         batches = [(p, q, k) for p, q in congruences_module.COEFFICIENT_GRID for k in range(1, 25)]
         assert counts["_u_term_reserve"] == len(batches)
-        columns = 0
-        for p, q, k in batches:
-            params = make_params(p, q)
-            if abs(u_at(params, k)) > 1:
-                columns += len(congruences_module.GRID_VARIANTS) - 1
-            if any(abs(u_at(params, n)) > 1 for n in range(1, 25)):
-                columns += 1  # main, whose modulus |U_n| moves with n
-        assert counts["_u_terms_mod"] == columns
+        assert counts["_u_terms_mod"] == sum(
+            _grid_columns(make_params(p, q), k, 24, "oracle") for p, q, k in batches
+        )
 
     def test_grid_walks_no_term_after_other_pairs(self, fresh_tables, monkeypatch):
         # Reserves and exact reads of 200 other pairs before the scan leave
@@ -893,17 +910,17 @@ class TestGridWork:
 
     @pytest.mark.parametrize("p, q, k, columns", [
         (1, -1, 1, 1),  # |U_1| = 1: only main has items
-        (1, -1, 7, 12),
+        (1, -1, 7, 9),
         (1, 1, 3, 0),  # U_3(1, 1) = 0, and no |U_n| exceeds 1
-        (4, 3, 13, 12),
-        (5, -3, 24, 12),
+        (4, 3, 13, 9),
+        (5, -3, 24, 9),
     ])
-    def test_one_reserve_and_one_read_per_oracle_variant(
+    def test_one_reserve_and_one_read_per_distinct_oracle_column(
         self, fresh_tables, monkeypatch, p, q, k, columns
     ):
-        # A batch reserves the table once and reads each oracle variant's terms
-        # in one column call, all stored; only the batch that first grows the
-        # table counts a miss.
+        # A batch reserves the table once and reads each distinct oracle
+        # column's terms in one call, all stored; only the batch that first
+        # grows the table counts a miss.
         real = sequences_module._u_terms_mod
         reads = []
 
@@ -921,10 +938,56 @@ class TestGridWork:
             congruences_module.grid_batch((p, q, k, 1, hi))
             misses.append(sequences_module._u_term.cache_info().misses - start)
             assert counts["_u_term_reserve"] == 1
-            assert len(reads) == columns
+            assert len(reads) == _grid_columns(make_params(p, q), k, hi, "oracle") == columns
             stored = len(sequences_module._tables[(p, q)])
             assert all(max(indices) < stored for indices in reads)
         assert misses == [1, 0, 0]
+
+    @pytest.mark.parametrize("p, q, k, shared, unshared", [
+        (1, -1, 7, 9, 12),
+        (5, -3, 24, 9, 12),
+        (1, -1, 1, 1, 1),  # |U_1| = 1: main alone
+        (1, 1, 3, 0, 0),  # no modulus exceeds 1
+    ])
+    def test_each_distinct_column_is_one_side_call(
+        self, monkeypatch, p, q, k, shared, unshared
+    ):
+        # Where |U_k| > 1 the 12 variants' 24 sides are 18 distinct columns:
+        # lemma1 and cor6 share both sides, and so do lemma2, cor7 and shift
+        # r = 1. With a wrapper of its own on each family's side, a batch
+        # shares nothing, calls each variant's sides, and marks the same.
+        table = congruences_module.FAMILY_TABLE
+        families = dict(table)
+        made = Counter()
+
+        def counted(side, kind):
+            def wrapper(*args):
+                made[kind] += 1
+                return side(*args)
+
+            return wrapper
+
+        def batch(share):
+            wrappers = {}
+            for name, family in families.items():
+                sides = {}
+                for kind in ("closed_form", "oracle"):
+                    side = getattr(family, kind)
+                    if not share or side not in wrappers:
+                        wrappers[side] = counted(side, kind)
+                    sides[kind] = wrappers[side]
+                monkeypatch.setitem(table, name, family._replace(**sides))
+            made.clear()
+            return congruences_module.grid_batch((p, q, k, 1, 24)), dict(made)
+
+        marks, calls = batch(share=True)
+        assert calls == {kind: shared for kind in ("closed_form", "oracle") if shared}
+        params = make_params(p, q)
+        for kind in ("closed_form", "oracle"):
+            assert _grid_columns(params, k, 24, kind) == shared
+        assert batch(share=False) == (
+            marks, {kind: unshared for kind in ("closed_form", "oracle") if unshared}
+        )
 
     @pytest.mark.parametrize("p, q, k", [(1, -1, 7), (3, -2, 6), (2, 1, 5), (1, 1, 3)])
     def test_u_k_families_read_no_term_per_n(self, monkeypatch, p, q, k):
@@ -1112,6 +1175,22 @@ class TestGridMismatches:
             '"mismatches":[{"n":4,"detail":"family=main p=1 q=-2 k=3 n=4"}],'
             '"workers":1}\n'
         )
+
+    @pytest.mark.parametrize("side", ["closed_form", "oracle"])
+    @pytest.mark.parametrize("variant", congruences_module.GRID_VARIANTS, ids=[
+        name if r is None else f"{name}-r{r}" for name, r in congruences_module.GRID_VARIANTS
+    ])
+    def test_a_broken_side_shows_under_its_own_family(self, monkeypatch, variant, side):
+        # Each variant is checked at (2, -1, k=3, n=2), where |U_3| = 5 and
+        # |U_2| = 2. A side it shares a column with stays whole, so the fault
+        # shows under the broken family alone, for each r of shift.
+        family, _ = variant
+        _break_kernel(monkeypatch, family, side, (2, -1, 3, 2))
+        scan = cli_module.run_scan("congruence-grid", 1, 8, 1)
+        shifts = [f" r={r}" for r in range(7)] if family == "shift" else [""]
+        assert scan["mismatches"] == [
+            {"n": 2, "detail": f"family={family} p=2 q=-1 k=3 n=2{shift}"} for shift in shifts
+        ]
 
 
 def _raise_in_worker_at(monkeypatch, faults):

@@ -89,6 +89,41 @@ class TestClassifyCase:
                     assert n % 2 == 0 and k % 2 == 0
                     assert (n // d) % 2 == 1 and (k // d) % 2 == 1
 
+    def test_matches_the_definition_by_gcd(self):
+        # The split reads 2-adic valuations; this is the split as stated, by d = gcd(n, k).
+        for n in range(1, 130):
+            for k in range(1, 130):
+                d = gcd(n, k)
+                if n % 2:
+                    expected = CaseTag.ODD_N
+                elif k % 2:
+                    expected = CaseTag.EVEN_N_ODD_K
+                elif (n // d) % 2 and (k // d) % 2:
+                    expected = CaseTag.BOTH_EVEN_ODD_QUOTIENTS
+                else:
+                    expected = CaseTag.BOTH_EVEN_MIXED_QUOTIENTS
+                assert classify_case(n, k) is expected, (n, k)
+
+
+@pytest.mark.parametrize("family", ["main", "fib21"])
+@pytest.mark.parametrize("n, k", [(7, 4), (6, 3), (6, 4), (6, 10)])  # one of each case
+def test_a_single_instance_is_classified_once(monkeypatch, family, n, k):
+    # The domain check classifies the instance, and both sides take its tag;
+    # the closed form's gcd(n, k) is the only gcd.
+    calls = {"_case": 0, "gcd": 0}
+    for name in calls:
+        real = getattr(congruences, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(congruences, name, counted)
+    p, q = FAMILY_TABLE[family].forced or (2, -1)
+    report = evaluate_congruence(family, p=p, q=q, k=k, n=n)
+    assert calls == {"_case": 1, "gcd": 1}
+    assert report.holds and report.case_tag is classify_case(n, k)
+
 
 class TestSignedPow:
     @settings(deadline=None, max_examples=300)
@@ -886,6 +921,64 @@ class TestOneCallSides:
             report = evaluate_congruence(family, p=pq[0], q=pq[1], k=0, n=7, r=r)
             assert report.lhs == report.rhs == TRIVIAL_MODULUS and report.holds
             assert _evaluate_side(family, "oracle", params, 0, 0, r) == TRIVIAL_MODULUS
+
+
+# ---------------------------------------------------------------------------
+# The two formula rows modulo |U_k|, beyond the desk grid
+# ---------------------------------------------------------------------------
+
+# Every coprime (P, Q) with P in -7..7 and Q in -9..9.
+ROW_PAIRS = [(p, q) for p in range(-7, 8) for q in range(-9, 10) if gcd(abs(p), abs(q)) == 1]
+ROW_VARIANTS = [("lemma1", None), ("cor6", None), ("lemma2", None), ("cor7", None)] + [
+    ("shift", r) for r in range(7)
+]
+
+
+def paper_lemma1(params, k, n):
+    """Lemma 1 as the paper states it, in exact ints: n*Q^{k(n-1)/2} for odd n, else
+    n*U_{k+1}*Q^{k(n-2)/2}; 0 at n = 0, where the factor n kills the term."""
+    q = params.q_coeff
+    if n == 0:
+        return 0
+    if n % 2:
+        return n * q ** exact_div(k * (n - 1), 2)
+    return n * u_at(params, k + 1) * q ** exact_div(k * (n - 2), 2)
+
+
+def paper_lemma2(params, k, n):
+    """Lemma 2 as the paper states it, in exact ints: U_{k+1}*Q^{k(n-1)/2} for odd n, else
+    Q^{kn/2}."""
+    q = params.q_coeff
+    if n % 2:
+        return u_at(params, k + 1) * q ** exact_div(k * (n - 1), 2)
+    return q ** exact_div(k * n, 2)
+
+
+class TestFormulaRows:
+    # lemma1 and cor6 are the ratio row; lemma2, cor7 and shift the shift row.
+    # Each family's closed form is checked against its oracle, and each row
+    # against the paper's parity-split statement (times U_r for the shift).
+
+    @pytest.mark.parametrize("pq", ROW_PAIRS)
+    def test_rows_match_oracles_and_the_paper(self, pq):
+        params = make_params(*pq)
+        ns = list(range(21))
+        for k in range(1, 11):
+            m = abs(u_at(params, k))
+            if m <= 1:
+                continue
+            moduli = [m] * len(ns)
+            lemma1 = [paper_lemma1(params, k, n) % m for n in ns]
+            lemma2 = [paper_lemma2(params, k, n) for n in ns]
+            for family, r in ROW_VARIANTS:
+                entry = FAMILY_TABLE[family]
+                closed = entry.closed_form(params, k, r, ns, moduli)
+                assert closed == entry.oracle(params, k, r, ns, moduli), (family, pq, k, r)
+                if entry.oracle is congruences._ratio_oracle:
+                    assert closed == lemma1, (family, pq, k)
+                else:
+                    u_r = u_at(params, 1 if r is None else r)
+                    assert closed == [u_r * value % m for value in lemma2], (family, pq, k, r)
 
 
 class TestReducedOracleInvariants:
