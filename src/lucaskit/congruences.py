@@ -34,7 +34,6 @@ oracle read walks, whatever the process read before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import wraps
 from math import gcd
@@ -532,8 +531,7 @@ def mersenne_ratio_lhs_exact(n: int, k: int) -> ResidueClass:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Both sides of one congruence instance and whether they matched."""
 
     family: str

@@ -8,10 +8,8 @@ oracle, primitive prime divisors, and the Fibonacci rank of apparition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
-from typing import Any, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from .errors import (
     CapExceeded,
@@ -24,6 +22,9 @@ from .errors import (
 )
 from .residues import ResidueClass, exact_div
 from .sequences import FIBONACCI_PARAMS, LucasParams, _u_term, u_pair_exact, u_pair_mod
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class BitWidthProbe:
@@ -252,8 +253,7 @@ def mersenne_sum_residue_fast(n: int, probe: BitWidthProbe | None = None) -> Res
     return ResidueClass(_repunit_sum(n, _divisor_classes(n), probe) % modulus, modulus)
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
+class PrimalityVerdict(NamedTuple):
     """One criterion run: the computed residue, the claim, and the ground truth."""
 
     n: int
@@ -264,15 +264,13 @@ class PrimalityVerdict:
     agree: bool
 
 
-@dataclass(frozen=True)
-class DivisorSumTerm:
+class DivisorSumTerm(NamedTuple):
     divisor: int
     phi: int
     contribution: Fraction
 
 
-@dataclass(frozen=True)
-class DivisorSumBreakdown:
+class DivisorSumBreakdown(NamedTuple):
     """The criterion sum in exact rational form, one term per proper divisor."""
 
     n: int
@@ -290,6 +288,8 @@ def divisor_sum_breakdown(n: int) -> DivisorSumBreakdown:
     one reduction instead of a Fraction addition per divisor. The terms stay
     exact rationals, and their sum is an independent check of the total.
     """
+    from fractions import Fraction  # here, so only this function pays for fractions and decimal
+
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     classes = _divisor_classes(n)

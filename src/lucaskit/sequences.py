@@ -8,34 +8,36 @@ satisfy, exposed as exact checks.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import NamedTuple, Sequence
 
 from .errors import BadModulus, CoprimalityViolation, ZeroPair
+from .residues import _set, _Value
 
 
-@dataclass(frozen=True)
-class LucasParams:
+class LucasParams(_Value):
     """Coefficient pair (P, Q) of the recurrence a_{j+1} = P*a_j - Q*a_{j-1}.
 
     P and Q must be coprime, which makes the U-sequence a strong divisibility
     sequence. The discriminant P^2 - 4Q is derived, never passed in.
     """
 
-    p_coeff: int
-    q_coeff: int
-    discriminant: int = field(init=False)
+    __slots__ = ("p_coeff", "q_coeff", "discriminant")
 
-    def __post_init__(self) -> None:
-        if self.p_coeff == 0 and self.q_coeff == 0:
+    def __init__(self, p_coeff: int, q_coeff: int) -> None:
+        if p_coeff == 0 and q_coeff == 0:
             raise ZeroPair("(P, Q) = (0, 0) defines no usable sequence")
-        if gcd(abs(self.p_coeff), abs(self.q_coeff)) != 1:
+        if gcd(abs(p_coeff), abs(q_coeff)) != 1:
             raise CoprimalityViolation(
-                f"P = {self.p_coeff} and Q = {self.q_coeff} share a factor; "
+                f"P = {p_coeff} and Q = {q_coeff} share a factor; "
                 "coprime coefficients are required"
             )
-        object.__setattr__(self, "discriminant", self.p_coeff**2 - 4 * self.q_coeff)
+        _set(self, "p_coeff", p_coeff)
+        _set(self, "q_coeff", q_coeff)
+        _set(self, "discriminant", p_coeff**2 - 4 * q_coeff)
+
+    def _args(self) -> tuple[int, int]:
+        return self.p_coeff, self.q_coeff
 
 
 def make_params(p: int, q: int) -> LucasParams:

@@ -556,14 +556,28 @@ class TestOutputContract:
 
     def test_import_loads_no_process_pool(self):
         # Only a scan with more than one worker forks, and it needs neither.
+        # No record is a dataclass (which loads inspect), and only
+        # divisor_sum_breakdown loads fractions (and with it decimal).
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         code = (
             "import lucaskit.cli, sys; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing', 'dataclasses', 'inspect', 'fractions', 'decimal')))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_divisor_sum_loads_fractions_on_first_use(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        code = (
+            "import sys; from lucaskit import divisor_sum_breakdown; "
+            "loaded = 'fractions' in sys.modules; "
+            "from fractions import Fraction; b = divisor_sum_breakdown(12); "
+            "print(loaded, type(b.total) is Fraction, b.total, "
+            "{type(t.contribution) for t in b.terms} == {Fraction})"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True 716/105 True\n", "")
 
     @pytest.mark.parametrize("argv, err", [
         (["congruence", "--family", "nope", "-k", "3", "-n", "2"],
