@@ -8,8 +8,9 @@ checks hold, 1 mathematical mismatch, 2 usage or precondition error, a
 crashed scan worker or exhausted memory.
 
 The CLI parses, encodes and aggregates. A per-value scan runs a
-CRITERION_TABLE entry per value; the congruence grid sends each (P, Q, k)
-unit to congruences.grid_batch, so no family protocol is known here. A scan
+CRITERION_TABLE entry per value; the congruence grid sends each (P, Q) unit
+of congruences.grid_units to congruences.grid_batch, so no family protocol
+is known here. A scan
 with more than one worker forks its workers itself (_fan_out): they take
 contiguous chunks of units from one pipe and send their outcomes back
 pickled, so importing this module loads no process pool. Each worker starts
@@ -28,12 +29,12 @@ from functools import cache, partial
 from typing import Any, Callable, Iterator, Optional
 
 from .congruences import (
-    COEFFICIENT_GRID,
     FAMILIES,
     GENERAL_FAMILIES,
     CongruenceReport,
     evaluate_congruence,
     grid_batch,
+    grid_units,
 )
 from .errors import InternalInvariantViolation, LucasKitError
 from .primality import CRITERION_TABLE, run_criterion
@@ -313,12 +314,7 @@ def run_scan(
         units = list(range(lo, hi + 1))
         check = partial(_scan_check, method)
     else:
-        # One (P, Q, k, first n, last n) batch per coefficient pair and k.
-        units = [
-            (p, q, k, max(lo, 0), hi)
-            for p, q in COEFFICIENT_GRID
-            for k in range(max(lo, 1), hi + 1)
-        ]
+        units = grid_units(lo, hi)
         check = grid_batch
     marks: list[str] = []  # one string per unit, in input order
     mismatches: list[tuple[int, str]] = []

@@ -11,25 +11,25 @@ describes that walk), and the Mersenne one builds 2^{kn} - 1 in full.
 Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
 shift r, its domain check and its modulus, the one place that modulus is
-decided. A side is one call, side(params, k, r, ns, moduli): it takes n
-values of one (P, Q, k) and r, in any order, with their moduli, and returns
-their least nonnegative residues in that order. Each closed form is one loop
-over n. The five families modulo |U_k| are two residue formulas in U_{k+1},
-Q^k and U_r mod |U_k|, read once per call: lemma1 and cor6 are the ratio
-row, and lemma2, cor7 and shift the shift row. The recurrence oracles read
-every term of a call in one _u_terms_mod call.
+decided. A side is one call, side(params, k, r, ns, moduli, terms): it
+takes n values of one (P, Q, k) and r, in any order, with their moduli, and
+returns their least nonnegative residues in that order. Sides and moduli
+read terms from `terms`, a prefix [U_0, U_1, ...] of the pair, or (). Each
+closed form is one loop over n. The five families modulo |U_k| are two
+residue formulas in U_{k+1}, Q^k and U_r mod |U_k|, read once per call:
+lemma1 and cor6 are the ratio row, and lemma2, cor7 and shift the shift row.
+The recurrence oracles read every term of a call in one _u_terms_mod call.
 The caller checks the domain and reads the modulus: 0 or 1 makes the
 instance a TrivialModulus, and any other is handed to both sides. _evaluate
-does so once for one instance, whose sides reuse a four-case check's tag,
-and runs each side it is asked for on that one n; the public functions and
-evaluate_congruence return its Outcome values. grid_batch, the
-congruence-grid scan's unit of work, checks its (P, Q, k) once, reads |U_k|
-once and main's |U_n| once per n, and calls each distinct column (a side at
-one effective shift and modulus) once, on every n its variants check: 18
-calls for the 24 sides of 12 variants with items. It first reserves the pair's
-table up to the widest index the grid reads. That reserve is the table's
-only write, as exact reads never store, so within the table's budget no
-oracle read walks, whatever the process read before.
+does so once for one instance, with no prefix, whose sides reuse a four-case
+check's tag, and runs each side it is asked for on that one n; the public
+functions and evaluate_congruence return its Outcome values. grid_batch, the
+congruence-grid scan's unit of work, takes one (P, Q) and builds its prefix
+once, up to the widest index it reads, so within the prefix's budget no
+oracle read walks. For each k it reads |U_k| once and main's |U_n| once per
+n, and calls each distinct column (a side at one effective shift and
+modulus) once, on every n its variants check: 18 calls for the 24 sides of
+12 variants with items.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .sequences import (
     FIBONACCI_PARAMS,
     MERSENNE_PARAMS,
     LucasParams,
+    _u_prefix,
     _u_term,
-    _u_term_reserve,
     _u_terms_mod,
     make_params,
     u_at,
@@ -102,6 +102,9 @@ def _case(n: int, k: int) -> CaseTag:
     return _MIXED_QUOTIENTS
 
 
+_Ints = Sequence[int]  # a side's ns and moduli, and a prefix [U_0, U_1, ...] or ()
+
+
 def _sign_pow(exponent: int) -> int:
     return -1 if exponent & 1 else 1
 
@@ -138,24 +141,24 @@ def _check_mersenne(k: int, n: int, r: Optional[int] = None) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-# Moduli, as (params, k, n) -> int; no side sees one that is <= 1.
+# Moduli, as (params, k, n, terms) -> int; no side sees one that is <= 1.
 
 
-def _modulus_k(params: LucasParams, k: int, n: int) -> int:
-    return abs(_u_term(params, k))
+def _modulus_k(params: LucasParams, k: int, n: int, terms: _Ints) -> int:
+    return abs(_u_term(params, k, terms))
 
 
-def _modulus_n(params: LucasParams, k: int, n: int) -> int:
-    return abs(_u_term(params, n))
+def _modulus_n(params: LucasParams, k: int, n: int, terms: _Ints) -> int:
+    return abs(_u_term(params, n, terms))
 
 
-def _modulus_mersenne(params: LucasParams, k: int, n: int) -> int:
+def _modulus_mersenne(params: LucasParams, k: int, n: int, terms: _Ints) -> int:
     return (1 << n) - 1
 
 
 # ---------------------------------------------------------------------------
-# Closed-form sides. Every side is one call (params, k, r, ns, moduli) ->
-# residues: it takes n values in any order, each on a checked domain with
+# Closed-form sides. Every side is one call (params, k, r, ns, moduli, terms)
+# -> residues: it takes n values in any order, each on a checked domain with
 # the family's modulus, which exceeds 1, and returns their residues in that
 # order. r is the shift family's, a four-case family's tag of its one n, else
 # None. A closed form is one loop over n: a plain side, or a row under _mod_u_k.
@@ -174,13 +177,13 @@ def _mod_u_k(
 
     @wraps(formula)
     def side(
-        params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+        params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
     ) -> list[int]:
         if not ns:
             return []
         m = moduli[0]
-        u_next = _u_term(params, k + 1) % m
-        u_r = 1 if r is None else _u_term(params, r) % m
+        u_next = _u_term(params, k + 1, terms) % m
+        u_r = 1 if r is None else _u_term(params, r, terms) % m
         q_k = pow_signed_mod(params.q_coeff, k, m)
         return formula(u_next, q_k, u_r, m, ns)
 
@@ -214,17 +217,17 @@ _lemma2 = _cor7 = _general_shift = _mod_u_k(_shift_row)
 
 
 def _main(
-    params: LucasParams, k: int, r: Optional[CaseTag], ns: Sequence[int], moduli: Sequence[int]
+    params: LucasParams, k: int, r: Optional[CaseTag], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     """Reads the signed U_n and gcd(n, k) once per n, and classifies it unless r is its tag."""
     residues = []
     for n, m in zip(ns, moduli):
         d = gcd(n, k)
         case = r or _case(n, k)
-        ratio = exact_div(_u_term(params, n), _u_term(params, d))
+        ratio = exact_div(_u_term(params, n, terms), _u_term(params, d, terms))
         if case is _ODD_QUOTIENTS:
             doubled_exponent = k * n - k - n
-            lead = d * _u_term(params, d + 1)
+            lead = d * _u_term(params, d + 1, terms)
         else:
             doubled_exponent = k * n - k - n + d
             lead = d
@@ -237,14 +240,14 @@ def _main(
     return residues
 
 
-# The Fibonacci kernels ignore params: they are the closed forms specialized
-# to (P, Q) = (1, -1), kept apart from the rows above (see fibonacci_rhs_family).
+# The Fibonacci kernels ignore params and terms: they are the closed forms specialized to
+# (P, Q) = (1, -1), kept apart from the rows above (see fibonacci_rhs_family), and read no prefix.
 
 
 def _fib_shifted(
-    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
-    f_next = _u_term(FIBONACCI_PARAMS, k + 1)
+    f_next = _u_term(FIBONACCI_PARAMS, k + 1, ())
     residues = []
     for n, m in zip(ns, moduli):
         if n & 1:
@@ -256,9 +259,9 @@ def _fib_shifted(
 
 
 def _fib_ratio(
-    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
-    f_next = _u_term(FIBONACCI_PARAMS, k + 1)
+    f_next = _u_term(FIBONACCI_PARAMS, k + 1, ())
     residues = []
     for n, m in zip(ns, moduli):
         if n == 0:
@@ -272,14 +275,15 @@ def _fib_ratio(
 
 
 def _fib_main(
-    params: LucasParams, k: int, r: Optional[CaseTag], ns: Sequence[int], moduli: Sequence[int]
+    params: LucasParams, k: int, r: Optional[CaseTag], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     residues = []
     for n, m in zip(ns, moduli):
         d = gcd(n, k)
-        ratio = exact_div(m, _u_term(FIBONACCI_PARAMS, d))
+        ratio = exact_div(m, _u_term(FIBONACCI_PARAMS, d, ()))
         if (r or _case(n, k)) is _ODD_QUOTIENTS:
-            value = d * ratio * _u_term(FIBONACCI_PARAMS, d + 1) * _sign_pow((k * n - k - n) // 2)
+            lead = d * _u_term(FIBONACCI_PARAMS, d + 1, ())
+            value = lead * ratio * _sign_pow((k * n - k - n) // 2)
         else:
             value = d * ratio * _sign_pow((k * n - k - n + d) // 2)
         residues.append(value % m)
@@ -287,7 +291,7 @@ def _fib_main(
 
 
 def _mersenne(
-    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     residues = []
     for n, m in zip(ns, moduli):
@@ -300,24 +304,25 @@ def _mersenne(
 # Oracle sides: brute force by the recurrence (never u_pair_* or a
 # closed-form side), or by the full numerator for Mersenne. They take
 # nothing from the closed form but the modulus, and the recurrence sides read
-# every U_{kn+s} of a call through one _u_terms_mod call.
+# every U_{kn+s} of a call through one _u_terms_mod call, from the prefix
+# where it reaches: _u_prefix builds it by the recurrence alone.
 # ---------------------------------------------------------------------------
 
 
 def _ratio_oracle(
-    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     """U_{kn}/U_k mod m, read from U_{kn} mod |U_k|*m and U_k (u_at) by the recurrence.
 
     U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as exact_div does,
     not assumed), and the quotient is U_{kn}/|U_k| mod m; U_k's sign is applied after.
-    Past the stored table no product much wider than (|U_k|*m)^2 is built (see _u_walk_mod).
+    Past the prefix no product much wider than (|U_k|*m)^2 is built (see _u_walk_mod).
     """
     u_k = u_at(params, k)
     if u_k == 0 and ns:
         raise InternalInvariantViolation("exact division by a zero term")
     width, sign = abs(u_k), -1 if u_k < 0 else 1
-    wide = _u_terms_mod(params, list(map(k.__mul__, ns)), list(map(width.__mul__, moduli)))
+    wide = _u_terms_mod(params, [k * n for n in ns], [width * m for m in moduli], terms)
     residues = []
     for u, m in zip(wide, moduli):
         residues.append(sign * exact_div(u, width) % m)
@@ -325,14 +330,14 @@ def _ratio_oracle(
 
 
 def _shifted_oracle(
-    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     shift = 1 if r is None else r  # families without an r (lemma2, cor7, fib19) shift by 1
-    return _u_terms_mod(params, [k * n + shift for n in ns], moduli)
+    return _u_terms_mod(params, [k * n + shift for n in ns], moduli, terms)
 
 
 def _mersenne_oracle(
-    params: LucasParams, k: int, r: Optional[int], ns: Sequence[int], moduli: Sequence[int]
+    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     residues = []
     for n, m in zip(ns, moduli):
@@ -348,12 +353,12 @@ def _mersenne_oracle(
 class Family(NamedTuple):
     """Everything the library knows about one congruence family."""
 
-    closed_form: Callable[..., list[int]]  # (params, k, r, ns, moduli) -> residues
+    closed_form: Callable[..., list[int]]  # (params, k, r, ns, moduli, terms) -> residues
     oracle: Callable[..., list[int]]
     forced: Optional[tuple[int, int]]  # fixed (P, Q), or None for explicit -p/-q
     needs_r: bool
     check: Callable[[int, int, Optional[int]], Optional[CaseTag]]
-    modulus: Callable[[LucasParams, int, int], int]
+    modulus: Callable[[LucasParams, int, int, _Ints], int]
 
 
 FAMILY_TABLE: dict[str, Family] = {
@@ -387,11 +392,11 @@ def _evaluate(
     """
     entry = FAMILY_TABLE[family]
     tag = entry.check(k, n, r)
-    modulus = entry.modulus(params, k, n)
+    modulus = entry.modulus(params, k, n, ())
     if modulus <= 1:
         return [TRIVIAL_MODULUS] * len(sides), tag
     return [
-        ResidueClass(getattr(entry, side)(params, k, tag or r, [n], [modulus])[0], modulus)
+        ResidueClass(getattr(entry, side)(params, k, tag or r, [n], [modulus], ())[0], modulus)
         for side in sides
     ], tag
 
@@ -494,10 +499,10 @@ def repetition_law_check(params: LucasParams, k: int, n: int, i: int) -> bool:
     if k < 1 or n < 1:
         raise ValueError(f"indices must be >= 1, got k = {k}, n = {n}")
     hypothesis = n**i
-    u_k = _u_term(params, k)
+    u_k = _u_term(params, k, ())
     if u_k % hypothesis:
         raise NotApplicable(f"{n}^{i} does not divide U_{k} = {u_k}")
-    return _u_terms_mod(params, [k * n], [hypothesis * n]) == [0]
+    return _u_terms_mod(params, [k * n], [hypothesis * n], ()) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +517,7 @@ def ratio_lhs_exact(params: LucasParams, k: int, n: int) -> Outcome:
 
 
 def shifted_lhs_exact(params: LucasParams, k: int, n: int, r: int = 1) -> Outcome:
-    """U_{kn+r} mod |U_k| by the recurrence, reduced past the stored table; the slow oracle."""
+    """U_{kn+r} mod |U_k| by the recurrence, reduced at every step; the slow oracle."""
     return _evaluate_side("shift", "oracle", params, k, n, r)
 
 
@@ -593,7 +598,7 @@ def evaluate_congruence(
 
 
 # ---------------------------------------------------------------------------
-# The congruence grid: one batch per (P, Q, k), stepping every n
+# The congruence grid: one batch per (P, Q), stepping every k and n
 # ---------------------------------------------------------------------------
 
 # Coefficient grid of the congruence-grid scan: P in 1..5, Q in -3..3,
@@ -620,66 +625,75 @@ GRID_VARIANTS = tuple(
 )
 
 
-def grid_batch(unit: tuple[int, int, int, int, int]) -> tuple[str, tuple[tuple[int, str], ...]]:
-    """Check every n and family variant of one (P, Q, k); details only for mismatches.
+def grid_units(lo: int, hi: int) -> list[tuple[int, int, int, int]]:
+    """One grid_batch unit (P, Q, max(lo, 0), hi) per COEFFICIENT_GRID pair; none with no k >= 1."""
+    return [(p, q, max(lo, 0), hi) for p, q in COEFFICIENT_GRID if hi >= max(lo, 1)]
 
-    Returns one mark per item ("-" skipped, "+" held, "x" mismatch), ordered
-    by n and then by variant, and the (n, detail) of each mismatch in the
-    same order. The unit is checked once: k >= 1 and n >= 0 (with r in
-    SHIFT_R_RANGE) leave only main at n = 0 outside a family's domain, and
-    its modulus |U_0| = 0 is trivial, so no item runs a domain check. |U_k|
-    is read once for the batch: a variant modulo |U_k| takes every n when it
-    exceeds 1, and none otherwise. main reads |U_n| once per n and takes the
-    n where it exceeds 1. A column, keyed by the side object, the effective
-    shift (1 without r) and the modulus, runs once per batch on its items in
-    n order, for every variant with that key; an item holds when its two
-    residues are equal.
+
+def grid_batch(unit: tuple[int, int, int, int]) -> tuple[str, tuple[tuple[int, str], ...]]:
+    """Check every k, n and family variant of one (P, Q); details only for mismatches.
+
+    The unit (P, Q, n_lo, hi) checks each k in max(n_lo, 1)..hi at each n in
+    n_lo..hi. Returns one mark per item ("-" skipped, "+" held, "x"
+    mismatch), ordered by k, then n, then variant, and the (n, detail) of
+    each mismatch in the same order. The unit is checked once: k >= 1 and
+    n >= 0 (with r in SHIFT_R_RANGE) leave only main at n = 0 outside a
+    family's domain, and its modulus |U_0| = 0 is trivial, so no item runs a
+    domain check. The pair's prefix, up to hi*hi + max r, the widest index
+    read, is built once and passed to every modulus and side. For each k,
+    |U_k| is read once: a variant modulo
+    |U_k| takes every n when it exceeds 1, and none otherwise. main reads
+    |U_n| once per n and takes the n where it exceeds 1. A column, keyed by
+    the side object, the effective shift (1 without r) and the modulus, runs
+    once per k on its items in n order, for every variant with that key; an
+    item holds when its two residues are equal.
     """
-    p, q, k, n_lo, hi = unit
-    if k < 1 or n_lo < 0:
-        raise ValueError(f"a grid unit needs k >= 1 and n >= 0, got k = {k}, n = {n_lo}")
+    p, q, n_lo, hi = unit
+    if n_lo < 0 or hi < max(n_lo, 1):
+        raise ValueError(f"a grid unit needs n >= 0 and some k >= 1, got n = {n_lo}..{hi}")
     params = make_params(p, q)
-    # No index of the (P, Q) grid exceeds hi*hi + max r: one table extension,
-    # which replaces another pair's table, serves every batch of this pair.
-    _u_term_reserve(params, hi * hi + SHIFT_R_RANGE[-1])
-    u_k = _modulus_k(params, k, n_lo)
+    terms = _u_prefix(params, hi * hi + SHIFT_R_RANGE[-1])
     span = range(n_lo, hi + 1)
-    u_k_moduli = [u_k] * len(span)
     width = len(GRID_VARIANTS)
-    marks = ["-"] * (len(span) * width)  # item (n, variant) at (n - n_lo) * width + index
-    failed = {}  # (n, detail) of each mismatch, keyed by its mark's position
-    columns = {}  # (side, shift, modulus) -> the side's residues on its items
-    for index, (name, r) in enumerate(GRID_VARIANTS):
-        family = FAMILY_TABLE[name]
-        if family.modulus is _modulus_k:
-            if u_k <= 1:
-                continue
-            ns, moduli = span, u_k_moduli
-        else:
-            ns, moduli = [], []
-            for n in span:
-                modulus = family.modulus(params, k, n)
-                if modulus > 1:
-                    ns.append(n)
-                    moduli.append(modulus)
-            if not ns:
-                continue
-        residues = []
-        for side in (family.closed_form, family.oracle):
-            key = (side, 1 if r is None else r, family.modulus)
-            if key not in columns:
-                columns[key] = side(params, k, r, ns, moduli)
-            residues.append(columns[key])
-        closed, oracle = residues
-        if closed == oracle and ns is span:
-            marks[index::width] = "+" * len(span)
-            continue
-        for n, a, b in zip(ns, closed, oracle):
-            position = (n - n_lo) * width + index
-            if a == b:
-                marks[position] = "+"
+    marks = []  # one block of marks per k
+    failed = {}  # (n, detail) of each mismatch, keyed by k and its mark's position in k's block
+    for k in range(max(n_lo, 1), hi + 1):
+        u_k = _modulus_k(params, k, n_lo, terms)
+        u_k_moduli = [u_k] * len(span)
+        block = ["-"] * (len(span) * width)  # item (n, variant) at (n - n_lo) * width + index
+        columns = {}  # (side, shift, modulus) -> the side's residues on its items
+        for index, (name, r) in enumerate(GRID_VARIANTS):
+            family = FAMILY_TABLE[name]
+            if family.modulus is _modulus_k:
+                if u_k <= 1:
+                    continue
+                ns, moduli = span, u_k_moduli
             else:
-                marks[position] = "x"
-                shift = "" if r is None else f" r={r}"
-                failed[position] = (n, f"family={name} p={p} q={q} k={k} n={n}{shift}")
+                ns, moduli = [], []
+                for n in span:
+                    modulus = family.modulus(params, k, n, terms)
+                    if modulus > 1:
+                        ns.append(n)
+                        moduli.append(modulus)
+                if not ns:
+                    continue
+            residues = []
+            for side in (family.closed_form, family.oracle):
+                key = (side, 1 if r is None else r, family.modulus)
+                if key not in columns:
+                    columns[key] = side(params, k, r, ns, moduli, terms)
+                residues.append(columns[key])
+            closed, oracle = residues
+            if closed == oracle and ns is span:
+                block[index::width] = "+" * len(span)
+                continue
+            for n, a, b in zip(ns, closed, oracle):
+                position = (n - n_lo) * width + index
+                if a == b:
+                    block[position] = "+"
+                else:
+                    block[position] = "x"
+                    shift = "" if r is None else f" r={r}"
+                    failed[k, position] = (n, f"family={name} p={p} q={q} k={k} n={n}{shift}")
+        marks += block
     return "".join(marks), tuple(map(failed.get, sorted(failed)))

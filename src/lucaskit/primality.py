@@ -315,7 +315,7 @@ def fibonacci_sum_residue_direct(n: int) -> ResidueClass:
     """
     if n < 3:
         raise ValueError(f"n must be >= 3 so the modulus F_n exceeds 1, got {n}")
-    f_n = _u_term(FIBONACCI_PARAMS, n)
+    f_n = _u_term(FIBONACCI_PARAMS, n, ())
     total = 0
     lucas, lucas_next = 1, 3 % f_n  # L_k and L_{k+1} mod F_n, from k = 1
     for k in range(1, n):
@@ -359,7 +359,7 @@ def fibonacci_sum_residue_fast(n: int) -> ResidueClass:
     f_n = u_pair_exact(FIBONACCI_PARAMS, n)[0]
     total = 0
     for d, phi in _divisor_classes(n):
-        term = d * exact_div(f_n, _u_term(FIBONACCI_PARAMS, d)) % f_n
+        term = d * exact_div(f_n, _u_term(FIBONACCI_PARAMS, d, ())) % f_n
         if ((n - d) // 2) & 1:
             term = -term % f_n
         total = (total + phi * term) % f_n

@@ -79,9 +79,7 @@ def v_at(params: LucasParams, n: int) -> int:
     return a
 
 
-def _u_pair(
-    params: LucasParams, n: int, m: int | None, counter: OpCounter | None
-) -> tuple[int, int]:
+def _u_pair(params: LucasParams, n: int, m: int | None) -> tuple[int, int]:
     """(U_n, U_{n+1}) by index doubling, reduced mod m at every step unless m is None.
 
     The walk reads the binary digits of n from the top and keeps the window
@@ -93,14 +91,11 @@ def _u_pair(
         1-digit: (U_2j+1, U_2j+2) = (b^2 - Q*a^2, b*(P*b - 2*Q*a))
 
     Each new term is reduced once, in the expression that builds it. A
-    0-digit costs 5 multiplications and a 1-digit 6, and that total is added
-    to the counter once, up front. The exact and the modular walk each have
-    their own loop, so no digit tests m.
+    0-digit costs 5 multiplications and a 1-digit 6. The exact and the
+    modular walk each have their own loop, so no digit tests m.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    if counter is not None:
-        counter.add(5 * n.bit_length() + n.bit_count())
     p, q = params.p_coeff, params.q_coeff
     a, b = 0, 1
     digits = bin(n)[2:] if n else ""  # bin(0) is "0b0": n = 0 takes no step
@@ -122,10 +117,15 @@ def _u_pair(
 def u_pair_mod(
     params: LucasParams, n: int, m: int, counter: OpCounter | None = None
 ) -> tuple[int, int]:
-    """(U_n mod m, U_{n+1} mod m) by index doubling, O(log n) modular multiplications."""
+    """(U_n mod m, U_{n+1} mod m) by index doubling, O(log n) modular multiplications.
+
+    The walk's multiplications (see _u_pair) are added to the counter once, up front.
+    """
     if m <= 1:
         raise BadModulus(f"modulus must exceed 1, got {m}")
-    return _u_pair(params, n, m, counter)
+    if counter is not None:
+        counter.add(5 * n.bit_length() + n.bit_count())
+    return _u_pair(params, n, m)
 
 
 def u_pair_exact(params: LucasParams, n: int) -> tuple[int, int]:
@@ -134,50 +134,62 @@ def u_pair_exact(params: LucasParams, n: int) -> tuple[int, int]:
     For single large terms. The brute-force oracles read terms from the
     recurrence instead, so they never share this formula.
     """
-    return _u_pair(params, n, None, None)
+    return _u_pair(params, n, None)
 
 
 # ---------------------------------------------------------------------------
-# Exact term table
+# Exact prefixes and term reads
 # ---------------------------------------------------------------------------
 
-# One prefix table [U_0, U_1, ...], of one (P, Q) at a time. _u_term_reserve
-# is its only writer: the congruence grid reserves each pair's table once,
-# and a reserve for another (P, Q) replaces it. Each stored term is charged
-# its bit length plus SLOT_BITS, the size of a small int object and its list
-# slot, so a table of tiny terms stays bounded too; the table stores no term
-# that would take it past TABLE_BITS. Reads never store: an exact read of an
-# index the table does not hold is taken by index doubling, and a modular
-# read walks the recurrence (_u_walk_mod).
+# The congruence grid builds each pair's prefix [U_0, U_1, ...] once with
+# _u_prefix and passes it to every read as `terms`; other callers pass ().
+# A prefix term is charged its bit length plus SLOT_BITS, the size of a small
+# int object and its list slot, so a prefix of tiny terms stays bounded too;
+# no prefix passes TABLE_BITS. An index past the prefix is read by doubling
+# (exact) or by _u_walk_mod (modular). No term is kept between calls.
 TABLE_BITS = 1 << 21  # 256 KiB
 SLOT_BITS = 8 * 36
 
-_tables: dict[tuple[int, int], list[int]] = {}  # at most one entry
-_stored_bits = 0
 _hits = 0
 _misses = 0
-_grow_lock = threading.Lock()
+_count_lock = threading.Lock()
 
 
 class TermCacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    currsize: int  # stored terms in the one table
+    hits: int  # terms read from a prefix
+    misses: int  # terms read by index doubling or a walk
+    currsize: int  # always 0: no term outlives the call that read it
 
 
-def _u_term(params: LucasParams, n: int) -> int:
-    """Exact U_n: a stored index is one hit; any other index is one miss, by index doubling.
+def _u_prefix(params: LucasParams, n: int) -> list[int]:
+    """[U_0, U_1, ..., U_n] (U_1 at least) by the recurrence alone, cut before TABLE_BITS."""
+    p, q = params.p_coeff, params.q_coeff
+    terms = [0, 1]
+    a, b = 0, 1
+    room = TABLE_BITS - (1 + 2 * SLOT_BITS)
+    for _ in range(n - 1):
+        a, b = b, p * b - q * a
+        room -= b.bit_length() + SLOT_BITS
+        if room < 0:
+            break
+        terms.append(b)
+    return terms
 
-    A read never stores (see TABLE_BITS). A negative index raises ValueError,
-    and then the read counts nothing.
+
+def _u_term(params: LucasParams, n: int, terms: Sequence[int]) -> int:
+    """Exact U_n: an index of the prefix `terms` is one hit; any other is one miss, by doubling.
+
+    A negative index raises ValueError, and then the read counts nothing. A hit,
+    the grid's hottest read, takes no lock, which would cost it several times
+    its `+=`: CPython with the GIL switches threads only at calls and backward
+    jumps, never inside one `+=` of an int.
     """
     global _hits, _misses
-    terms = _tables.get((params.p_coeff, params.q_coeff))
-    if terms is not None and 0 <= n < len(terms):
+    if 0 <= n < len(terms):
         _hits += 1
         return terms[n]
-    term = _u_pair(params, n, None, None)[0]
-    with _grow_lock:
+    term = _u_pair(params, n, None)[0]
+    with _count_lock:
         _misses += 1
     return term
 
@@ -223,7 +235,7 @@ def _walk_plan(steps: int, block: int, weight: int = 1) -> WalkPlan:
 
 
 def _u_walk_mod(params: LucasParams, n: int, m: int) -> int:
-    """U_n mod m, for m >= 1, by the defining recurrence; reads no table.
+    """U_n mod m, for m >= 1, by the defining recurrence; reads no prefix.
 
     The walk takes n steps mod m from (U_0, U_1) = (0, 1), so
     _walk_plan(n, block, w) is its whole cost. Each step widens a term by
@@ -269,16 +281,17 @@ def _u_walk_mod(params: LucasParams, n: int, m: int) -> int:
     return a % m
 
 
-def _u_terms_mod(params: LucasParams, indices: Sequence[int], moduli: Sequence[int]) -> list[int]:
+def _u_terms_mod(
+    params: LucasParams, indices: Sequence[int], moduli: Sequence[int], terms: Sequence[int]
+) -> list[int]:
     """[U_j mod m for j, m in zip(indices, moduli)], in that order, for moduli m >= 1.
 
-    Each stored index is read from the (P, Q) table and reduced, one
-    term-cache hit; every other index is one miss, which _u_walk_mod walks
-    from the start and which stores nothing. A negative index raises
-    ValueError, and then the call counts nothing.
+    Each index of `terms`, a prefix of the pair, is read from it and reduced,
+    one hit; every other index is one miss, which _u_walk_mod walks from the
+    start. A negative index raises ValueError, and then the call counts
+    nothing.
     """
     global _hits, _misses
-    terms = _tables.get((params.p_coeff, params.q_coeff), ())
     stored = len(terms)
     residues = [
         terms[j] % m if 0 <= j < stored else _u_walk_mod(params, j, m)
@@ -286,55 +299,17 @@ def _u_terms_mod(params: LucasParams, indices: Sequence[int], moduli: Sequence[i
     ]
     # A negative index has raised by now, so the hits are the indices below stored.
     hits = sum(map(stored.__gt__, indices))
-    with _grow_lock:
+    with _count_lock:
         _hits += hits
         _misses += len(residues) - hits
     return residues
 
 
-def _u_term_reserve(params: LucasParams, n: int) -> None:
-    """Store the (P, Q) table up to index n, or as far as TABLE_BITS allows.
-
-    The table's only writer. Another pair's table is dropped first. Creating
-    the table or growing it counts as a term-cache miss.
-    """
-    global _misses, _stored_bits
-    key = (params.p_coeff, params.q_coeff)
-    with _grow_lock:
-        terms = _tables.get(key)
-        if terms is None:
-            _tables.clear()
-            terms = _tables[key] = [0, 1]
-            _stored_bits = 1 + 2 * SLOT_BITS
-        elif n < len(terms):
-            return
-        _misses += 1
-        p, q = key
-        a, b = terms[-2], terms[-1]
-        used, room = 0, TABLE_BITS - _stored_bits
-        for _ in range(n - len(terms) + 1):
-            a, b = b, p * b - q * a
-            cost = b.bit_length() + SLOT_BITS
-            if used + cost > room:
-                break
-            terms.append(b)
-            used += cost
-        _stored_bits += used
-
-
 def _term_cache_info() -> TermCacheInfo:
-    return TermCacheInfo(_hits, _misses, sum(map(len, _tables.values())))
-
-
-def _term_cache_clear() -> None:
-    global _stored_bits
-    with _grow_lock:
-        _tables.clear()
-        _stored_bits = 0
+    return TermCacheInfo(_hits, _misses, 0)
 
 
 _u_term.cache_info = _term_cache_info  # type: ignore[attr-defined]
-_u_term.cache_clear = _term_cache_clear  # type: ignore[attr-defined]
 
 
 FIBONACCI_PARAMS = make_params(1, -1)

@@ -34,6 +34,7 @@ from lucaskit import (
     ratio_lhs_exact,
     shifted_lhs_exact,
     u_at,
+    u_pair_exact,
     v_at,
 )
 from lucaskit.cli import main
@@ -440,7 +441,7 @@ class TestScan:
             return map(check, units)
 
         monkeypatch.setattr(cli_module, "_fan_out", recorder)
-        grid_units = len(congruences_module.COEFFICIENT_GRID) * 2
+        grid_units = len(congruences_module.COEFFICIENT_GRID)  # one unit per (P, Q)
         for method, lo, hi, workers, processes in [
             ("remark", 3, 3, 4096, [1]),
             ("remark", 3, 9, 2, [2]),
@@ -773,12 +774,16 @@ class TestGridMatchesPublicPath:
     def test_marks_match_evaluate_congruence(self, pq, k, n_lo):
         p, q = pq
         params = make_params(p, q)
-        marks, failed = congruences_module.grid_batch((p, q, k, 0, 12))
+        marks, failed = congruences_module.grid_batch((p, q, 0, 12))
         assert "x" not in marks and failed == ()
-        # A batch that starts at a later first n marks the same items alike.
+        # The marks are one block per k, each of 13 n by the variants. A unit
+        # that starts at a later n marks the same items of each of its k alike.
         width = len(congruences_module.GRID_VARIANTS)
-        later = congruences_module.grid_batch((p, q, k, n_lo, 12))
-        assert later == (marks[n_lo * width:], ())
+        block = 13 * width
+        later = congruences_module.grid_batch((p, q, n_lo, 12))
+        assert later == ("".join(
+            marks[(j - 1) * block + n_lo * width : j * block] for j in range(n_lo, 13)
+        ), ())
         expected = []
         for n in range(0, 13):
             for family, r in congruences_module.GRID_VARIANTS:
@@ -797,7 +802,7 @@ class TestGridMatchesPublicPath:
                 assert oracle(params, k, n, r) == report.lhs == _evaluate_side(
                     family, "oracle", params, k, n, r
                 )
-        assert marks == "".join(expected)
+        assert marks[(k - 1) * block : k * block] == "".join(expected)
 
     @settings(
         deadline=None,
@@ -807,14 +812,20 @@ class TestGridMatchesPublicPath:
     @given(pq=st.sampled_from(WIDE_PAIRS), k=st.integers(1, 12), n_lo=st.sampled_from([0, 1, 5]))
     @example(pq=(-8, -9), k=12, n_lo=0)
     @example(pq=(1, -1), k=7, n_lo=1)
-    def test_marks_match_evaluate_congruence_past_the_table(self, small_tables, pq, k, n_lo):
-        # At most 69 stored terms per pair: the columns of k >= 6, which read
-        # up to index 12k + 6, cross the table's end and walk the rest.
+    def test_marks_match_evaluate_congruence_past_a_short_prefix(self, monkeypatch, pq, k, n_lo):
+        # A unit given a 60-term prefix: the columns of k >= 5, which read up
+        # to index 12k + 6, cross its end and walk the rest.
+        built = []
+
+        def short_prefix(params, n):
+            built.append(n)
+            return sequences_module._u_prefix(params, n)[:60]
+
+        monkeypatch.setattr(congruences_module, "_u_prefix", short_prefix)
         p, q = pq
-        marks, failed = congruences_module.grid_batch((p, q, k, n_lo, 12))
-        assert failed == ()
-        if k >= 6:
-            assert len(sequences_module._tables[(p, q)]) <= 69 < k * 12 + 6
+        n_lo = min(n_lo, k)
+        marks, failed = congruences_module.grid_batch((p, q, n_lo, 12))
+        assert failed == () and built == [12 * 12 + 6]
         expected = []
         for n in range(n_lo, 13):
             for family, r in congruences_module.GRID_VARIANTS:
@@ -825,9 +836,11 @@ class TestGridMatchesPublicPath:
                     continue
                 assert report.holds, (family, pq, k, n, r)
                 expected.append("-" if isinstance(report.rhs, TrivialModulus) else "+")
-        assert marks == "".join(expected)
+        block = len(expected)
+        first = k - max(n_lo, 1)
+        assert marks[first * block : (first + 1) * block] == "".join(expected)
 
-    def test_grid_domain_rests_on_trivial_moduli(self, fresh_tables):
+    def test_grid_domain_rests_on_trivial_moduli(self):
         # grid_batch runs no domain check: over k >= 1, n >= 0 and r in 0..6, every
         # item outside its family's domain has a modulus of 0 or 1, which it skips.
         outside = set()
@@ -841,13 +854,22 @@ class TestGridMatchesPublicPath:
                             entry.check(k, n, r)
                         except ValueError:
                             outside.add((family, n))
-                            assert entry.modulus(params, k, n) <= 1, (family, p, q, k, n, r)
+                            assert entry.modulus(params, k, n, ()) <= 1, (family, p, q, k, n, r)
         assert outside == {("main", 0)}
 
-    @pytest.mark.parametrize("unit", [(1, -1, 0, 0, 8), (1, -1, 3, -1, 8)])
+    @pytest.mark.parametrize("unit", [(1, -1, -1, 8), (1, -1, 0, 0), (1, -1, 5, 3)])
     def test_unit_outside_the_grid_is_rejected(self, unit):
-        with pytest.raises(ValueError, match="a grid unit needs k >= 1 and n >= 0"):
+        with pytest.raises(ValueError, match="a grid unit needs n >= 0 and some k >= 1"):
             congruences_module.grid_batch(unit)
+
+    @pytest.mark.parametrize("lo, hi, n_lo", [(0, 0, None), (-3, 0, None), (-3, 2, 0), (0, 3, 0),
+                                              (1, 1, 1), (5, 9, 5)])
+    def test_one_unit_per_pair(self, lo, hi, n_lo):
+        # A range with no k >= 1 has no unit, so it forks no worker.
+        grid = congruences_module.COEFFICIENT_GRID
+        expected = [] if n_lo is None else [(p, q, n_lo, hi) for p, q in grid]
+        assert congruences_module.grid_units(lo, hi) == expected
+        assert not hasattr(cli_module, "COEFFICIENT_GRID")
 
     def test_variants_come_from_the_table(self):
         assert congruences_module.GRID_VARIANTS == tuple(
@@ -862,11 +884,11 @@ def _grid_columns(params, k, hi, side):
     modulus with no item over 1 calls none.
     """
     table = congruences_module.FAMILY_TABLE
-    u_k = congruences_module._modulus_k(params, k, 1)
+    u_k = congruences_module._modulus_k(params, k, 1, ())
     has_items = {
         congruences_module._modulus_k: u_k > 1,
         congruences_module._modulus_n: any(
-            congruences_module._modulus_n(params, k, n) > 1 for n in range(1, hi + 1)
+            congruences_module._modulus_n(params, k, n, ()) > 1 for n in range(1, hi + 1)
         ),
     }
     return len({
@@ -892,35 +914,51 @@ class TestGridWork:
         return counts
 
     def test_grid_walks_no_term(self, monkeypatch):
-        # One reserve per batch stores every index the 1..24 grid reads, so no
+        # One prefix per pair holds every index the 1..24 grid reads, so no
         # oracle read reaches the walk _u_walk_mod, and each distinct oracle
         # column with an item to check reads its terms in one call. Exact term
         # reads, in either module, stay under one per two items.
         walks = self._count_calls(monkeypatch, sequences_module, ["_u_walk_mod", "_u_term"])
         counts = self._count_calls(
-            monkeypatch, congruences_module, ["_u_term_reserve", "_u_terms_mod", "_u_term"]
+            monkeypatch, congruences_module, ["_u_prefix", "_u_terms_mod", "_u_term"]
         )
         scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
         assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
         assert walks["_u_walk_mod"] == 0
         assert walks["_u_term"] + counts["_u_term"] <= 0.5 * (scan["checked"] + scan["skipped"])
+        assert counts["_u_prefix"] == len(congruences_module.COEFFICIENT_GRID)
         batches = [(p, q, k) for p, q in congruences_module.COEFFICIENT_GRID for k in range(1, 25)]
-        assert counts["_u_term_reserve"] == len(batches)
         assert counts["_u_terms_mod"] == sum(
             _grid_columns(make_params(p, q), k, 24, "oracle") for p, q, k in batches
         )
 
-    def test_grid_walks_no_term_after_other_pairs(self, fresh_tables, monkeypatch):
-        # Reserves and exact reads of 200 other pairs before the scan leave
-        # each grid pair the whole table budget, so its oracle columns walk no
-        # term (every walk plans once, so _walk_plan counts the walks).
-        for pq in WIDE_PAIRS:
-            sequences_module._u_term_reserve(make_params(*pq), 13)
-            sequences_module._u_term(make_params(*pq), 500)
+    @pytest.mark.parametrize("pq", [(1, -1), (5, -3), (1, 1)])
+    def test_a_unit_does_not_depend_on_earlier_reads(self, monkeypatch, pq):
+        # A unit's outcomes and its hit and miss counts are the same whether
+        # or not the process first read 200 other pairs and U_100000 of
+        # (1, -1), and its oracle columns walk no term (every walk plans
+        # once, so _walk_plan counts the walks).
         walks = self._count_calls(monkeypatch, sequences_module, ["_walk_plan"])
-        scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
-        assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
-        assert walks["_walk_plan"] == 0
+        cache_info = sequences_module._u_term.cache_info
+
+        def run():
+            walks["_walk_plan"] = 0
+            start = cache_info()
+            outcome = congruences_module.grid_batch((*pq, 1, 24))
+            info = cache_info()
+            assert walks["_walk_plan"] == 0
+            return outcome, info.hits - start.hits, info.misses - start.misses
+
+        first = run()
+        for p, q in WIDE_PAIRS:
+            params = make_params(p, q)
+            sequences_module._u_term(params, 500, sequences_module._u_prefix(params, 13))
+            assert evaluate_congruence("shift", p=p, q=q, k=3, n=40, r=2).holds
+        fibonacci = sequences_module.FIBONACCI_PARAMS
+        f_100000 = u_pair_exact(fibonacci, 100_000)[0]
+        assert sequences_module._u_term(fibonacci, 100_000, ()) == f_100000
+        assert run() == first
+        assert first[2] == 0
 
     @pytest.mark.parametrize("p, q, k, columns", [
         (1, -1, 1, 1),  # |U_1| = 1: only main has items
@@ -929,33 +967,32 @@ class TestGridWork:
         (4, 3, 13, 9),
         (5, -3, 24, 9),
     ])
-    def test_one_reserve_and_one_read_per_distinct_oracle_column(
-        self, fresh_tables, monkeypatch, p, q, k, columns
+    def test_one_prefix_and_one_read_per_distinct_oracle_column(
+        self, monkeypatch, p, q, k, columns
     ):
-        # A batch reserves the table once and reads each distinct oracle
-        # column's terms in one call, all stored; only the batch that first
-        # grows the table counts a miss.
+        # A unit builds its pair's prefix once and reads each distinct oracle
+        # column of each k in one call, all from the prefix: no read misses.
+        params = make_params(p, q)
+        assert _grid_columns(params, k, 24, "oracle") == columns
         real = sequences_module._u_terms_mod
         reads = []
 
-        def reader(params, indices, moduli):
-            reads.append(list(indices))
-            return real(params, indices, moduli)
+        def reader(params, indices, moduli, terms):
+            reads.append((max(indices), len(terms)))
+            return real(params, indices, moduli, terms)
 
         monkeypatch.setattr(congruences_module, "_u_terms_mod", reader)
-        counts = self._count_calls(monkeypatch, congruences_module, ["_u_term_reserve"])
-        misses, term_reads = [], []
-        for hi in (24, 24, 12):
+        counts = self._count_calls(monkeypatch, congruences_module, ["_u_prefix"])
+        for hi in (24, 12):
             reads.clear()
-            counts["_u_term_reserve"] = 0
+            counts["_u_prefix"] = 0
             start = sequences_module._u_term.cache_info().misses
-            congruences_module.grid_batch((p, q, k, 1, hi))
-            misses.append(sequences_module._u_term.cache_info().misses - start)
-            assert counts["_u_term_reserve"] == 1
-            assert len(reads) == _grid_columns(make_params(p, q), k, hi, "oracle") == columns
-            stored = len(sequences_module._tables[(p, q)])
-            assert all(max(indices) < stored for indices in reads)
-        assert misses == [1, 0, 0]
+            congruences_module.grid_batch((p, q, 1, hi))
+            assert sequences_module._u_term.cache_info().misses == start
+            assert counts["_u_prefix"] == 1
+            per_k = [_grid_columns(params, j, hi, "oracle") for j in range(1, hi + 1)]
+            assert len(reads) == sum(per_k)
+            assert all(widest < stored for widest, stored in reads)
 
     @pytest.mark.parametrize("p, q, k, shared, unshared", [
         (1, -1, 7, 9, 12),
@@ -976,7 +1013,7 @@ class TestGridWork:
 
         def counted(side, kind):
             def wrapper(*args):
-                made[kind] += 1
+                made[kind] += args[1] == k  # the calls of this k alone
                 return side(*args)
 
             return wrapper
@@ -992,7 +1029,7 @@ class TestGridWork:
                     sides[kind] = wrappers[side]
                 monkeypatch.setitem(table, name, family._replace(**sides))
             made.clear()
-            return congruences_module.grid_batch((p, q, k, 1, 24)), dict(made)
+            return congruences_module.grid_batch((p, q, 1, 24)), +made
 
         marks, calls = batch(share=True)
         assert calls == {kind: shared for kind in ("closed_form", "oracle") if shared}
@@ -1003,21 +1040,24 @@ class TestGridWork:
             marks, {kind: unshared for kind in ("closed_form", "oracle") if unshared}
         )
 
-    @pytest.mark.parametrize("p, q, k", [(1, -1, 7), (3, -2, 6), (2, 1, 5), (1, 1, 3)])
-    def test_u_k_families_read_no_term_per_n(self, monkeypatch, p, q, k):
-        # Without main, a batch's exact term reads are its preparing alone:
-        # the same over n in 1..12 as over 1..24.
+    @pytest.mark.parametrize("p, q", [(1, -1), (3, -2), (2, 1), (1, 1)])
+    def test_u_k_families_read_no_term_per_n(self, monkeypatch, p, q):
+        # Without main, a unit's exact term reads are its k's preparing alone:
+        # a unit over 1..hi reads as many as its units k..k, of one n each.
         monkeypatch.setattr(congruences_module, "GRID_VARIANTS", tuple(
             variant for variant in congruences_module.GRID_VARIANTS if variant[0] != "main"
         ))
         counts = self._count_calls(monkeypatch, congruences_module, ["_u_term"])
-        reads = []
-        for hi in (12, 24):
+
+        def reads(lo, hi):
             counts["_u_term"] = 0
-            marks, _ = congruences_module.grid_batch((p, q, k, 1, hi))
-            assert len(marks) == 11 * hi
-            reads.append(counts["_u_term"])
-        assert reads[0] == reads[1] <= 21, reads
+            marks, _ = congruences_module.grid_batch((p, q, lo, hi))
+            assert len(marks) == 11 * (hi - lo + 1) ** 2
+            return counts["_u_term"]
+
+        single = [reads(k, k) for k in range(1, 25)]
+        assert max(single) <= 21, single
+        assert (reads(1, 12), reads(1, 24)) == (sum(single[:12]), sum(single))
 
 
 def _crash_worker(n):
@@ -1116,10 +1156,10 @@ def _break_kernel(monkeypatch, family, side, hit):
     entry = congruences_module.FAMILY_TABLE[family]
     real = getattr(entry, side)
 
-    def broken(params, k, r, ns, moduli):
+    def broken(params, k, r, ns, moduli, terms):
         return [
             (value + 1) % m if (params.p_coeff, params.q_coeff, k, n) == hit else value
-            for n, m, value in zip(ns, moduli, real(params, k, r, ns, moduli))
+            for n, m, value in zip(ns, moduli, real(params, k, r, ns, moduli, terms))
         ]
 
     monkeypatch.setitem(
@@ -1174,6 +1214,18 @@ class TestGridMismatches:
         code, out, _ = run_cli(capsys, *GRID_1_8, "--fail-fast")
         assert parse_lines(out)[0]["mismatches"] == [
             {"n": 2, "detail": "family=shift p=2 q=-1 k=3 n=2 r=0"}
+        ]
+
+    def test_mismatches_in_one_unit_come_in_k_order(self, capsys, monkeypatch):
+        # One pair's unit holds every k: the fault at k = 5 sits earlier in its
+        # k's block than the one at k = 3 does in its own, yet comes after it.
+        _break_kernel(monkeypatch, "lemma1", "closed_form", (2, -1, 5, 2))
+        _break_kernel(monkeypatch, "lemma1", "closed_form", (2, -1, 3, 6))
+        code, out, _ = run_cli(capsys, *GRID_1_8)
+        assert code == 1
+        assert parse_lines(out)[0]["mismatches"] == [
+            {"n": 6, "detail": "family=lemma1 p=2 q=-1 k=3 n=6"},
+            {"n": 2, "detail": "family=lemma1 p=2 q=-1 k=5 n=2"},
         ]
 
     @pytest.mark.parametrize("fail_fast, counts", [
@@ -1398,11 +1450,11 @@ def _guard_kernels(monkeypatch):
     for family, entry in list(FAMILY_TABLE.items()):
         guarded = {}
         for side in ("closed_form", "oracle"):
-            def guard(params, k, r, ns, moduli, real=getattr(entry, side), family=family):
+            def guard(params, k, r, ns, moduli, terms, real=getattr(entry, side), family=family):
                 for n, m in zip(ns, moduli):
                     assert m > 1, (family, params, k, n, r, m)
                 calls.append(family)
-                return real(params, k, r, ns, moduli)
+                return real(params, k, r, ns, moduli, terms)
 
             guarded[side] = guard
         monkeypatch.setitem(FAMILY_TABLE, family, entry._replace(**guarded))
@@ -1426,8 +1478,7 @@ class TestNoKernelSeesATrivialModulus:
 
     def test_grid_and_trivial_instances_are_unchanged(self, monkeypatch):
         instances = _trivial_corpus_instances()
-        grid = congruences_module.COEFFICIENT_GRID
-        units = [(p, q, k, 0, 8) for p, q in grid for k in range(1, 9)]
+        units = congruences_module.grid_units(0, 8)
 
         def run():
             scan = cli_module.run_scan("congruence-grid", 0, 8, 1)

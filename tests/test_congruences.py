@@ -4,7 +4,7 @@ import types
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lucaskit.congruences as congruences
@@ -45,7 +45,7 @@ from lucaskit import (
     u_pair_mod,
 )
 from lucaskit.congruences import FAMILY_TABLE, _evaluate_side
-from lucaskit.sequences import _u_terms_mod
+from lucaskit.sequences import _u_prefix, _u_terms_mod
 
 PELL = make_params(2, -1)
 
@@ -554,7 +554,7 @@ class TestOneDomainPerFamily:
                 if residues:  # one call of the side over every such n
                     column = entry.closed_form(
                         params, k, None,
-                        [n for n, _ in residues], [closed.modulus for _, closed in residues],
+                        [n for n, _ in residues], [closed.modulus for _, closed in residues], (),
                     )
                     assert column == [closed.value for _, closed in residues], (family, k)
 
@@ -562,11 +562,13 @@ class TestOneDomainPerFamily:
 @pytest.mark.parametrize("family", FAMILY_TABLE)
 def test_every_side_has_one_signature(family):
     # Every side is one call on a batch of n; a side modulo |U_k| wraps a formula
-    # of the residues it reads once per call.
+    # of the residues it reads once per call. A side and a modulus take the
+    # pair's prefix of terms, or (), last.
     entry = FAMILY_TABLE[family]
+    assert list(inspect.signature(entry.modulus).parameters) == ["params", "k", "n", "terms"]
     for side in (entry.closed_form, entry.oracle):
         signature = inspect.signature(side, follow_wrapped=False)
-        assert list(signature.parameters) == ["params", "k", "r", "ns", "moduli"], side
+        assert list(signature.parameters) == ["params", "k", "r", "ns", "moduli", "terms"], side
         if hasattr(side, "__wrapped__"):
             assert side.__code__ is congruences._lemma1.__code__  # the one decorator, _mod_u_k
             formula = inspect.signature(side.__wrapped__)
@@ -647,7 +649,7 @@ def _instance(family):
     entry = FAMILY_TABLE[family]
     params = make_params(*(entry.forced or (2, -1)))
     k, n, r = 5, 4, 3 if entry.needs_r else None
-    return params, k, n, r, entry.modulus(params, k, n)
+    return params, k, n, r, entry.modulus(params, k, n, ())
 
 
 def _no_doubling(*args):
@@ -683,7 +685,7 @@ class TestOracleIndependence:
                 return real(params, j, *m)
 
             monkeypatch.setattr(congruences, name, reader)
-        FAMILY_TABLE[family].oracle(params, k, r, [n], [modulus])
+        FAMILY_TABLE[family].oracle(params, k, r, [n], [modulus], ())
         # One call reads U_k alone of the exact terms, by the recurrence (u_at),
         # and U_{kn+shift} by one _u_terms_mod.
         assert {read for read in reads if read[0] != "_u_terms_mod"} <= {("u_at", k)}, (
@@ -693,12 +695,12 @@ class TestOracleIndependence:
         expected = [] if family == "mersenne22" else [("_u_terms_mod", [k * n + shift])]
         assert [read for read in reads if read[0] == "_u_terms_mod"] == expected, (family, reads)
 
-    @pytest.mark.parametrize("reserve", [False, True], ids=["empty", "reserved"])
+    @pytest.mark.parametrize("prefix", [False, True], ids=["empty", "prefix"])
     @pytest.mark.parametrize("family", FAMILY_TABLE)
-    def test_oracles_never_double(self, fresh_tables, monkeypatch, family, reserve):
+    def test_oracles_never_double(self, monkeypatch, family, prefix):
         # At run time: with index doubling made to raise, every oracle side
-        # answers, on an empty table and on one that stops inside the
-        # column, with the residues of full terms read by u_at.
+        # answers, with no prefix and with one that stops inside the column,
+        # with the residues of full terms read by u_at.
         entry = FAMILY_TABLE[family]
         params = make_params(*(entry.forced or (2, -1)))
         k, r = 5, 3 if entry.needs_r else None
@@ -718,13 +720,11 @@ class TestOracleIndependence:
             ns.append(n)
             moduli.append(m)
             expected.append(value % m)
-        if reserve:
-            sequences._u_term_reserve(params, 25)
+        terms = _u_prefix(params, 25) if prefix else ()
         monkeypatch.setattr(sequences, "_u_pair", _no_doubling)
-        assert entry.oracle(params, k, r, ns, moduli) == expected
+        assert entry.oracle(params, k, r, ns, moduli, terms) == expected
 
-    @pytest.mark.parametrize("reserve", [False, True], ids=["empty", "reserved"])
-    def test_exact_fibonacci_sum_never_doubles(self, fresh_tables, monkeypatch, reserve):
+    def test_exact_fibonacci_sum_never_doubles(self, monkeypatch):
         expected = {}
         for n in (3, 5, 12, 29):
             f_n = u_at(FIBONACCI_PARAMS, n)
@@ -733,8 +733,6 @@ class TestOracleIndependence:
                 for k in range(1, n)
             )
             expected[n] = ResidueClass(total % f_n, f_n)
-        if reserve:
-            sequences._u_term_reserve(FIBONACCI_PARAMS, 100)
         monkeypatch.setattr(sequences, "_u_pair", _no_doubling)
         for n, residue in expected.items():
             assert fibonacci_sum_residue_exact(n) == residue, n
@@ -813,29 +811,37 @@ class TestReducedOracles:
     def test_match_full_width_terms(self, pq, k, n, r):
         check_reduced_oracles(pq, k, n, r)
 
-    @settings(
-        deadline=None,
-        max_examples=300,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(deadline=None, max_examples=300)
     @oracle_cases
     @edge_examples
-    def test_match_full_width_terms_past_the_table(self, small_tables, pq, k, n, r):
-        sequences._u_term_reserve(make_params(*pq), k * n + r)
-        check_reduced_oracles(pq, k, n, r)
+    def test_oracle_sides_match_full_width_terms_across_a_short_prefix(self, pq, k, n, r):
+        # At most 60 terms in the prefix: every index from 60 on is walked.
+        params = make_params(*pq)
+        terms = _u_prefix(params, k * n + r)[:60]
+        u_k = u_at(params, k)
+        cases = [("shift", r, abs(u_k))]
+        if k >= 1:
+            cases.append(("lemma1", None, abs(u_k)))
+        if k >= 1 and n >= 1:
+            cases.append(("main", None, abs(u_at(params, n))))
+        for family, shift, m in cases:
+            if m <= 1:  # no side sees a trivial modulus
+                continue
+            if shift is None:
+                value = exact_div(u_at(params, k * n), u_k)
+            else:
+                value = u_at(params, k * n + shift)
+            oracle = FAMILY_TABLE[family].oracle
+            assert oracle(params, k, shift, [n], [m], terms) == [value % m], (family, pq, k, n)
 
-    def test_small_tables_walk_past_their_end(self, small_tables):
-        sequences._u_term_reserve(make_params(-8, -9), 12 * 12 + 6)
-        assert len(sequences._tables[(-8, -9)]) < 12 * 12
-        check_reduced_oracles((-8, -9), 12, 12, 6)
-
-    def test_reader_matches_recurrence_past_the_table(self, small_tables):
+    def test_reader_matches_recurrence_past_the_prefix(self):
         for pq in [(1, -1), (-7, 3), (1, 1)]:
             params = make_params(*pq)
-            sequences._u_term_reserve(params, 500)
+            terms = _u_prefix(params, 500)[:60]
             for n in (0, 1, 59, 60, 61, 500):
                 for m in (1, 2, 97, 2**70 + 1):
-                    assert _u_terms_mod(params, [n], [m]) == [u_at(params, n) % m], (pq, n, m)
+                    expected = u_at(params, n) % m
+                    assert _u_terms_mod(params, [n], [m], terms) == [expected], (pq, n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +888,7 @@ def check_one_call_sides(pq, k, r, order):
                 _evaluate_side(family, side, params, k, n, shift)
                 for side in ("closed_form", "oracle")
             ]
-            modulus = entry.modulus(params, k, n)
+            modulus = entry.modulus(params, k, n, ())
             if modulus <= 1:
                 assert single == [TRIVIAL_MODULUS] * 2, (family, pq, k, n, r)
                 continue
@@ -891,7 +897,9 @@ def check_one_call_sides(pq, k, r, order):
             ns.append(n)
             moduli.append(modulus)
             expected.append(reference)
-        columns = [side(params, k, shift, ns, moduli) for side in (entry.closed_form, entry.oracle)]
+        columns = [
+            side(params, k, shift, ns, moduli, ()) for side in (entry.closed_form, entry.oracle)
+        ]
         assert columns == [expected] * 2, (family, pq, k, r)
 
 
@@ -972,8 +980,8 @@ class TestFormulaRows:
             lemma2 = [paper_lemma2(params, k, n) for n in ns]
             for family, r in ROW_VARIANTS:
                 entry = FAMILY_TABLE[family]
-                closed = entry.closed_form(params, k, r, ns, moduli)
-                assert closed == entry.oracle(params, k, r, ns, moduli), (family, pq, k, r)
+                closed = entry.closed_form(params, k, r, ns, moduli, ())
+                assert closed == entry.oracle(params, k, r, ns, moduli, ()), (family, pq, k, r)
                 if entry.oracle is congruences._ratio_oracle:
                     assert closed == lemma1, (family, pq, k)
                 else:
@@ -990,7 +998,7 @@ class TestReducedOracleInvariants:
         monkeypatch.setattr(
             congruences,
             "_u_terms_mod",
-            lambda params, indices, moduli: [
+            lambda params, indices, moduli, terms: [
                 (u_at(params, n) + 1) % m for n, m in zip(indices, moduli)
             ],
         )
@@ -1012,12 +1020,11 @@ class TestReducedOracleInvariants:
             evaluate_congruence("main", p=2, q=-1, k=k, n=n)
 
     @pytest.mark.parametrize("warm", [False, True])
-    def test_negative_index_raises(self, fresh_tables, warm):
-        if warm:
-            # a negative index must not read from the end
-            sequences._u_term_reserve(FIBONACCI_PARAMS, 10)
+    def test_negative_index_raises(self, warm):
+        # a negative index must not read from the end of a prefix
+        terms = _u_prefix(FIBONACCI_PARAMS, 10) if warm else ()
         with pytest.raises(ValueError):
-            _u_terms_mod(FIBONACCI_PARAMS, [-1], [7])
+            _u_terms_mod(FIBONACCI_PARAMS, [-1], [7], terms)
         with pytest.raises(ValueError):
             shifted_lhs_exact(FIBONACCI_PARAMS, 3, 1, -5)
         with pytest.raises(ValueError):
@@ -1066,10 +1073,10 @@ WALK_KN = ((200, 200), (199, 150), (64, 101), (13, 29), (240, 250), (300, 200))
 class TestModularWalkSweep:
     # The recurrence walk against the doubling reference u_pair_mod, on every
     # (P, Q) of the query mix, at moduli shaped like the ratio oracle's
-    # |U_k|*|U_n| and at 2^61 - 1; first with no table, then with a
-    # reserved one.
+    # |U_k|*|U_n| and at 2^61 - 1; first with no prefix, then with one of
+    # 201 terms.
     @pytest.mark.parametrize("pq", WIDE_PAIRS, ids=str)
-    def test_walk_matches_doubling(self, fresh_tables, pq):
+    def test_walk_matches_doubling(self, pq):
         params = make_params(*pq)
         cases = []
         for k, n in WALK_KN:
@@ -1077,12 +1084,11 @@ class TestModularWalkSweep:
                 if m > 1:
                     cases += [(k * n, m), (k * n + 6, m)]
 
-        def check():
+        def check(terms):
             for index, m in cases:
-                assert _u_terms_mod(params, [index], [m]) == [u_pair_mod(params, index, m)[0]], (
-                    pq, index, m,
-                )
+                assert _u_terms_mod(params, [index], [m], terms) == [
+                    u_pair_mod(params, index, m)[0]
+                ], (pq, index, m)
 
-        check()
-        sequences._u_term_reserve(params, 200)
-        check()
+        check(())
+        check(_u_prefix(params, 200))

@@ -18,23 +18,28 @@ from lucaskit import (
     check_norm_identity,
     check_strong_divisibility,
     check_v_from_u,
+    evaluate_congruence,
     make_params,
     u_at,
     u_pair_exact,
     u_pair_mod,
     v_at,
 )
-from lucaskit.sequences import _u_term, _u_terms_mod, _u_walk_mod, _walk_plan
+from lucaskit.sequences import _u_prefix, _u_term, _u_terms_mod, _u_walk_mod, _walk_plan
 
 PELL = make_params(2, -1)
 
 
-def naive_u(p, q, n):
-    # Independent oracle: the recurrence written out with no library code.
+def naive_terms(p, q, count):
+    # Independent oracle: [U_0, ..., U_{count-1}], the recurrence written out with no library code.
     terms = [0, 1]
-    while len(terms) <= n:
+    while len(terms) < count:
         terms.append(p * terms[-1] - q * terms[-2])
-    return terms[n]
+    return terms[:count]
+
+
+def naive_u(p, q, n):
+    return naive_terms(p, q, n + 1)[n]
 
 
 def matrix_pair_mod(params, n, m):
@@ -317,126 +322,152 @@ class TestOperationCounts:
         assert u_pair_mod(params, n, m) == pair
 
 
-def stored_bits():
-    # Recount what the table holds, by the same charge the table uses.
-    return sum(
-        sum(t.bit_length() + sequences.SLOT_BITS for t in terms)
-        for terms in sequences._tables.values()
-    )
+def prefix_bits(terms):
+    # What a prefix is charged: each term's bit length plus SLOT_BITS.
+    return sum(t.bit_length() + sequences.SLOT_BITS for t in terms)
 
 
-class TestTermTable:
+def held_term_lists(module):
+    """The lists of ints that the module's globals hold, through dicts, lists, tuples and sets."""
+    found, stack = [], [value for name, value in vars(module).items() if not name.startswith("__")]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, list) and value and all(type(t) is int for t in value):
+            found.append(value)
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack.extend(value)
+    return found
+
+
+class TestTermPrefix:
     @settings(deadline=None, max_examples=300)
     @given(pq=st.sampled_from(WIDE_PAIRS), n=st.integers(0, 300))
-    def test_table_and_doubling_agree_with_recurrence(self, pq, n):
+    def test_prefix_and_doubling_agree_with_recurrence(self, pq, n):
         params = make_params(*pq)
-        sequences._u_term_reserve(params, 150)  # n past 150 is read by doubling
-        assert _u_term(params, n) == u_at(params, n)
+        terms = _u_prefix(params, 150)  # n past 150 is read by doubling
+        assert _u_term(params, n, terms) == _u_term(params, n, ()) == u_at(params, n)
         assert u_pair_exact(params, n) == (u_at(params, n), u_at(params, n + 1))
 
     @pytest.mark.parametrize("pq", [(1, -1), (-3, 2), (0, 1), (1, 0), (2, 1), (-8, -9)])
-    def test_first_indices_on_a_cold_table(self, fresh_tables, pq):
+    def test_first_indices(self, pq):
         params = make_params(*pq)
         for n in (2, 1, 0):
-            assert _u_term(params, n) == u_at(params, n)
-        assert sequences._tables == {}  # reads never store
+            assert _u_term(params, n, ()) == u_at(params, n)
+        assert _u_prefix(params, 0) == _u_prefix(params, 1) == [0, 1]
+        assert _u_prefix(params, 2) == [0, 1, pq[0]]
         assert u_pair_exact(params, 0) == (0, 1)
         assert u_pair_exact(params, 1) == (1, pq[0])
         assert u_pair_exact(params, 2) == (pq[0], u_at(params, 3))
 
-    def test_negative_index_rejected(self, fresh_tables):
-        sequences._u_term_reserve(FIBONACCI_PARAMS, 10)
+    def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            _u_term(FIBONACCI_PARAMS, -1)
+            _u_term(FIBONACCI_PARAMS, -1, _u_prefix(FIBONACCI_PARAMS, 10))
         with pytest.raises(ValueError):
             u_pair_exact(FIBONACCI_PARAMS, -1)
 
-    @pytest.mark.parametrize("pq", [(1, -1), (-7, 3), (1, 1)])
-    def test_reserve_stops_at_the_budget_and_reads_past_it_double(
-        self, fresh_tables, monkeypatch, pq
+    @pytest.mark.parametrize("pq, n, length", [
+        ((5, -3), 48 * 48 + 6, 1192),  # the widest pair of a 1..48 grid
+        ((1, 0), 10**5, 7256),  # U_n = 1: every term costs 1 + SLOT_BITS bits
+        ((1, -1), 10**5, None),
+        ((-7, 3), 10**5, None),
+        ((1, 1), 10**5, None),
+    ])
+    def test_prefix_stops_before_the_budget_and_reads_past_it_double(
+        self, monkeypatch, pq, n, length
     ):
-        monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
         params = make_params(*pq)
-        sequences._u_term_reserve(params, 5000)
-        terms = sequences._tables[pq]
+        terms = _u_prefix(params, n)
         stored = len(terms)
-        assert stored < 5000
-        assert stored_bits() <= sequences.TABLE_BITS
+        assert stored == (length or stored) < n
+        assert terms == naive_terms(*pq, stored)
+        # The prefix fits, and the next term would take it past TABLE_BITS.
+        assert prefix_bits(terms) <= sequences.TABLE_BITS
         next_cost = u_at(params, stored).bit_length() + sequences.SLOT_BITS
-        assert stored_bits() + next_cost > sequences.TABLE_BITS  # the table is full
+        assert prefix_bits(terms) + next_cost > sequences.TABLE_BITS
         doubled = spy_on_doubling(monkeypatch)
-        for n in (stored - 2, stored - 1, stored, stored + 1, 2 * stored, 5000):
-            assert _u_term(params, n) == u_at(params, n), n
-        assert doubled == [stored, stored + 1, 2 * stored, 5000]
-        assert len(terms) == stored  # unstored terms stay unstored
+        for j in (stored - 2, stored - 1, stored, stored + 1, 2 * stored):
+            assert _u_term(params, j, terms) == u_at(params, j), j
+        assert doubled == [stored, stored + 1, 2 * stored]
 
-    def test_read_past_the_table_doubles_once_and_stores_nothing(self, fresh_tables, monkeypatch):
+    @pytest.mark.parametrize("pq", [(5, -3), (1, -1), (-8, -9), (2**80 + 1, 3)])
+    def test_short_prefix_is_the_recurrence(self, pq):
+        params = make_params(*pq)
+        assert _u_prefix(params, 40) == naive_terms(*pq, 41)
+
+    def test_read_past_the_prefix_doubles_once(self, monkeypatch):
         params = make_params(-7, 3)
-        sequences._u_term_reserve(params, 40)
-        state, start = table_state(), _u_term.cache_info()
+        terms = _u_prefix(params, 40)
+        start = _u_term.cache_info()
         doubled = spy_on_doubling(monkeypatch)
-        assert _u_term(params, 41) == u_at(params, 41)
+        assert _u_term(params, 41, terms) == u_at(params, 41)
         assert doubled == [41]
-        assert table_state() == state
+        assert terms == _u_prefix(params, 40)
         info = _u_term.cache_info()
         assert (info.hits, info.misses) == (start.hits, start.misses + 1)
 
-    def test_new_pair_replaces_the_table(self, fresh_tables, monkeypatch):
-        # Reserves over pairs that come back: each new pair replaces the one
-        # table and fills the whole budget again, whatever was read before
-        # it; an exact or a column read of any pair leaves it as it is.
-        monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
-        pairs = WIDE_PAIRS[:5] + WIDE_PAIRS[3::-1] + WIDE_PAIRS[4:5] * 2 + WIDE_PAIRS[-3:]
+    def test_cache_info_counts(self):
+        # Building a prefix counts nothing, a read from it is one hit, and a
+        # read past it, or with no prefix, one miss. No term is kept.
+        start = _u_term.cache_info()
+        terms = _u_prefix(FIBONACCI_PARAMS, 50)
+        assert _u_term.cache_info() == start
+        _u_term(FIBONACCI_PARAMS, 20, terms)
+        _u_term(FIBONACCI_PARAMS, 50, terms)
+        _u_term(FIBONACCI_PARAMS, 51, terms)
+        _u_term(FIBONACCI_PARAMS, 20, ())
+        info = _u_term.cache_info()
+        assert info.hits - start.hits == 2
+        assert info.misses - start.misses == 2
+        assert info.currsize == 0
 
-        def full_length(params):
-            # Terms a fresh table holds, recounted by the same charge.
-            length, bits = 0, 0
-            while True:
-                cost = u_at(params, length).bit_length() + sequences.SLOT_BITS
-                if bits + cost > sequences.TABLE_BITS:
-                    return length
-                length, bits = length + 1, bits + cost
+    def test_module_keeps_no_term(self):
+        # Scans in this process and in forked workers, and one-instance
+        # evaluation, leave no list of terms in the module's globals.
+        from lucaskit.cli import run_scan
 
-        for i, pq in enumerate(pairs):
-            params = make_params(*pq)
-            for n in (30, 2000) if i % 2 else (2000,):
-                sequences._u_term_reserve(params, n)
-                assert list(sequences._tables) == [pq]
-                assert stored_bits() == sequences._stored_bits <= sequences.TABLE_BITS
-            state = table_state()
-            assert state[0] == {pq: full_length(params)}, pq
-            other = make_params(*pairs[i - 1])
-            for n in (37, 0, 400, 5, 2000):
-                assert _u_term(params, n) == u_at(params, n), (pq, n)
-                assert _u_term(other, n) == u_at(other, n), (pq, n)
-            assert _u_terms_mod(other, [3], [97]) == [u_at(other, 3) % 97]
-            assert table_state() == state
+        for workers in (1, 2):
+            record = run_scan("congruence-grid", 1, 24, workers)
+            assert (record["checked"], record["mismatches"]) == (149472, [])
+        assert evaluate_congruence("main", p=5, q=-3, k=24, n=24).holds
+        assert held_term_lists(sequences) == []
+        assert _u_term.cache_info().currsize == 0
+        assert not hasattr(_u_term, "cache_clear")
 
-    def test_concurrent_growth_keeps_tables_exact(self, fresh_tables):
-        # Threads reserve the same cold tables step by step at once, and
-        # replace each other's, as they alternate pairs, reading each term
-        # just reserved; a lost or doubled append, or a term read from another
-        # pair's table, would shift every later term.
+    def test_concurrent_reads_count_exactly(self):
+        # Threads read the same terms at once, from prefixes of their own and
+        # with none, exactly and modulo m; every read is right, and the hit
+        # and miss counts are exact sums, with no increment lost.
         pairs = [make_params(*pq) for pq in ((1, -1), (3, -5), (-2, 7))]
+        m = 2**70 + 1
+        expected = {
+            params: [naive_u(params.p_coeff, params.q_coeff, n) for n in range(120)]
+            for params in pairs
+        }
         errors = []
         barrier = threading.Barrier(6, timeout=60)
+        rounds, indices = 4, range(2, 120)
 
-        def grower(seed):
-            for round_ in range(4):
+        def reader(seed):
+            for round_ in range(rounds):
                 barrier.wait()
-                for n in range(2, 400):
+                for n in indices:
                     params = pairs[(seed + n) % len(pairs)]
-                    sequences._u_term_reserve(params, n)
-                    if _u_term(params, n) != naive_u(params.p_coeff, params.q_coeff, n):
+                    terms = _u_prefix(params, 60 + seed)
+                    exact = expected[params]
+                    if _u_term(params, n, terms) != exact[n] or _u_term(params, n, ()) != exact[n]:
                         errors.append((round_, params, n))
-                barrier.wait()
-                if seed == 0:
-                    _u_term.cache_clear()
+                    if _u_terms_mod(params, [n, 1], [m, m], terms) != [exact[n] % m, 1]:
+                        errors.append((round_, params, n, m))
 
+        hits = sum(2 * (n < 61 + seed) + 1 for seed in range(6) for n in indices)
+        misses = sum(2 * (n >= 61 + seed) + 1 for seed in range(6) for n in indices)
+        start = _u_term.cache_info()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=grower, args=(s,)) for s in range(6)]
+            threads = [threading.Thread(target=reader, args=(s,)) for s in range(6)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -445,20 +476,10 @@ class TestTermTable:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-
-    def test_cache_info_counts(self, fresh_tables):
-        # A reserve that grows the table is one miss, a stored read one hit,
-        # and a read past the table one miss.
-        start = _u_term.cache_info()
-        sequences._u_term_reserve(FIBONACCI_PARAMS, 50)
-        _u_term(FIBONACCI_PARAMS, 20)
-        _u_term(FIBONACCI_PARAMS, 50)
-        _u_term(FIBONACCI_PARAMS, 51)
-        sequences._u_term_reserve(FIBONACCI_PARAMS, 50)  # already stored: counts nothing
         info = _u_term.cache_info()
-        assert info.hits - start.hits == 2
-        assert info.misses - start.misses == 2
-        assert info.currsize == 51
+        assert (info.hits - start.hits, info.misses - start.misses) == (
+            rounds * hits, rounds * misses
+        )
 
 
 # Pairs and the block _u_walk_mod derives for them: about 64 bits of growth
@@ -479,159 +500,98 @@ def spy_on_doubling(monkeypatch):
     """Record the index of every _u_pair call from now on; returns the list."""
     real, indices = sequences._u_pair, []
 
-    def spy(params, n, m, counter):
+    def spy(params, n, m):
         indices.append(n)
-        return real(params, n, m, counter)
+        return real(params, n, m)
 
     monkeypatch.setattr(sequences, "_u_pair", spy)
     return indices
 
 
-def table_state():
-    return (
-        {key: len(terms) for key, terms in sequences._tables.items()},
-        sequences._stored_bits,
-    )
-
-
 class TestModularWalk:
-    def check_walk(self, params, indices):
+    def check_walk(self, params, indices, terms):
         for n in indices:
             exact = u_at(params, n)
             for m in WALK_MODULI:
-                assert _u_terms_mod(params, [n], [m]) == [exact % m], (params, n, m)
+                assert _u_terms_mod(params, [n], [m], terms) == [exact % m], (params, n, m)
 
     @pytest.mark.parametrize("pq, block", WALK_PAIRS)
-    def test_every_walk_length_past_a_small_table(self, fresh_tables, monkeypatch, pq, block):
-        monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
+    def test_every_walk_length_past_a_short_prefix(self, pq, block):
         params = make_params(*pq)
-        sequences._u_term_reserve(params, 500)
-        stored = len(sequences._tables[pq])
-        assert stored < 500  # the table is full
-        # From the last stored terms (hits), then 0 to 3 whole blocks and any remainder.
-        self.check_walk(params, range(stored - 2, stored + 3 * block + 2))
-        assert len(sequences._tables[pq]) == stored
+        terms = _u_prefix(params, 500)[:60]
+        # From the last terms of the prefix (hits), then 0 to 3 whole blocks and any remainder.
+        self.check_walk(params, range(58, 60 + 3 * block + 2), terms)
 
     @pytest.mark.parametrize("pq, block", WALK_PAIRS)
-    def test_walk_with_no_table(self, fresh_tables, pq, block):
-        params = make_params(*pq)
-        self.check_walk(params, range(3 * block + 2))
-        assert sequences._tables == {}
+    def test_walk_with_no_prefix(self, pq, block):
+        self.check_walk(make_params(*pq), range(3 * block + 2), ())
 
-    def test_concurrent_growth_keeps_walks_exact(self, fresh_tables):
-        # Modular reads hit or walk from (U_0, U_1) while other threads grow
-        # the tables by reserves or clear them; neither may read a term that
-        # is not there.
-        pairs = [make_params(*pq) for pq in ((1, -1), (-7, 3), (-8, -9))]
-        m = 2**70 + 1
-        expected = {
-            params: [naive_u(params.p_coeff, params.q_coeff, n) % m for n in range(404)]
-            for params in pairs
-        }
-        errors = []
-        barrier = threading.Barrier(6, timeout=60)
-
-        def worker(seed):
-            for round_ in range(4):
-                barrier.wait()
-                for n in range(2, 400):
-                    params = pairs[(seed + n) % len(pairs)]
-                    if seed % 2:
-                        sequences._u_term_reserve(params, n)
-                    elif _u_terms_mod(params, [n + seed], [m]) != [expected[params][n + seed]]:
-                        errors.append((round_, params, n + seed))
-                barrier.wait()
-                if seed == 0:
-                    _u_term.cache_clear()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-
-    def test_modular_read_stores_nothing(self, fresh_tables):
-        table, cold = make_params(-7, 3), make_params(5, -3)
-        sequences._u_term_reserve(table, 40)
-        for params, n in [(table, 41), (table, 500), (cold, 0), (cold, 500)]:
-            state, start = table_state(), _u_term.cache_info()
-            assert _u_terms_mod(params, [n], [2**70 + 1]) == [u_at(params, n) % (2**70 + 1)]
+    def test_modular_read_past_the_prefix_is_one_miss(self):
+        prefix, cold = make_params(-7, 3), make_params(5, -3)
+        terms = _u_prefix(prefix, 40)
+        for params, n, held in [(prefix, 41, terms), (prefix, 500, terms), (cold, 0, ()),
+                                (cold, 500, ())]:
+            start = _u_term.cache_info()
+            assert _u_terms_mod(params, [n], [2**70 + 1], held) == [u_at(params, n) % (2**70 + 1)]
             info = _u_term.cache_info()
-            assert table_state() == state, (params, n)
             assert (info.hits, info.misses) == (start.hits, start.misses + 1), (params, n)
-        assert list(sequences._tables) == [(-7, 3)]
-        # Exact reads never store either.
-        state = table_state()
-        assert _u_term(table, 500) == u_at(table, 500)
-        assert _u_term(cold, 60) == u_at(cold, 60)
-        assert table_state() == state
+        assert terms == _u_prefix(prefix, 40)
 
-    def test_column_read_counts_one_hit_or_miss_per_term(self, fresh_tables):
-        # Stored indices are reduced from the table, in the order given; the
-        # two past its end each walk, as one miss; nothing is stored.
+    def test_column_read_counts_one_hit_or_miss_per_term(self):
+        # Indices of the prefix are reduced from it, in the order given; the
+        # two past its end each walk, as one miss.
         params = make_params(-7, 3)
-        sequences._u_term_reserve(params, 40)
-        state, start = table_state(), _u_term.cache_info()
+        terms = _u_prefix(params, 40)
+        start = _u_term.cache_info()
         indices = [40, 0, 500, 7, 41, 7]
         moduli = [97, 2, 2**70 + 1, 1, 5, 2**70 + 1]
-        assert _u_terms_mod(params, indices, moduli) == [
+        assert _u_terms_mod(params, indices, moduli, terms) == [
             u_at(params, j) % m for j, m in zip(indices, moduli)
         ]
         info = _u_term.cache_info()
         assert (info.hits - start.hits, info.misses - start.misses) == (4, 2)
-        assert _u_terms_mod(params, [3, 40, 3], [7, 7, 2]) == [
+        assert _u_terms_mod(params, [3, 40, 3], [7, 7, 2], terms) == [
             u_at(params, 3) % 7, u_at(params, 40) % 7, u_at(params, 3) % 2,
         ]
-        assert _u_term.cache_info()[:2] == (info.hits + 3, info.misses)  # all stored: 3 hits
-        assert table_state() == state
-        assert _u_terms_mod(params, [], []) == []
+        assert _u_term.cache_info()[:2] == (info.hits + 3, info.misses)  # all held: 3 hits
+        assert _u_terms_mod(params, [], [], terms) == []
         with pytest.raises(ValueError):
-            _u_terms_mod(params, [3, -1], [7, 7])
+            _u_terms_mod(params, [3, -1], [7, 7], terms)
 
-    def test_column_matches_doubling(self, fresh_tables):
+    def test_column_matches_doubling(self):
         # Hits, misses and repeated indices, in any order, each equal their
         # doubling residue; one negative index rejects the whole column
         # before anything is counted.
         params = make_params(-7, 3)
-        sequences._u_term_reserve(params, 40)
+        terms = _u_prefix(params, 40)
         indices = [41, 3, 500, 3, 40, 500, 0, 41, 2000]
         moduli = [97, 97, 2**70 + 1, 2, 2**70 + 1, 2**70 + 1, 5, 2**400 + 1, 2**61 - 1]
-        assert _u_terms_mod(params, indices, moduli) == [
+        assert _u_terms_mod(params, indices, moduli, terms) == [
             u_pair_mod(params, j, m)[0] for j, m in zip(indices, moduli)
         ]
         start = _u_term.cache_info()
         with pytest.raises(ValueError):
-            _u_terms_mod(params, indices + [-1], moduli + [97])
+            _u_terms_mod(params, indices + [-1], moduli + [97], terms)
         assert _u_term.cache_info() == start
 
     @pytest.mark.parametrize("pq, block", WALK_PAIRS)
-    def test_giant_steps_match_doubling(self, fresh_tables, monkeypatch, pq, block):
-        monkeypatch.setattr(sequences, "TABLE_BITS", 20_000)
+    def test_giant_steps_match_doubling(self, pq, block):
         params = make_params(*pq)
         steps = sorted({whole * block + rest for whole in WALK_BLOCKS for rest in (0, block - 1)})
 
-        def check(start):
+        def check(start, terms):
             for n in (start + s for s in steps):
                 for m in WALK_MODULI:
                     expected = u_pair_mod(params, n, m)[0] if m > 1 else 0
-                    assert _u_terms_mod(params, [n], [m]) == [expected], (params, n, m)
+                    assert _u_terms_mod(params, [n], [m], terms) == [expected], (params, n, m)
 
-        check(0)  # no table
-        sequences._u_term_reserve(params, 500)
-        stored = len(sequences._tables[pq])
-        check(stored - 2)  # past a full table: hits, then walks from (U_0, U_1)
-        assert len(sequences._tables[pq]) == stored
+        check(0, ())  # no prefix
+        # Past a short prefix: hits, then walks from (U_0, U_1).
+        check(58, _u_prefix(params, 500)[:60])
 
-    def test_every_miss_walks_from_the_start(self, fresh_tables, monkeypatch):
-        # A miss walks all n steps whatever the pair's table holds: none, a
-        # partial table, or a (1, -1) table full at the default budget.
+    def test_every_miss_walks_from_the_start(self, monkeypatch):
+        # A miss walks all n steps whatever prefix is passed: none, a short
+        # one, or a (1, -1) prefix cut by the default budget.
         walked = []
 
         def plan(steps, block, weight):
@@ -641,24 +601,23 @@ class TestModularWalk:
         monkeypatch.setattr(sequences, "_walk_plan", plan)
         m = 2**200 + 1
 
-        def check(params, n):
+        def check(params, n, terms):
             walked.clear()
-            assert _u_terms_mod(params, [n], [m]) == [u_pair_mod(params, n, m)[0]], (params, n)
+            expected = u_pair_mod(params, n, m)[0]
+            assert _u_terms_mod(params, [n], [m], terms) == [expected], (params, n)
             assert walked == [n], (params, n)
 
-        check(make_params(5, -3), 300)
-        partial, full = make_params(-7, 3), FIBONACCI_PARAMS
-        sequences._u_term_reserve(partial, 40)
-        check(partial, 41)
-        check(partial, 500)
-        sequences._u_term_reserve(full, 5000)
-        stored = len(sequences._tables[(1, -1)])
-        assert 40 < stored < 5000
-        check(full, stored)
-        check(full, 4 * stored)
+        check(make_params(5, -3), 300, ())
+        short = make_params(-7, 3)
+        check(short, 41, _u_prefix(short, 40))
+        check(short, 500, _u_prefix(short, 40))
+        full = _u_prefix(FIBONACCI_PARAMS, 5000)
+        assert 40 < len(full) < 5000
+        check(FIBONACCI_PARAMS, len(full), full)
+        check(FIBONACCI_PARAMS, 4 * len(full), full)
 
     @pytest.mark.parametrize("pq, block", WALK_PAIRS)
-    def test_wide_moduli_match_doubling(self, fresh_tables, monkeypatch, pq, block):
+    def test_wide_moduli_match_doubling(self, monkeypatch, pq, block):
         # Moduli shaped like a ratio family's U_k^2 for (5, -3), 2,000 to
         # 15,000 bits wide, weigh a giant step 5 to 37 block steps; the last
         # one, 25,600 bits, weighs it 64, so 16 blocks take no giant step.
@@ -678,7 +637,7 @@ class TestModularWalk:
                 assert _u_walk_mod(params, n, m) == u_pair_mod(params, n, m)[0], (m.bit_length(), n)
         assert sorted(set(weights)) == [5, 12, 37, 64]
 
-    def test_wide_pair_long_walk(self, fresh_tables):
+    def test_wide_pair_long_walk(self):
         # |P| + |Q| is 41 bits wide, so a block is one step: 100,003 of them.
         params = make_params(2**40 + 1, 3)
         for m in (2**61 - 1, 2**400 + 1, 2**1500 + 1):
