@@ -12,12 +12,14 @@ Both sides of every family are private plain-int kernels, listed in one
 table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
 shift r, its domain check and its modulus, the one place that modulus is
 decided. A side is one call, side(params, k, r, ns, moduli, terms): it
-takes n values of one (P, Q, k) and r, in any order, with their moduli, and
-returns their least nonnegative residues in that order. Sides and moduli
-read terms from `terms`, a prefix [U_0, U_1, ...] of the pair, or (). Each
-closed form is one loop over n. The five families modulo |U_k| are two
-residue formulas in U_{k+1}, Q^k and U_r mod |U_k|, read once per call:
-lemma1 and cor6 are the ratio row, and lemma2, cor7 and shift the shift row.
+takes n values of one (P, Q, k), in any order, with their moduli, and
+returns their least nonnegative residues in that order; the shift row and
+the shifted oracle take a tuple of shifts r and answer shift by shift.
+Sides and moduli read terms from `terms`, a prefix [U_0, U_1, ...] of the
+pair, or (). Each closed form is one loop over n. The five families modulo
+|U_k| are two residue formulas in U_{k+1}, Q^k and U_r mod |U_k|, read once
+per call: lemma1 and cor6 are the ratio row, and lemma2, cor7 and shift the
+shift row, whose factor after U_r is computed once per n for every shift.
 The recurrence oracles read every term of a call in one _u_terms_mod call.
 The caller checks the domain and reads the modulus: 0 or 1 makes the
 instance a TrivialModulus, and any other is handed to both sides. _evaluate
@@ -26,10 +28,9 @@ check's tag, and runs each side it is asked for on that one n; the public
 functions and evaluate_congruence return its Outcome values. grid_batch, the
 congruence-grid scan's unit of work, takes one (P, Q) and builds its prefix
 once, up to the widest index it reads, so within the prefix's budget no
-oracle read walks. For each k it reads |U_k| once and main's |U_n| once per
-n, and calls each distinct column (a side at one effective shift and
-modulus) once, on every n its variants check: 18 calls for the 24 sides of
-12 variants with items.
+oracle read walks. It reads main's |U_n| once per n, and for each k |U_k|
+once, and calls each side once per modulus, on every n and every shift its
+variants check: 6 calls for the 24 sides of 12 variants with items.
 """
 
 from __future__ import annotations
@@ -160,37 +161,39 @@ def _modulus_mersenne(params: LucasParams, k: int, n: int, terms: _Ints) -> int:
 # Closed-form sides. Every side is one call (params, k, r, ns, moduli, terms)
 # -> residues: it takes n values in any order, each on a checked domain with
 # the family's modulus, which exceeds 1, and returns their residues in that
-# order. r is the shift family's, a four-case family's tag of its one n, else
-# None. A closed form is one loop over n: a plain side, or a row under _mod_u_k.
+# order. A side over U_{kn+r} (the shift row, the shifted oracle) takes a
+# tuple of shifts r, or None for the shift 1, and answers shift by shift; a
+# four-case family's r is its one n's tag or None, and any other's is None.
+# A closed form is one loop over n: a plain side, or a row under _mod_u_k.
 # ---------------------------------------------------------------------------
 
 
 def _mod_u_k(
-    formula: Callable[[int, int, int, int, Sequence[int]], list[int]]
+    formula: Callable[[int, int, _Ints, int, _Ints], list[int]]
 ) -> Callable[..., list[int]]:
-    """Decorator for a side modulo |U_k|: formula(u_next, q_k, u_r, m, ns).
+    """Decorator for a side modulo |U_k|: formula(u_next, q_k, u_rs, m, ns).
 
-    Each call reads U_{k+1}, Q^k and U_r (1 without r) mod m = |U_k| once,
-    taking m from moduli[0], since every item of such a side has it;
-    Q^{ke} = pow(Q^k, e). An empty column reads nothing.
+    Each call reads U_{k+1}, Q^k and each shift's U_r ([1] without r) mod
+    m = |U_k| once, taking m from moduli[0], since every item of such a side
+    has it; Q^{ke} = pow(Q^k, e). An empty column reads nothing.
     """
 
     @wraps(formula)
     def side(
-        params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
+        params: LucasParams, k: int, r: Optional[_Ints], ns: _Ints, moduli: _Ints, terms: _Ints
     ) -> list[int]:
         if not ns:
             return []
         m = moduli[0]
         u_next = _u_term(params, k + 1, terms) % m
-        u_r = 1 if r is None else _u_term(params, r, terms) % m
+        u_rs = [1] if r is None else [_u_term(params, j, terms) % m for j in r]
         q_k = pow_signed_mod(params.q_coeff, k, m)
-        return formula(u_next, q_k, u_r, m, ns)
+        return formula(u_next, q_k, u_rs, m, ns)
 
     return side
 
 
-def _ratio_row(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
+def _ratio_row(u_next: int, q_k: int, u_rs: _Ints, m: int, ns: _Ints) -> list[int]:
     """U_{kn}/U_k: n*U_{k+1}^{[n even]}*(Q^k)^{ceil(n/2)-1}, and 0 at n = 0."""
     residues = []
     for n in ns:
@@ -201,13 +204,10 @@ def _ratio_row(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> li
     return residues
 
 
-def _shift_row(u_next: int, q_k: int, u_r: int, m: int, ns: Sequence[int]) -> list[int]:
-    """U_{kn+r}: U_r*U_{k+1}^{[n odd]}*(Q^k)^{floor(n/2)}."""
-    odd = u_r * u_next
-    residues = []
-    for n in ns:
-        residues.append((odd if n & 1 else u_r) * pow(q_k, n >> 1, m) % m)
-    return residues
+def _shift_row(u_next: int, q_k: int, u_rs: _Ints, m: int, ns: _Ints) -> list[int]:
+    """U_{kn+r} for each U_r of u_rs: U_r*U_{k+1}^{[n odd]}*(Q^k)^{floor(n/2)}, shift by shift."""
+    row = [pow(q_k, n >> 1, m) * u_next % m if n & 1 else pow(q_k, n >> 1, m) for n in ns]
+    return [u_r * x % m for u_r in u_rs for x in row]
 
 
 # Lemma 1 and Corollary 6 are one formula, as are Lemma 2, Corollary 7 and the
@@ -330,10 +330,11 @@ def _ratio_oracle(
 
 
 def _shifted_oracle(
-    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
+    params: LucasParams, k: int, r: Optional[_Ints], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
-    shift = 1 if r is None else r  # families without an r (lemma2, cor7, fib19) shift by 1
-    return _u_terms_mod(params, [k * n + shift for n in ns], moduli, terms)
+    shifts = r or (1,)  # families without an r (lemma2, cor7, fib19) shift by 1
+    indices = [k * n + shift for shift in shifts for n in ns]
+    return _u_terms_mod(params, indices, [*moduli] * len(shifts), terms)
 
 
 def _mersenne_oracle(
@@ -395,8 +396,9 @@ def _evaluate(
     modulus = entry.modulus(params, k, n, ())
     if modulus <= 1:
         return [TRIVIAL_MODULUS] * len(sides), tag
+    side_r = tag if r is None else (r,)
     return [
-        ResidueClass(getattr(entry, side)(params, k, tag or r, [n], [modulus], ())[0], modulus)
+        ResidueClass(getattr(entry, side)(params, k, side_r, [n], [modulus], ())[0], modulus)
         for side in sides
     ], tag
 
@@ -640,13 +642,15 @@ def grid_batch(unit: tuple[int, int, int, int]) -> tuple[str, tuple[tuple[int, s
     n >= 0 (with r in SHIFT_R_RANGE) leave only main at n = 0 outside a
     family's domain, and its modulus |U_0| = 0 is trivial, so no item runs a
     domain check. The pair's prefix, up to hi*hi + max r, the widest index
-    read, is built once and passed to every modulus and side. For each k,
-    |U_k| is read once: a variant modulo
-    |U_k| takes every n when it exceeds 1, and none otherwise. main reads
-    |U_n| once per n and takes the n where it exceeds 1. A column, keyed by
-    the side object, the effective shift (1 without r) and the modulus, runs
-    once per k on its items in n order, for every variant with that key; an
-    item holds when its two residues are equal.
+    read, is built once and passed to every modulus and side, and main's
+    |U_n| is read once per n: main takes the n where it exceeds 1. For each
+    k, |U_k| is read once: a variant modulo |U_k| takes every n when it
+    exceeds 1, and none otherwise. A column is keyed by the side object, the
+    effective shift (1 without r) and the modulus. Each side is called once
+    per k and modulus, on its items in n order, for the columns of every
+    variant that reads it: with None when their one shift is 1, else with
+    all their shifts at once. Where |U_k| > 1 that is 6 calls for the 24
+    sides of the 12 variants. An item holds when its two residues are equal.
     """
     p, q, n_lo, hi = unit
     if n_lo < 0 or hi < max(n_lo, 1):
@@ -655,37 +659,43 @@ def grid_batch(unit: tuple[int, int, int, int]) -> tuple[str, tuple[tuple[int, s
     terms = _u_prefix(params, hi * hi + SHIFT_R_RANGE[-1])
     span = range(n_lo, hi + 1)
     width = len(GRID_VARIANTS)
+    variants = []  # (name, r, closed-form column, oracle column, modulus), in GRID_VARIANTS order
+    shifts = {}  # (side, modulus) -> the effective shifts (1 without r) its variants read
+    for name, r in GRID_VARIANTS:
+        family = FAMILY_TABLE[name]
+        shift = 1 if r is None else r
+        sides = [(side, shift, family.modulus) for side in (family.closed_form, family.oracle)]
+        variants.append((name, r, *sides, family.modulus))
+        for side, _, modulus in sides:
+            shifts.setdefault((side, modulus), {})[shift] = None
+    # A side called with None computes the shift 1, so only other shifts need a tuple.
+    calls = [(*key, None if [*s] == [1] else tuple(s)) for key, s in shifts.items()]
+    items = {}  # modulus -> (ns, moduli, marks of span where each item holds)
+    if _modulus_n in {modulus for _, modulus in shifts}:  # |U_n| does not depend on k
+        n_moduli = [_modulus_n(params, 0, n, terms) for n in span]
+        held = ["+" if m > 1 else "-" for m in n_moduli]
+        ns = [n for n, mark in zip(span, held) if mark == "+"]
+        items[_modulus_n] = ns, [m for m in n_moduli if m > 1], held
     marks = []  # one block of marks per k
     failed = {}  # (n, detail) of each mismatch, keyed by k and its mark's position in k's block
     for k in range(max(n_lo, 1), hi + 1):
         u_k = _modulus_k(params, k, n_lo, terms)
-        u_k_moduli = [u_k] * len(span)
-        block = ["-"] * (len(span) * width)  # item (n, variant) at (n - n_lo) * width + index
+        items[_modulus_k] = (span, [u_k] * len(span), "+" * len(span)) if u_k > 1 else ([],) * 3
         columns = {}  # (side, shift, modulus) -> the side's residues on its items
-        for index, (name, r) in enumerate(GRID_VARIANTS):
-            family = FAMILY_TABLE[name]
-            if family.modulus is _modulus_k:
-                if u_k <= 1:
-                    continue
-                ns, moduli = span, u_k_moduli
-            else:
-                ns, moduli = [], []
-                for n in span:
-                    modulus = family.modulus(params, k, n, terms)
-                    if modulus > 1:
-                        ns.append(n)
-                        moduli.append(modulus)
-                if not ns:
-                    continue
-            residues = []
-            for side in (family.closed_form, family.oracle):
-                key = (side, 1 if r is None else r, family.modulus)
-                if key not in columns:
-                    columns[key] = side(params, k, r, ns, moduli, terms)
-                residues.append(columns[key])
-            closed, oracle = residues
-            if closed == oracle and ns is span:
-                block[index::width] = "+" * len(span)
+        for side, modulus, r in calls:
+            ns, moduli, _ = items[modulus]
+            if ns:
+                residues = side(params, k, r, ns, moduli, terms)
+                for i, shift in enumerate(r or (1,)):
+                    columns[side, shift, modulus] = residues[i * len(ns) : (i + 1) * len(ns)]
+        block = ["-"] * (len(span) * width)  # item (n, variant) at (n - n_lo) * width + index
+        for index, (name, r, closed_column, oracle_column, modulus) in enumerate(variants):
+            ns, _, held = items[modulus]
+            if not ns:
+                continue
+            closed, oracle = columns[closed_column], columns[oracle_column]
+            if closed == oracle:
+                block[index::width] = held
                 continue
             for n, a, b in zip(ns, closed, oracle):
                 position = (n - n_lo) * width + index

@@ -877,11 +877,11 @@ class TestGridMatchesPublicPath:
         ) + tuple(("shift", r) for r in range(7))
 
 
-def _grid_columns(params, k, hi, side):
-    """How many distinct columns of one side a 1..hi batch of (params, k) calls.
+def _grid_calls(params, k, hi, side):
+    """How many calls of one side kind a 1..hi batch of (params, k) makes.
 
-    A column is keyed by the side, the effective shift and the modulus; a
-    modulus with no item over 1 calls none.
+    A side is called once per modulus it is read at, for all the effective
+    shifts of its variants at once; a modulus with no item over 1 calls none.
     """
     table = congruences_module.FAMILY_TABLE
     u_k = congruences_module._modulus_k(params, k, 1, ())
@@ -892,7 +892,7 @@ def _grid_columns(params, k, hi, side):
         ),
     }
     return len({
-        (getattr(table[name], side), 1 if r is None else r, table[name].modulus)
+        (getattr(table[name], side), table[name].modulus)
         for name, r in congruences_module.GRID_VARIANTS
         if has_items[table[name].modulus]
     })
@@ -915,9 +915,12 @@ class TestGridWork:
 
     def test_grid_walks_no_term(self, monkeypatch):
         # One prefix per pair holds every index the 1..24 grid reads, so no
-        # oracle read reaches the walk _u_walk_mod, and each distinct oracle
-        # column with an item to check reads its terms in one call. Exact term
-        # reads, in either module, stay under one per two items.
+        # oracle read reaches the walk _u_walk_mod, and each oracle call, one
+        # per oracle side and modulus with an item to check, reads its terms
+        # in one call: 3 per k where |U_k| > 1. The exact term reads, in either
+        # module, are |U_k| once per k, main's |U_n| once per n of each pair,
+        # U_{k+1} once per row and each shift's U_r once where |U_k| > 1, and
+        # main's U_n, U_d and, in the odd-quotients case, U_{d+1} per item.
         walks = self._count_calls(monkeypatch, sequences_module, ["_u_walk_mod", "_u_term"])
         counts = self._count_calls(
             monkeypatch, congruences_module, ["_u_prefix", "_u_terms_mod", "_u_term"]
@@ -925,12 +928,21 @@ class TestGridWork:
         scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
         assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
         assert walks["_u_walk_mod"] == 0
-        assert walks["_u_term"] + counts["_u_term"] <= 0.5 * (scan["checked"] + scan["skipped"])
         assert counts["_u_prefix"] == len(congruences_module.COEFFICIENT_GRID)
         batches = [(p, q, k) for p, q in congruences_module.COEFFICIENT_GRID for k in range(1, 25)]
-        assert counts["_u_terms_mod"] == sum(
-            _grid_columns(make_params(p, q), k, 24, "oracle") for p, q, k in batches
+        rows = sum(abs(u_at(make_params(p, q), k)) > 1 for p, q, k in batches)
+        main_reads = sum(
+            3 if congruences_module._case(n, k) is congruences_module._ODD_QUOTIENTS else 2
+            for p, q, k in batches
+            for n in range(1, 25)
+            if abs(u_at(make_params(p, q), n)) > 1
         )
+        reads = 2 * len(batches) + (2 + len(congruences_module.SHIFT_R_RANGE)) * rows + main_reads
+        assert walks["_u_term"] + counts["_u_term"] == reads
+        assert counts["_u_terms_mod"] == sum(
+            _grid_calls(make_params(p, q), k, 24, "oracle") for p, q, k in batches
+        )
+        assert counts["_u_terms_mod"] == 1590
 
     @pytest.mark.parametrize("pq", [(1, -1), (5, -3), (1, 1)])
     def test_a_unit_does_not_depend_on_earlier_reads(self, monkeypatch, pq):
@@ -960,25 +972,27 @@ class TestGridWork:
         assert run() == first
         assert first[2] == 0
 
-    @pytest.mark.parametrize("p, q, k, columns", [
+    @pytest.mark.parametrize("p, q, k, calls", [
         (1, -1, 1, 1),  # |U_1| = 1: only main has items
-        (1, -1, 7, 9),
+        (1, -1, 7, 3),
         (1, 1, 3, 0),  # U_3(1, 1) = 0, and no |U_n| exceeds 1
-        (4, 3, 13, 9),
-        (5, -3, 24, 9),
+        (4, 3, 13, 3),
+        (5, -3, 24, 3),
     ])
     def test_one_prefix_and_one_read_per_distinct_oracle_column(
-        self, monkeypatch, p, q, k, columns
+        self, monkeypatch, p, q, k, calls
     ):
-        # A unit builds its pair's prefix once and reads each distinct oracle
-        # column of each k in one call, all from the prefix: no read misses.
+        # A unit builds its pair's prefix once and reads the oracle columns of
+        # each k in one call per oracle side and modulus, all from the prefix:
+        # no read misses. The shifted oracle reads all seven shifts at once,
+        # up to U_{k*hi + 6}.
         params = make_params(p, q)
-        assert _grid_columns(params, k, 24, "oracle") == columns
+        assert _grid_calls(params, k, 24, "oracle") == calls
         real = sequences_module._u_terms_mod
         reads = []
 
         def reader(params, indices, moduli, terms):
-            reads.append((max(indices), len(terms)))
+            reads.append((max(indices), len(terms), len(indices)))
             return real(params, indices, moduli, terms)
 
         monkeypatch.setattr(congruences_module, "_u_terms_mod", reader)
@@ -990,23 +1004,27 @@ class TestGridWork:
             congruences_module.grid_batch((p, q, 1, hi))
             assert sequences_module._u_term.cache_info().misses == start
             assert counts["_u_prefix"] == 1
-            per_k = [_grid_columns(params, j, hi, "oracle") for j in range(1, hi + 1)]
+            per_k = [_grid_calls(params, j, hi, "oracle") for j in range(1, hi + 1)]
             assert len(reads) == sum(per_k)
-            assert all(widest < stored for widest, stored in reads)
+            assert all(widest < stored for widest, stored, _ in reads)
+            shifted = [widest for widest, _, count in reads if count == 7 * hi]
+            assert shifted == [j * hi + 6 for j in range(1, hi + 1) if abs(u_at(params, j)) > 1]
 
     @pytest.mark.parametrize("p, q, k, shared, unshared", [
-        (1, -1, 7, 9, 12),
-        (5, -3, 24, 9, 12),
+        (1, -1, 7, 3, 6),
+        (5, -3, 24, 3, 6),
         (1, -1, 1, 1, 1),  # |U_1| = 1: main alone
         (1, 1, 3, 0, 0),  # no modulus exceeds 1
     ])
     def test_each_distinct_column_is_one_side_call(
         self, monkeypatch, p, q, k, shared, unshared
     ):
-        # Where |U_k| > 1 the 12 variants' 24 sides are 18 distinct columns:
-        # lemma1 and cor6 share both sides, and so do lemma2, cor7 and shift
-        # r = 1. With a wrapper of its own on each family's side, a batch
-        # shares nothing, calls each variant's sides, and marks the same.
+        # Where |U_k| > 1 the 12 variants' 24 sides are 6 side calls: lemma1
+        # and cor6 share both sides; lemma2, cor7 and shift share both at
+        # r = 1, and the shift row and the shifted oracle each take all seven
+        # shifts in one call. With a wrapper of its own on each family's side,
+        # a batch shares nothing, calls each family's sides once (shift's on
+        # its seven shifts), and marks the same.
         table = congruences_module.FAMILY_TABLE
         families = dict(table)
         made = Counter()
@@ -1035,7 +1053,7 @@ class TestGridWork:
         assert calls == {kind: shared for kind in ("closed_form", "oracle") if shared}
         params = make_params(p, q)
         for kind in ("closed_form", "oracle"):
-            assert _grid_columns(params, k, 24, kind) == shared
+            assert _grid_calls(params, k, 24, kind) == shared
         assert batch(share=False) == (
             marks, {kind: unshared for kind in ("closed_form", "oracle") if unshared}
         )
@@ -1043,7 +1061,8 @@ class TestGridWork:
     @pytest.mark.parametrize("p, q", [(1, -1), (3, -2), (2, 1), (1, 1)])
     def test_u_k_families_read_no_term_per_n(self, monkeypatch, p, q):
         # Without main, a unit's exact term reads are its k's preparing alone:
-        # a unit over 1..hi reads as many as its units k..k, of one n each.
+        # a unit over 1..hi reads as many as its units k..k, of one n each:
+        # |U_k|, and where it exceeds 1 U_{k+1} once per row and each U_r once.
         monkeypatch.setattr(congruences_module, "GRID_VARIANTS", tuple(
             variant for variant in congruences_module.GRID_VARIANTS if variant[0] != "main"
         ))
@@ -1056,7 +1075,7 @@ class TestGridWork:
             return counts["_u_term"]
 
         single = [reads(k, k) for k in range(1, 25)]
-        assert max(single) <= 21, single
+        assert max(single) <= 10, single
         assert (reads(1, 12), reads(1, 24)) == (sum(single[:12]), sum(single))
 
 
@@ -1157,9 +1176,12 @@ def _break_kernel(monkeypatch, family, side, hit):
     real = getattr(entry, side)
 
     def broken(params, k, r, ns, moduli, terms):
+        shifts = len(r) if isinstance(r, tuple) else 1  # answered shift by shift
         return [
             (value + 1) % m if (params.p_coeff, params.q_coeff, k, n) == hit else value
-            for n, m, value in zip(ns, moduli, real(params, k, r, ns, moduli, terms))
+            for n, m, value in zip(
+                [*ns] * shifts, [*moduli] * shifts, real(params, k, r, ns, moduli, terms)
+            )
         ]
 
     monkeypatch.setitem(

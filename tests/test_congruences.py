@@ -1,5 +1,6 @@
 import functools
 import inspect
+import random
 import types
 from math import gcd
 
@@ -562,8 +563,8 @@ class TestOneDomainPerFamily:
 @pytest.mark.parametrize("family", FAMILY_TABLE)
 def test_every_side_has_one_signature(family):
     # Every side is one call on a batch of n; a side modulo |U_k| wraps a formula
-    # of the residues it reads once per call. A side and a modulus take the
-    # pair's prefix of terms, or (), last.
+    # of the residues it reads once per call, U_r once per shift. A side and a
+    # modulus take the pair's prefix of terms, or (), last.
     entry = FAMILY_TABLE[family]
     assert list(inspect.signature(entry.modulus).parameters) == ["params", "k", "n", "terms"]
     for side in (entry.closed_form, entry.oracle):
@@ -572,7 +573,7 @@ def test_every_side_has_one_signature(family):
         if hasattr(side, "__wrapped__"):
             assert side.__code__ is congruences._lemma1.__code__  # the one decorator, _mod_u_k
             formula = inspect.signature(side.__wrapped__)
-            assert list(formula.parameters) == ["u_next", "q_k", "u_r", "m", "ns"], side
+            assert list(formula.parameters) == ["u_next", "q_k", "u_rs", "m", "ns"], side
 
 
 def test_exact_div_flags_nonzero_remainder():
@@ -685,7 +686,7 @@ class TestOracleIndependence:
                 return real(params, j, *m)
 
             monkeypatch.setattr(congruences, name, reader)
-        FAMILY_TABLE[family].oracle(params, k, r, [n], [modulus], ())
+        FAMILY_TABLE[family].oracle(params, k, r and (r,), [n], [modulus], ())
         # One call reads U_k alone of the exact terms, by the recurrence (u_at),
         # and U_{kn+shift} by one _u_terms_mod.
         assert {read for read in reads if read[0] != "_u_terms_mod"} <= {("u_at", k)}, (
@@ -722,7 +723,7 @@ class TestOracleIndependence:
             expected.append(value % m)
         terms = _u_prefix(params, 25) if prefix else ()
         monkeypatch.setattr(sequences, "_u_pair", _no_doubling)
-        assert entry.oracle(params, k, r, ns, moduli, terms) == expected
+        assert entry.oracle(params, k, r and (r,), ns, moduli, terms) == expected
 
     def test_exact_fibonacci_sum_never_doubles(self, monkeypatch):
         expected = {}
@@ -832,7 +833,8 @@ class TestReducedOracles:
             else:
                 value = u_at(params, k * n + shift)
             oracle = FAMILY_TABLE[family].oracle
-            assert oracle(params, k, shift, [n], [m], terms) == [value % m], (family, pq, k, n)
+            r_arg = None if shift is None else (shift,)
+            assert oracle(params, k, r_arg, [n], [m], terms) == [value % m], (family, pq, k, n)
 
     def test_reader_matches_recurrence_past_the_prefix(self):
         for pq in [(1, -1), (-7, 3), (1, 1)]:
@@ -897,8 +899,9 @@ def check_one_call_sides(pq, k, r, order):
             ns.append(n)
             moduli.append(modulus)
             expected.append(reference)
+        r_arg = None if shift is None else (shift,)
         columns = [
-            side(params, k, shift, ns, moduli, ()) for side in (entry.closed_form, entry.oracle)
+            side(params, k, r_arg, ns, moduli, ()) for side in (entry.closed_form, entry.oracle)
         ]
         assert columns == [expected] * 2, (family, pq, k, r)
 
@@ -980,13 +983,73 @@ class TestFormulaRows:
             lemma2 = [paper_lemma2(params, k, n) for n in ns]
             for family, r in ROW_VARIANTS:
                 entry = FAMILY_TABLE[family]
-                closed = entry.closed_form(params, k, r, ns, moduli, ())
-                assert closed == entry.oracle(params, k, r, ns, moduli, ()), (family, pq, k, r)
+                shifts = None if r is None else (r,)
+                closed = entry.closed_form(params, k, shifts, ns, moduli, ())
+                assert closed == entry.oracle(params, k, shifts, ns, moduli, ()), (family, pq, k)
                 if entry.oracle is congruences._ratio_oracle:
                     assert closed == lemma1, (family, pq, k)
                 else:
                     u_r = u_at(params, 1 if r is None else r)
                     assert closed == [u_r * value % m for value in lemma2], (family, pq, k, r)
+
+
+class TestMultiShiftPass:
+    # The shift row and the shifted oracle take every shift of a k in one call.
+    # On shuffled, repeated n (0 included) and shifts in any order, a repeat
+    # among them, each call answers shift by shift, each residue being that
+    # (n, r)'s one-instance closed form and oracle; with no prefix, and with
+    # one the reads run past.
+
+    @pytest.mark.parametrize("pq", ROW_PAIRS)
+    def test_matches_single_instances(self, pq):
+        params = make_params(*pq)
+        rng = random.Random(repr(pq))
+        entry = FAMILY_TABLE["shift"]
+        trivial = 0
+        for k in (0, 1, 2, 3, 5, 8):
+            ns = [0, 0, *rng.choices(range(1, 13), k=6)]
+            rng.shuffle(ns)
+            shifts = (*rng.sample(range(7), 7), rng.randrange(7))
+            singles = [
+                (general_shift_rhs(params, k, n, r), shifted_lhs_exact(params, k, n, r))
+                for r in shifts
+                for n in ns
+            ]
+            m = abs(u_at(params, k))
+            if m <= 1:  # |U_k| is 0 or 1: every instance is trivial, and no side runs
+                assert set(singles) == {(TRIVIAL_MODULUS, TRIVIAL_MODULUS)}, (pq, k)
+                trivial += 1
+                continue
+            expected = [closed.value for closed, _ in singles]
+            assert [oracle.value for _, oracle in singles] == expected, (pq, k)
+            for terms in ((), _u_prefix(params, 40)):
+                for side in (entry.closed_form, entry.oracle):
+                    assert side(params, k, shifts, ns, [m] * len(ns), terms) == expected, (
+                        pq, k, side,
+                    )
+        assert trivial >= 2  # k = 0 and k = 1 at least
+
+
+@pytest.mark.parametrize("prefix", [0, 8, 40], ids=["none", "short", "covering"])
+def test_main_counts_each_read_once(prefix):
+    # main reads U_n and U_d for each n, and U_{d+1} in the odd-quotients case
+    # alone: each index of the prefix is a hit, and the rest one miss each.
+    params = make_params(3, -2)
+    terms = _u_prefix(params, prefix) if prefix else ()
+    k, ns = 6, [9, 2, 6, 5, 2]
+    moduli = [abs(u_at(params, n)) for n in ns]
+    indices = []
+    for n in ns:
+        d = gcd(n, k)
+        odd_quotients = classify_case(n, k) is CaseTag.BOTH_EVEN_ODD_QUOTIENTS
+        indices += [n, d, d + 1] if odd_quotients else [n, d]
+    assert len(indices) > 2 * len(ns)  # some n are in the odd-quotients case
+    hits = sum(j < len(terms) for j in indices)
+    start = sequences._u_term.cache_info()
+    residues = congruences._main(params, k, None, ns, moduli, terms)
+    info = sequences._u_term.cache_info()
+    assert (info.hits - start.hits, info.misses - start.misses) == (hits, len(indices) - hits)
+    assert residues == [main_lhs_exact(params, n, k).value for n in ns]
 
 
 class TestReducedOracleInvariants:
