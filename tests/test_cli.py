@@ -1440,9 +1440,37 @@ class TestFanOut:
             assert record == dict(cli_module.run_scan(method, lo, hi, 1), workers=workers)
         _assert_no_child_left()
 
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_chunks_cover_every_unit_once_in_input_order(self, monkeypatch, processes):
+        # Each worker tags every outcome with the number of the chunk that held it.
+        real = cli_module._check_chunks
+
+        def tagged(check, units, size, queue, fail_fast):
+            return {
+                c: [(mark, ((n, str(c)),)) for mark, ((n, _),) in outcomes]
+                for c, outcomes in real(check, units, size, queue, fail_fast).items()
+            }
+
+        monkeypatch.setattr(cli_module, "_check_chunks", tagged)
+        for count in (1, 2, 127, 128, 129, 20_000, 65_537):
+            units = list(range(count))
+            merged = cli_module._fan_out(lambda n: ("+", ((n, ""),)), units, processes, False)
+            seen = [failed[0] for _, failed in merged]
+            assert [n for n, _ in seen] == units, count
+            chunks = [int(c) for _, c in seen]
+            # Contiguous chunks, numbered from 0 in input order, about 64 per
+            # process: with 8, the last chunk of a scan over widening values
+            # held up to 18% of its work.
+            assert chunks == sorted(chunks) and set(chunks) == set(range(chunks[-1] + 1))
+            assert min(count, 64 * processes) <= len(set(chunks)) <= cli_module._MAX_CHUNKS, count
+        _assert_no_child_left()
+
     @pytest.mark.parametrize("method, lo, hi, break_at", [
         ("remark", 3, 120, (19, 71)),
         ("fib-sum", 5, 301, (101, 201)),
+        # 1,999 values in chunks of 15 at two workers and 10 at three: the
+        # last chunk holds both mismatches.
+        ("mersenne-sum", 2, 2000, (1999, 2000)),
         ("congruence-grid", 1, 8, None),
     ])
     def test_records_match_at_every_worker_count(self, capsys, monkeypatch, method, lo, hi,

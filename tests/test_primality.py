@@ -211,14 +211,24 @@ class TestMersenneSum:
             total = (total + euler_phi(n // d) * (scaled % modulus)) % modulus
         assert mersenne_sum_residue_fast(n) == ResidueClass(total, modulus)
 
-    def test_wrong_repunit_breaks_the_invariant(self, monkeypatch):
+    def test_repunit_is_the_block_pattern(self):
+        # The bit pattern summed block by block, a reference that shares none
+        # of _repunit's doubling and no division.
+        for d in range(1, 71):
+            for count in range(1, 41):
+                expected = sum(1 << (i * d) for i in range(count))
+                assert primality_module._repunit(d, count) == expected, (d, count)
+
+    @pytest.mark.parametrize("n, d", [(12, 2), (62, 31)])
+    def test_wrong_repunit_breaks_the_invariant(self, monkeypatch, n, d):
         build = primality_module._repunit
-        # Drop bit d, the second block's 1, from every repunit of two or more blocks.
+        # Drop bit d, the second block's 1, from the repunit of class d alone.
         monkeypatch.setattr(
-            primality_module, "_repunit", lambda d, count: build(d, count) & ~(1 << d)
+            primality_module, "_repunit",
+            lambda e, count: build(e, count) & ~(1 << e) if e == d else build(e, count),
         )
-        with pytest.raises(InternalInvariantViolation):
-            mersenne_sum_residue_fast(12)
+        with pytest.raises(InternalInvariantViolation, match=f"R_{d} is not"):
+            mersenne_sum_residue_fast(n)
 
     def test_rejects_small(self):
         for n in (1, 0, -3):
