@@ -54,6 +54,7 @@ from .sequences import (
     LucasParams,
     _u_prefix,
     _u_term,
+    _u_term_mod,
     _u_terms_mod,
     make_params,
     u_at,
@@ -175,7 +176,8 @@ def _mod_u_k(
 
     Each call reads U_{k+1}, Q^k and each shift's U_r ([1] without r) mod
     m = |U_k| once, taking m from moduli[0], since every item of such a side
-    has it; Q^{ke} = pow(Q^k, e). An empty column reads nothing.
+    has it; Q^{ke} = pow(Q^k, e). The terms come by _u_term_mod, so no U_r
+    is built exactly past the prefix. An empty column reads nothing.
     """
 
     @wraps(formula)
@@ -185,8 +187,8 @@ def _mod_u_k(
         if not ns:
             return []
         m = moduli[0]
-        u_next = _u_term(params, k + 1, terms) % m
-        u_rs = [1] if r is None else [_u_term(params, j, terms) % m for j in r]
+        u_next = _u_term_mod(params, k + 1, m, terms)
+        u_rs = [1] if r is None else [_u_term_mod(params, j, m, terms) for j in r]
         q_k = pow_signed_mod(params.q_coeff, k, m)
         return formula(u_next, q_k, u_rs, m, ns)
 

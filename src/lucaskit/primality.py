@@ -198,39 +198,51 @@ def mersenne_sum_residue_direct(n: int, probe: BitWidthProbe | None = None) -> R
     return ResidueClass(total % modulus, modulus)
 
 
-def _repunit(d: int, count: int) -> int:
-    """The quotient (2^{count*d} - 1)/(2^d - 1): count copies of the d-bit block 0...01.
+def _repunit(d: int, count: int, base: int = 1) -> int:
+    """The sum of base << (i*d) over i < count, for a base whose copies share no bit.
 
-    Built by doubling the pattern along the binary digits of count. The pattern
-    at most doubles per step, so it costs O(count*d) bit operations. A long
-    division of 2^{count*d} - 1 by a wide block costs time quadratic in
-    count*d. By a one-digit 2^d - 1 it is one linear pass, but of one
-    hardware division per digit: on an x86-64 Xeon that was slower than the
-    doubling past about 5,000 bits, and over 2..20,000 in all.
+    With base 1 it is the repunit (2^{count*d} - 1)/(2^d - 1), count d-bit
+    blocks 0...01. With base the repunit R_{count*d} of some n, whose bits
+    sit at multiples of count*d, it is R_d of the same n, as
+    (2^{count*d} - 1)/(2^d - 1) times R_{count*d} is (2^n - 1)/(2^d - 1).
+    The copies share no bit in either case, so | adds them. Built by
+    doubling along the binary digits of count: log2(count) steps, one when
+    count is 2, each a shift and an | no wider than the result.
     """
-    pattern, blocks = 1, 1
+    pattern, blocks = base, 1
     for bit in bin(count)[3:]:
         pattern |= pattern << (blocks * d)
         blocks *= 2
         if bit == "1":
-            pattern = (pattern << d) | 1
+            pattern = (pattern << d) | base
             blocks += 1
     return pattern
 
 
-def _repunit_sum(n: int, classes: list[tuple[int, int]], probe: BitWidthProbe | None) -> int:
+def _repunit_sum(n: int, probe: BitWidthProbe | None) -> int:
     """T = the sum of d*phi(n/d)*R_d over the divisor classes of n, unreduced.
 
-    R_d = (2^n-1)/(2^d-1) is the repunit, built by doubling its bit pattern
-    instead of by long division; the exact-division invariant
-    (2^d - 1)*R_d = 2^n - 1 is still asserted, in linear time. Since
-    d*phi(n/d) <= n, each weighted term is below n*2^n, so T is no wider than
-    n + 2*log2(n) bits.
+    R_d = (2^n-1)/(2^d-1) is the repunit of n/d blocks of d bits. R_1 is
+    2^n - 1 itself, and R_n = 1. Every other R_d is built from its parent
+    class's: R_d = _repunit(d, p, R_{dp}), where p is the least prime of
+    n/d, in log2(p) linear steps and no long division. One factorization of
+    n yields every class with its totient and its p, depth first: a class
+    waits to be built holding its parent's repunit, so only the repunits
+    with children still to build stay alive, one chain from n. Each class
+    asserts (2^d - 1)*R_d = 2^n - 1 at full width as soon as it is built,
+    before any class is built from it, so a wrong build fails at the class
+    that made it. Since d*phi(n/d) <= n, each weighted term is below n*2^n,
+    so T is no wider than n + 2*log2(n) bits.
     """
     modulus = (1 << n) - 1
+    primes = sorted(_factorize(n))
     total = 0
-    for d, phi in classes:
-        quotient = _repunit(d, n // d)
+    # Classes to build, as (d, phi(n/d), p, index of p, R_{dp}): first the
+    # children of n, one by each of its primes. The last pushed comes first.
+    pending = [(n // p, p - 1, p, i, 1) for i, p in enumerate(primes)]
+    while pending:
+        d, phi, p, i, parent = pending.pop()
+        quotient = _repunit(d, p, parent) if d > 1 else modulus
         if (quotient << d) - quotient != modulus:
             raise InternalInvariantViolation(
                 f"(2^{d} - 1) times the repunit R_{d} is not 2^{n} - 1"
@@ -239,6 +251,11 @@ def _repunit_sum(n: int, classes: list[tuple[int, int]], probe: BitWidthProbe | 
         total += weighted
         if probe is not None:
             probe.observe(quotient, weighted, total)
+        for j in range(i):  # children by each prime below p, which n/d lacks
+            q = primes[j]
+            pending.append((d // q, phi * (q - 1), q, j, quotient))
+        if d % p == 0:  # and by p again
+            pending.append((d // p, phi * p, p, i, quotient))
     return total
 
 
@@ -253,7 +270,7 @@ def mersenne_sum_residue_fast(n: int, probe: BitWidthProbe | None = None) -> Res
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     modulus = (1 << n) - 1
-    return ResidueClass(_repunit_sum(n, _divisor_classes(n), probe) % modulus, modulus)
+    return ResidueClass(_repunit_sum(n, probe) % modulus, modulus)
 
 
 class PrimalityVerdict(NamedTuple):
@@ -295,11 +312,10 @@ def divisor_sum_breakdown(n: int) -> DivisorSumBreakdown:
 
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    classes = _divisor_classes(n)
     terms = tuple(
-        DivisorSumTerm(d, phi, Fraction(d * phi, (1 << d) - 1)) for d, phi in classes
+        DivisorSumTerm(d, phi, Fraction(d * phi, (1 << d) - 1)) for d, phi in _divisor_classes(n)
     )
-    total = Fraction(_repunit_sum(n, classes, None), (1 << n) - 1)
+    total = Fraction(_repunit_sum(n, None), (1 << n) - 1)
     return DivisorSumBreakdown(n, terms, total, total.denominator == 1)
 
 

@@ -194,6 +194,25 @@ def _u_term(params: LucasParams, n: int, terms: Sequence[int]) -> int:
     return term
 
 
+def _u_term_mod(params: LucasParams, n: int, m: int, terms: Sequence[int]) -> int:
+    """U_n mod m, m >= 1: a prefix index is one hit, reduced; any other is one miss, by doubling mod m.
+
+    For closed forms, which may double: a read past the prefix costs
+    O(log n) products of numbers below m, where an exact U_n grows linearly
+    in n in width. The oracles read by _u_terms_mod, which never doubles.
+    Counted as _u_term counts, and a negative index raises ValueError,
+    counting nothing.
+    """
+    global _hits, _misses
+    if 0 <= n < len(terms):
+        _hits += 1
+        return terms[n] % m
+    residue = _u_pair(params, n, m)[0]
+    with _count_lock:
+        _misses += 1
+    return residue
+
+
 # A giant step of _u_walk_mod costs about one block step per GIANT_STEP_BITS
 # bits of the modulus, and at least one: its m-by-m products and their
 # reductions grow with m, a block step's m-by-64-bit ones barely do. 400 is

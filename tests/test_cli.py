@@ -274,9 +274,10 @@ class TestPrimetest:
     def test_divisor_sum_prime_total_must_be_n_minus_1(self, capsys, monkeypatch):
         # An integral total of 3 for the prime 5, where the criterion gives 4:
         # primetest and scan share the verdict, so both report the mismatch.
-        classes = primality_module._divisor_classes
+        repunit_sum = primality_module._repunit_sum
         monkeypatch.setattr(
-            primality_module, "_divisor_classes", lambda n: [(1, 3)] if n == 5 else classes(n)
+            primality_module, "_repunit_sum",
+            lambda n, probe: 3 * 31 if n == 5 else repunit_sum(n, probe),  # T over 2^5 - 1 = 31
         )
         assert run_cli(
             capsys, "primetest", "--method", "divisor-sum", "-n", "5", "--no-timing"
@@ -917,13 +918,14 @@ class TestGridWork:
         # One prefix per pair holds every index the 1..24 grid reads, so no
         # oracle read reaches the walk _u_walk_mod, and each oracle call, one
         # per oracle side and modulus with an item to check, reads its terms
-        # in one call: 3 per k where |U_k| > 1. The exact term reads, in either
-        # module, are |U_k| once per k, main's |U_n| once per n of each pair,
-        # U_{k+1} once per row and each shift's U_r once where |U_k| > 1, and
-        # main's U_n, U_d and, in the odd-quotients case, U_{d+1} per item.
+        # in one call: 3 per k where |U_k| > 1. The single-term reads, in
+        # either module, are |U_k| once per k, main's |U_n| once per n of each
+        # pair, U_{k+1} once per row and each shift's U_r once where |U_k| > 1,
+        # and main's U_n, U_d and, in the odd-quotients case, U_{d+1} per item.
+        # The rows read theirs mod |U_k|, the rest exactly.
         walks = self._count_calls(monkeypatch, sequences_module, ["_u_walk_mod", "_u_term"])
         counts = self._count_calls(
-            monkeypatch, congruences_module, ["_u_prefix", "_u_terms_mod", "_u_term"]
+            monkeypatch, congruences_module, ["_u_prefix", "_u_terms_mod", "_u_term", "_u_term_mod"]
         )
         scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
         assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
@@ -938,7 +940,8 @@ class TestGridWork:
             if abs(u_at(make_params(p, q), n)) > 1
         )
         reads = 2 * len(batches) + (2 + len(congruences_module.SHIFT_R_RANGE)) * rows + main_reads
-        assert walks["_u_term"] + counts["_u_term"] == reads
+        assert walks["_u_term"] + counts["_u_term"] + counts["_u_term_mod"] == reads
+        assert counts["_u_term_mod"] == (2 + len(congruences_module.SHIFT_R_RANGE)) * rows
         assert counts["_u_terms_mod"] == sum(
             _grid_calls(make_params(p, q), k, 24, "oracle") for p, q, k in batches
         )

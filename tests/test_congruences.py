@@ -229,6 +229,32 @@ class TestGeneralShift:
         out = general_shift_rhs(FIBONACCI_PARAMS, 5, 3, 0)
         assert out == ResidueClass(0, 5)
 
+    @pytest.mark.parametrize("family", ["lemma1", "lemma2", "shift"])
+    def test_rows_read_no_exact_term(self, monkeypatch, family):
+        # The rows modulo |U_k| read U_{k+1} and each U_r mod |U_k|, by
+        # doubling past the prefix: at r = 4*10^7 the exact U_r would be
+        # about 28M bits, for a modulus of 5. One miss per read.
+        entry = FAMILY_TABLE[family]
+        shifts = (40_000_000, 7) if entry.needs_r else (None,)
+        expected = [
+            (ratio_lhs_exact(FIBONACCI_PARAMS, 5, n) if family == "lemma1"
+             else shifted_lhs_exact(FIBONACCI_PARAMS, 5, n, r or 1)).value
+            for r in shifts
+            for n in (3, 4)
+        ]
+        real = sequences._u_pair
+
+        def modular_only(params, n, m):
+            assert m is not None, "an exact term"
+            return real(params, n, m)
+
+        monkeypatch.setattr(sequences, "_u_pair", modular_only)
+        start = sequences._u_term.cache_info()
+        r = shifts if entry.needs_r else None
+        assert entry.closed_form(FIBONACCI_PARAMS, 5, r, [3, 4], [5, 5], ()) == expected
+        info = sequences._u_term.cache_info()
+        assert (info.hits - start.hits, info.misses - start.misses) == (0, 1 + len(r or ()))
+
 
 class TestRepetitionLaw:
     def test_fibonacci_5(self):

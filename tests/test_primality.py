@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -219,16 +220,77 @@ class TestMersenneSum:
                 expected = sum(1 << (i * d) for i in range(count))
                 assert primality_module._repunit(d, count) == expected, (d, count)
 
-    @pytest.mark.parametrize("n, d", [(12, 2), (62, 31)])
+    def test_repunit_spreads_a_base(self):
+        # Copies of a base whose copies share no bit, summed one by one: the
+        # step that builds R_d from R_{dp}, here for a base of bits below d and
+        # for the repunit of count*d-bit blocks.
+        for d in range(1, 25):
+            for count in range(1, 20):
+                for base in ((1 << d) - 1, 5 % (1 << d), primality_module._repunit(count * d, 3)):
+                    expected = sum(base << (i * d) for i in range(count))
+                    assert primality_module._repunit(d, count, base) == expected, (d, count, base)
+
+    @pytest.mark.parametrize("n, d", [(12, 2), (62, 31), (12, 6)])
     def test_wrong_repunit_breaks_the_invariant(self, monkeypatch, n, d):
         build = primality_module._repunit
-        # Drop bit d, the second block's 1, from the repunit of class d alone.
-        monkeypatch.setattr(
-            primality_module, "_repunit",
-            lambda e, count: build(e, count) & ~(1 << e) if e == d else build(e, count),
-        )
-        with pytest.raises(InternalInvariantViolation, match=f"R_{d} is not"):
+
+        def wrong(e, count, base=1):
+            # Drop bit d, the second block's 1, from the repunit of class d alone.
+            return build(e, count, base) & ~(1 << e) if e == d else build(e, count, base)
+
+        # R_6 of 12 is the one R_3 is spread from: the error names R_6, the
+        # class whose build went wrong, and not R_3, which inherits it.
+        monkeypatch.setattr(primality_module, "_repunit", wrong)
+        with pytest.raises(InternalInvariantViolation, match=rf"R_{d} is not 2\^{n} - 1"):
             mersenne_sum_residue_fast(n)
+
+    @pytest.mark.parametrize("n", [2, 12, 62, 720, 2**10, 3**6, 30030, 89 * 97])
+    def test_each_repunit_is_spread_from_its_parent(self, monkeypatch, n):
+        # Every R_d but R_1 is built once, from R_{dp} with p the least prime
+        # of n/d: log2(p) doubling steps, where a build from a single 1 takes
+        # log2(n/d). R_1 is 2^n - 1 as it is.
+        build, calls = primality_module._repunit, []
+
+        def spy(d, count, base=1):
+            calls.append((d, count, base))
+            return build(d, count, base)
+
+        monkeypatch.setattr(primality_module, "_repunit", spy)
+        mersenne_sum_residue_fast(n)
+        modulus = (1 << n) - 1
+        assert sorted(d for d, _, _ in calls) == proper_divisors(n)[1:]
+        for d, count, base in calls:
+            assert count == min(_factorize(n // d)), (n, d)
+            assert base == modulus // ((1 << d * count) - 1), (n, d)
+
+    @pytest.mark.parametrize("n", [*range(2, 401), 2**10, 3**6, 5**4, 30030, 89 * 97, 5040,
+                                   pytest.param(55440, marks=pytest.mark.slow)])
+    def test_repunit_sum_matches_division(self, n):
+        # T from one long division per divisor, against the repunits spread
+        # class from class. The probe's widest value, acceptance 10's measure,
+        # is T itself, as every term and partial sum is positive.
+        modulus = (1 << n) - 1
+        expected = sum(
+            d * euler_phi(n // d) * (modulus // ((1 << d) - 1)) for d in proper_divisors(n)
+        )
+        probe = BitWidthProbe()
+        assert primality_module._repunit_sum(n, probe) == expected
+        assert probe.max_bits == expected.bit_length()
+        assert mersenne_sum_residue_fast(n) == ResidueClass(expected % modulus, modulus)
+
+    def test_fast_path_keeps_one_chain_of_repunits(self):
+        # Only the repunits of the classes still to be spread from stay alive:
+        # the peak is a few n-bit ints (about 13), where keeping all 119
+        # repunits of 55440 would take about 830 KB.
+        n = 55440
+        mersenne_sum_residue_fast(n)  # first-call allocations out of the measure
+        tracemalloc.start()
+        try:
+            mersenne_sum_residue_fast(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n // 8, peak
 
     def test_rejects_small(self):
         for n in (1, 0, -3):

@@ -25,7 +25,9 @@ from lucaskit import (
     u_pair_mod,
     v_at,
 )
-from lucaskit.sequences import _u_prefix, _u_term, _u_terms_mod, _u_walk_mod, _walk_plan
+from lucaskit.sequences import (
+    _u_prefix, _u_term, _u_term_mod, _u_terms_mod, _u_walk_mod, _walk_plan,
+)
 
 PELL = make_params(2, -1)
 
@@ -421,6 +423,37 @@ class TestTermPrefix:
         assert info.hits - start.hits == 2
         assert info.misses - start.misses == 2
         assert info.currsize == 0
+
+    @pytest.mark.parametrize("pq", [(1, -1), (5, -3), (-8, -9), (2, 1), (2**80 + 1, 3)])
+    def test_modular_read_counts_as_the_exact_one(self, monkeypatch, pq):
+        # A prefix index is one hit, reduced; any other is one miss, by one
+        # doubling walk mod m, never an exact one. Both give U_n mod m.
+        params = make_params(*pq)
+        terms = _u_prefix(params, 30)
+        assert len(terms) == 31
+        real, walks = sequences._u_pair, []
+
+        def spy(params, n, m):
+            walks.append((n, m))
+            return real(params, n, m)
+
+        monkeypatch.setattr(sequences, "_u_pair", spy)
+        for m in (1, 2, 5, 1 << 70, abs(u_at(params, 7)) or 3):
+            start = _u_term.cache_info()
+            walks.clear()
+            for n in (0, 1, 29, 30, 31, 400):
+                assert _u_term_mod(params, n, m, terms) == u_at(params, n) % m, (n, m)
+                assert _u_term_mod(params, n, m, ()) == u_at(params, n) % m, (n, m)
+            info = _u_term.cache_info()
+            assert (info.hits - start.hits, info.misses - start.misses) == (4, 8)
+            assert walks == [(n, m) for n in (0, 1, 29, 30, 31, 31, 400, 400)]
+
+    def test_modular_read_of_a_negative_index_counts_nothing(self):
+        start = _u_term.cache_info()
+        for terms in ((), _u_prefix(FIBONACCI_PARAMS, 10)):
+            with pytest.raises(ValueError):
+                _u_term_mod(FIBONACCI_PARAMS, -1, 7, terms)
+        assert _u_term.cache_info() == start
 
     def test_module_keeps_no_term(self):
         # Scans in this process and in forked workers, and one-instance
