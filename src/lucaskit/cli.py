@@ -5,7 +5,7 @@ closed form vs oracle), primetest (criterion vs oracle for one n), and scan
 (parallel agreement sweeps). The data stream is JSON lines on stdout with big
 integers as decimal strings; diagnostics go to stderr. Exit codes: 0 all
 checks hold, 1 mathematical mismatch, 2 usage or precondition error, a
-crashed scan worker or exhausted memory.
+scan worker that could not start or crashed, or exhausted memory.
 
 The CLI parses, encodes and aggregates. A per-value scan runs a
 CRITERION_TABLE entry per value; the congruence grid sends each (P, Q) unit
@@ -171,7 +171,7 @@ def _resolve_workers(flag_value: Optional[int]) -> int:
 
 
 class WorkerCrashed(LucasKitError):
-    """A scan worker process ended without returning its outcomes."""
+    """A scan worker process could not start, or ended without returning its outcomes."""
 
 
 # The parent queues every chunk number as one 4-byte record, in one write made
@@ -218,6 +218,14 @@ def _place(cpu: int, cpus: list[int]) -> None:
         pass
 
 
+def _start(call: Callable[[], Any]) -> Any:
+    """call(), a pipe or fork for the workers; one refused (EMFILE, EAGAIN) raises WorkerCrashed."""
+    try:
+        return call()
+    except OSError as exc:
+        raise WorkerCrashed(f"could not start the scan's workers: {exc}") from exc
+
+
 def _fan_out(
     check: Callable[[Any], Outcomes], units: list[Any], processes: int, fail_fast: bool
 ) -> Iterator[Outcomes]:
@@ -228,9 +236,9 @@ def _fan_out(
     from one shared pipe whenever it is free, and at the end pickles
     {chunk: outcomes} back through a pipe of its own. The parent reads every
     pipe and reaps every worker before it returns; on any error it kills and
-    reaps those left. A worker that exits without its outcomes raises
-    WorkerCrashed. An exception raised by a check is raised here when the
-    merge reaches its chunk, as the in-process scan would.
+    reaps those left. A worker that cannot start, or exits without its
+    outcomes, raises WorkerCrashed. An exception raised by a check is raised
+    here when the merge reaches its chunk, as the in-process scan would.
 
     Worker i first moves itself to cpus[i % len(cpus)] of the parent's
     affinity set, read once before the first fork, and then restores the
@@ -244,7 +252,7 @@ def _fan_out(
 
     size = max(1, len(units) // (processes * _CHUNKS_PER_PROCESS), -(-len(units) // _MAX_CHUNKS))
     count = -(-len(units) // size)
-    queue, feed = os.pipe()
+    queue, feed = _start(os.pipe)
     try:
         os.write(feed, b"".join(c.to_bytes(_RECORD_BYTES, "little") for c in range(count)))
     finally:
@@ -255,10 +263,10 @@ def _fan_out(
     done: dict[int, list[Outcomes] | Exception] = {}
     try:
         for i in range(processes):
-            result, sink = os.pipe()
+            result, sink = _start(os.pipe)
             readers.append(open(result, "rb"))
             try:
-                pid = os.fork()
+                pid = _start(os.fork)
                 if pid == 0:
                     code = 1
                     try:

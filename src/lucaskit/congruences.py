@@ -13,24 +13,24 @@ table, FAMILY_TABLE, with the family's fixed (P, Q), whether it takes a
 shift r, its domain check and its modulus, the one place that modulus is
 decided. A side is one call, side(params, k, r, ns, moduli, terms): it
 takes n values of one (P, Q, k), in any order, with their moduli, and
-returns their least nonnegative residues in that order; the shift row and
-the shifted oracle take a tuple of shifts r and answer shift by shift.
-Sides and moduli read terms from `terms`, a prefix [U_0, U_1, ...] of the
-pair, or (). Each closed form is one loop over n. The five families modulo
-|U_k| are two residue formulas in U_{k+1}, Q^k and U_r mod |U_k|, read once
-per call: lemma1 and cor6 are the ratio row, and lemma2, cor7 and shift the
-shift row, whose factor after U_r is computed once per n for every shift.
-The recurrence oracles read every term of a call in one _u_terms_mod call.
-The caller checks the domain and reads the modulus: 0 or 1 makes the
-instance a TrivialModulus, and any other is handed to both sides. _evaluate
-does so once for one instance, with no prefix, whose sides reuse a four-case
-check's tag, and runs each side it is asked for on that one n; the public
-functions and evaluate_congruence return its Outcome values. grid_batch, the
-congruence-grid scan's unit of work, takes one (P, Q) and builds its prefix
-once, up to the widest index it reads, so within the prefix's budget no
-oracle read walks. It reads main's |U_n| once per n, and for each k |U_k|
-once, and calls each side once per modulus, on every n and every shift its
-variants check: 6 calls for the 24 sides of 12 variants with items.
+returns their least nonnegative residues in that order. r is a tuple of
+shifts, or None for the shift 1, which only the shift row and the shifted
+oracle read. Sides and moduli read terms from `terms`, a prefix
+[U_0, U_1, ...] of the pair, or (). Each closed form is one loop over n,
+reading single terms by sequences._u_term, exactly or mod m. The five
+families modulo |U_k| are two residue formulas in U_{k+1}, Q^k and U_r mod
+|U_k|, read once per call: lemma1 and cor6 are the ratio row, and lemma2,
+cor7 and shift the shift row. The recurrence oracles read every term of a
+call in one _u_terms_mod call, and the ratio oracle its U_k from the prefix,
+or by u_at past it. The caller checks the domain and reads the modulus: 0
+or 1 makes the instance a TrivialModulus, and any other is handed to both
+sides. _evaluate does so for one instance, with no prefix, and returns the
+Outcome of each side it is asked for. grid_batch, the congruence-grid
+scan's unit of work, takes one (P, Q) and builds its prefix once, up to the
+widest index it reads, so within the prefix's budget no oracle read walks.
+It reads main's |U_n| once per n, and for each k |U_k| once, and calls each
+side once per modulus, on every n and every shift its variants check: 6
+calls for the 24 sides of 12 variants with items.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .residues import (
     TRIVIAL_MODULUS,
     Outcome,
     ResidueClass,
+    _int_text,
     exact_div,
     pow_signed_mod,
 )
@@ -54,7 +55,6 @@ from .sequences import (
     LucasParams,
     _u_prefix,
     _u_term,
-    _u_term_mod,
     _u_terms_mod,
     make_params,
     u_at,
@@ -162,10 +162,10 @@ def _modulus_mersenne(params: LucasParams, k: int, n: int, terms: _Ints) -> int:
 # Closed-form sides. Every side is one call (params, k, r, ns, moduli, terms)
 # -> residues: it takes n values in any order, each on a checked domain with
 # the family's modulus, which exceeds 1, and returns their residues in that
-# order. A side over U_{kn+r} (the shift row, the shifted oracle) takes a
-# tuple of shifts r, or None for the shift 1, and answers shift by shift; a
-# four-case family's r is its one n's tag or None, and any other's is None.
-# A closed form is one loop over n: a plain side, or a row under _mod_u_k.
+# order. r is a tuple of shifts, or None for the shift 1: a side over
+# U_{kn+r} (the shift row, the shifted oracle) answers shift by shift, and
+# any other ignores it. A closed form is one loop over n: a plain side, or a
+# row under _mod_u_k.
 # ---------------------------------------------------------------------------
 
 
@@ -176,7 +176,7 @@ def _mod_u_k(
 
     Each call reads U_{k+1}, Q^k and each shift's U_r ([1] without r) mod
     m = |U_k| once, taking m from moduli[0], since every item of such a side
-    has it; Q^{ke} = pow(Q^k, e). The terms come by _u_term_mod, so no U_r
+    has it; Q^{ke} = pow(Q^k, e). The terms come by _u_term mod m, so no U_r
     is built exactly past the prefix. An empty column reads nothing.
     """
 
@@ -187,8 +187,8 @@ def _mod_u_k(
         if not ns:
             return []
         m = moduli[0]
-        u_next = _u_term_mod(params, k + 1, m, terms)
-        u_rs = [1] if r is None else [_u_term_mod(params, j, m, terms) for j in r]
+        u_next = _u_term(params, k + 1, terms, m)
+        u_rs = [1] if r is None else [_u_term(params, j, terms, m) for j in r]
         q_k = pow_signed_mod(params.q_coeff, k, m)
         return formula(u_next, q_k, u_rs, m, ns)
 
@@ -219,13 +219,13 @@ _lemma2 = _cor7 = _general_shift = _mod_u_k(_shift_row)
 
 
 def _main(
-    params: LucasParams, k: int, r: Optional[CaseTag], ns: _Ints, moduli: _Ints, terms: _Ints
+    params: LucasParams, k: int, r: Optional[_Ints], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
-    """Reads the signed U_n and gcd(n, k) once per n, and classifies it unless r is its tag."""
+    """Reads the signed U_n, gcd(n, k) and n's case once per n."""
     residues = []
     for n, m in zip(ns, moduli):
         d = gcd(n, k)
-        case = r or _case(n, k)
+        case = _case(n, k)
         ratio = exact_div(_u_term(params, n, terms), _u_term(params, d, terms))
         if case is _ODD_QUOTIENTS:
             doubled_exponent = k * n - k - n
@@ -247,7 +247,7 @@ def _main(
 
 
 def _fib_shifted(
-    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
+    params: LucasParams, k: int, r: Optional[_Ints], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     f_next = _u_term(FIBONACCI_PARAMS, k + 1, ())
     residues = []
@@ -261,7 +261,7 @@ def _fib_shifted(
 
 
 def _fib_ratio(
-    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
+    params: LucasParams, k: int, r: Optional[_Ints], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     f_next = _u_term(FIBONACCI_PARAMS, k + 1, ())
     residues = []
@@ -277,13 +277,13 @@ def _fib_ratio(
 
 
 def _fib_main(
-    params: LucasParams, k: int, r: Optional[CaseTag], ns: _Ints, moduli: _Ints, terms: _Ints
+    params: LucasParams, k: int, r: Optional[_Ints], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     residues = []
     for n, m in zip(ns, moduli):
         d = gcd(n, k)
         ratio = exact_div(m, _u_term(FIBONACCI_PARAMS, d, ()))
-        if (r or _case(n, k)) is _ODD_QUOTIENTS:
+        if _case(n, k) is _ODD_QUOTIENTS:
             lead = d * _u_term(FIBONACCI_PARAMS, d + 1, ())
             value = lead * ratio * _sign_pow((k * n - k - n) // 2)
         else:
@@ -293,7 +293,7 @@ def _fib_main(
 
 
 def _mersenne(
-    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
+    params: LucasParams, k: int, r: Optional[_Ints], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     residues = []
     for n, m in zip(ns, moduli):
@@ -312,15 +312,15 @@ def _mersenne(
 
 
 def _ratio_oracle(
-    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
+    params: LucasParams, k: int, r: Optional[_Ints], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
-    """U_{kn}/U_k mod m, read from U_{kn} mod |U_k|*m and U_k (u_at) by the recurrence.
+    """U_{kn}/U_k mod m, from U_{kn} mod |U_k|*m and U_k (prefix, else u_at) by the recurrence.
 
     U_k divides U_{kn}, so that residue is divisible by |U_k| (asserted, as exact_div does,
     not assumed), and the quotient is U_{kn}/|U_k| mod m; U_k's sign is applied after.
     Past the prefix no product much wider than (|U_k|*m)^2 is built (see _u_walk_mod).
     """
-    u_k = u_at(params, k)
+    u_k = terms[k] if 0 <= k < len(terms) else u_at(params, k)
     if u_k == 0 and ns:
         raise InternalInvariantViolation("exact division by a zero term")
     width, sign = abs(u_k), -1 if u_k < 0 else 1
@@ -340,7 +340,7 @@ def _shifted_oracle(
 
 
 def _mersenne_oracle(
-    params: LucasParams, k: int, r: Optional[int], ns: _Ints, moduli: _Ints, terms: _Ints
+    params: LucasParams, k: int, r: Optional[_Ints], ns: _Ints, moduli: _Ints, terms: _Ints
 ) -> list[int]:
     residues = []
     for n, m in zip(ns, moduli):
@@ -390,17 +390,16 @@ def _evaluate(
     """The given sides ("closed_form", "oracle") of one instance, in order, and its case tag.
 
     The domain is checked once, its result being the case tag, and the modulus
-    read once; each side then runs on the one n. A four-case family takes no
-    r, so its sides take the tag in r's place and do not classify n again.
+    read once; each side then runs on the one n, with the shift r as a tuple.
     """
     entry = FAMILY_TABLE[family]
     tag = entry.check(k, n, r)
     modulus = entry.modulus(params, k, n, ())
     if modulus <= 1:
         return [TRIVIAL_MODULUS] * len(sides), tag
-    side_r = tag if r is None else (r,)
+    shifts = None if r is None else (r,)
     return [
-        ResidueClass(getattr(entry, side)(params, k, side_r, [n], [modulus], ())[0], modulus)
+        ResidueClass(getattr(entry, side)(params, k, shifts, [n], [modulus], ())[0], modulus)
         for side in sides
     ], tag
 
@@ -505,7 +504,7 @@ def repetition_law_check(params: LucasParams, k: int, n: int, i: int) -> bool:
     hypothesis = n**i
     u_k = _u_term(params, k, ())
     if u_k % hypothesis:
-        raise NotApplicable(f"{n}^{i} does not divide U_{k} = {u_k}")
+        raise NotApplicable(f"{n}^{i} does not divide U_{k} = {_int_text(u_k)}")
     return _u_terms_mod(params, [k * n], [hypothesis * n], ()) == [0]
 
 

@@ -20,8 +20,8 @@ from .errors import (
     UnsupportedDiscriminant,
     WrongResidueClass,
 )
-from .residues import ResidueClass, exact_div
-from .sequences import FIBONACCI_PARAMS, LucasParams, _u_term, u_pair_exact, u_pair_mod
+from .residues import ResidueClass, _int_text, exact_div
+from .sequences import FIBONACCI_PARAMS, LucasParams, _u_term, u_pair_mod
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -111,7 +111,7 @@ def _factorize(n: int, cap: Optional[int] = None) -> dict[int, int]:
     while divisor * divisor <= remaining:
         if cap is not None and divisor > cap:
             raise CapExceeded(
-                f"no factor of {remaining} at or below the trial-division cap {cap}"
+                f"no factor of {_int_text(remaining)} at or below the trial-division cap {cap}"
             )
         while remaining % divisor == 0:
             factors[divisor] = factors.get(divisor, 0) + 1
@@ -375,7 +375,7 @@ def fibonacci_sum_residue_fast(n: int) -> ResidueClass:
         raise WrongResidueClass(f"n = {n} is not congruent to 1 mod 4")
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
-    f_n = u_pair_exact(FIBONACCI_PARAMS, n)[0]
+    f_n = _u_term(FIBONACCI_PARAMS, n, ())
     total = 0
     for d, phi in _divisor_classes(n):
         term = d * exact_div(f_n, _u_term(FIBONACCI_PARAMS, d, ())) % f_n
@@ -568,7 +568,7 @@ def primitive_prime_divisor(
         )
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    target = abs(u_pair_exact(params, n)[0])
+    target = abs(_u_term(params, n, ()))
     if target <= 1:
         return None
     for p in sorted(_factorize(target, cap=cap)):

@@ -7,6 +7,12 @@ from .errors import BadModulus, InternalInvariantViolation
 _set = object.__setattr__  # how __init__ sets a field past the frozen __setattr__
 
 
+def _int_text(x: int) -> str:
+    """x for an error message, in decimal up to 256 bits: str() refuses past 4300 digits."""
+    bits = x.bit_length()
+    return str(x) if bits <= 256 else f"a {'negative ' if x < 0 else ''}{bits}-bit integer"
+
+
 class _Value:
     """An immutable value whose fields are its __slots__, set once in __init__.
 
@@ -50,9 +56,9 @@ class ResidueClass(_Value):
 
     def __init__(self, value: int, modulus: int) -> None:
         if modulus <= 1:
-            raise BadModulus(f"modulus must exceed 1, got {modulus}")
+            raise BadModulus(f"modulus must exceed 1, got {_int_text(modulus)}")
         if not 0 <= value < modulus:
-            raise ValueError(f"{value} is not reduced mod {modulus}")
+            raise ValueError(f"{_int_text(value)} is not reduced mod {_int_text(modulus)}")
         _set(self, "value", value)
         _set(self, "modulus", modulus)
 
@@ -93,7 +99,7 @@ def exact_div(numerator: int, denominator: int) -> int:
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise InternalInvariantViolation(
-            f"{numerator} is not divisible by {denominator}"
+            f"{_int_text(numerator)} is not divisible by {_int_text(denominator)}"
         )
     return quotient
 

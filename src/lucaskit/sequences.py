@@ -145,8 +145,8 @@ def u_pair_exact(params: LucasParams, n: int) -> tuple[int, int]:
 # _u_prefix and passes it to every read as `terms`; other callers pass ().
 # A prefix term is charged its bit length plus SLOT_BITS, the size of a small
 # int object and its list slot, so a prefix of tiny terms stays bounded too;
-# no prefix passes TABLE_BITS. An index past the prefix is read by doubling
-# (exact) or by _u_walk_mod (modular). No term is kept between calls.
+# no prefix passes TABLE_BITS. Past the prefix, _u_term doubles and
+# _u_terms_mod walks (_u_walk_mod). No term is kept between calls.
 TABLE_BITS = 1 << 21  # 256 KiB
 SLOT_BITS = 8 * 36
 
@@ -176,41 +176,24 @@ def _u_prefix(params: LucasParams, n: int) -> list[int]:
     return terms
 
 
-def _u_term(params: LucasParams, n: int, terms: Sequence[int]) -> int:
-    """Exact U_n: an index of the prefix `terms` is one hit; any other is one miss, by doubling.
+def _u_term(params: LucasParams, n: int, terms: Sequence[int], m: int | None = None) -> int:
+    """U_n, or U_n mod m for m >= 1: a prefix index is one hit; any other is one miss, by doubling.
 
-    A negative index raises ValueError, and then the read counts nothing. A hit,
-    the grid's hottest read, takes no lock, which would cost it several times
-    its `+=`: CPython with the GIL switches threads only at calls and backward
-    jumps, never inside one `+=` of an int.
+    A miss mod m multiplies numbers below m, where an exact U_n grows
+    linearly in n in width; the oracles read by _u_terms_mod, which never
+    doubles. A negative index raises ValueError, and then the read counts
+    nothing. A hit, the grid's hottest read, takes no lock, which would cost
+    it several times its `+=`: CPython with the GIL switches threads only at
+    calls and backward jumps, never inside one `+=` of an int.
     """
     global _hits, _misses
     if 0 <= n < len(terms):
         _hits += 1
-        return terms[n]
-    term = _u_pair(params, n, None)[0]
+        return terms[n] if m is None else terms[n] % m
+    term = _u_pair(params, n, m)[0]
     with _count_lock:
         _misses += 1
     return term
-
-
-def _u_term_mod(params: LucasParams, n: int, m: int, terms: Sequence[int]) -> int:
-    """U_n mod m, m >= 1: a prefix index is one hit, reduced; any other is one miss, by doubling mod m.
-
-    For closed forms, which may double: a read past the prefix costs
-    O(log n) products of numbers below m, where an exact U_n grows linearly
-    in n in width. The oracles read by _u_terms_mod, which never doubles.
-    Counted as _u_term counts, and a negative index raises ValueError,
-    counting nothing.
-    """
-    global _hits, _misses
-    if 0 <= n < len(terms):
-        _hits += 1
-        return terms[n] % m
-    residue = _u_pair(params, n, m)[0]
-    with _count_lock:
-        _misses += 1
-    return residue
 
 
 # A giant step of _u_walk_mod costs about one block step per GIANT_STEP_BITS

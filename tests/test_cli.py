@@ -922,14 +922,24 @@ class TestGridWork:
         # either module, are |U_k| once per k, main's |U_n| once per n of each
         # pair, U_{k+1} once per row and each shift's U_r once where |U_k| > 1,
         # and main's U_n, U_d and, in the odd-quotients case, U_{d+1} per item.
-        # The rows read theirs mod |U_k|, the rest exactly.
+        # The rows read theirs through _u_term with the modulus |U_k|, the rest
+        # exactly. The ratio oracle takes U_k from the prefix, so no u_at runs.
         walks = self._count_calls(monkeypatch, sequences_module, ["_u_walk_mod", "_u_term"])
         counts = self._count_calls(
-            monkeypatch, congruences_module, ["_u_prefix", "_u_terms_mod", "_u_term", "_u_term_mod"]
+            monkeypatch, congruences_module, ["_u_prefix", "_u_terms_mod", "u_at"]
         )
+        real = congruences_module._u_term
+        modular = Counter()  # _u_term reads in congruences, by whether a modulus is given
+
+        def reader(params, n, terms, m=None):
+            modular[m is not None] += 1
+            return real(params, n, terms, m)
+
+        monkeypatch.setattr(congruences_module, "_u_term", reader)
         scan = cli_module.run_scan("congruence-grid", 1, 24, 1)
         assert (scan["checked"], scan["skipped"], scan["mismatches"]) == (149472, 23328, [])
         assert walks["_u_walk_mod"] == 0
+        assert counts["u_at"] == 0
         assert counts["_u_prefix"] == len(congruences_module.COEFFICIENT_GRID)
         batches = [(p, q, k) for p, q in congruences_module.COEFFICIENT_GRID for k in range(1, 25)]
         rows = sum(abs(u_at(make_params(p, q), k)) > 1 for p, q, k in batches)
@@ -940,8 +950,8 @@ class TestGridWork:
             if abs(u_at(make_params(p, q), n)) > 1
         )
         reads = 2 * len(batches) + (2 + len(congruences_module.SHIFT_R_RANGE)) * rows + main_reads
-        assert walks["_u_term"] + counts["_u_term"] + counts["_u_term_mod"] == reads
-        assert counts["_u_term_mod"] == (2 + len(congruences_module.SHIFT_R_RANGE)) * rows
+        assert walks["_u_term"] + modular[False] + modular[True] == reads
+        assert modular[True] == (2 + len(congruences_module.SHIFT_R_RANGE)) * rows
         assert counts["_u_terms_mod"] == sum(
             _grid_calls(make_params(p, q), k, 24, "oracle") for p, q, k in batches
         )
@@ -1421,6 +1431,41 @@ class TestFanOut:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - started < 10
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("refused, exc", [
+        ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+        ("pipe", OSError(errno.EMFILE, "Too many open files")),
+    ])
+    def test_a_worker_that_cannot_start_exits_2(self, capsys, monkeypatch, refused, exc):
+        # The system refuses the second worker its fork or its result pipe
+        # (the first pipe is the chunk queue): the scan exits 2 with one
+        # error line and no traceback, and kills and reaps the worker it
+        # started.
+        real_fork, real_pipe, forked, pipes = os.fork, os.pipe, [], []
+
+        def fork():
+            if refused == "fork" and forked:
+                raise exc
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def pipe():
+            pipes.append(None)
+            if refused == "pipe" and len(pipes) == 3:
+                raise exc
+            return real_pipe()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "pipe", pipe)
+        code, out, err = run_cli(capsys, *REMARK_3_15, "--workers", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: could not start the scan's workers: {exc}\n"
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
         _assert_no_child_left()
 
     def test_forks_one_worker_per_process(self, monkeypatch):

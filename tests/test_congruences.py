@@ -109,8 +109,9 @@ class TestClassifyCase:
 @pytest.mark.parametrize("family", ["main", "fib21"])
 @pytest.mark.parametrize("n, k", [(7, 4), (6, 3), (6, 4), (6, 10)])  # one of each case
 def test_a_single_instance_is_classified_once(monkeypatch, family, n, k):
-    # The domain check classifies the instance, and both sides take its tag;
-    # the closed form's gcd(n, k) is the only gcd.
+    # The domain check classifies the instance for its report, and the
+    # closed form classifies it once more; the closed form's gcd(n, k) is the
+    # only gcd, and the oracle classifies nothing.
     calls = {"_case": 0, "gcd": 0}
     for name in calls:
         real = getattr(congruences, name)
@@ -122,7 +123,7 @@ def test_a_single_instance_is_classified_once(monkeypatch, family, n, k):
         monkeypatch.setattr(congruences, name, counted)
     p, q = FAMILY_TABLE[family].forced or (2, -1)
     report = evaluate_congruence(family, p=p, q=q, k=k, n=n)
-    assert calls == {"_case": 1, "gcd": 1}
+    assert calls == {"_case": 2, "gcd": 1}
     assert report.holds and report.case_tag is classify_case(n, k)
 
 
@@ -274,6 +275,13 @@ class TestRepetitionLaw:
         with pytest.raises(ValueError) as excinfo:
             repetition_law_check(FIBONACCI_PARAMS, k, n, i)
         assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+
+    def test_hypothesis_failure_of_a_wide_term(self):
+        # 11 divides F_k only for 10 | k, and F_25001 is wider than 4300 digits:
+        # the message gives its bit length.
+        with pytest.raises(NotApplicable) as excinfo:
+            repetition_law_check(FIBONACCI_PARAMS, 25001, 11, 1)
+        assert str(excinfo.value) == "11^1 does not divide U_25001 = a 17356-bit integer"
 
     def test_hypothesis_failure(self):
         with pytest.raises(NotApplicable):
@@ -703,6 +711,8 @@ class TestOracleIndependence:
     @pytest.mark.parametrize("family", FAMILY_TABLE)
     def test_oracle_context_reads_u_k_only(self, family, monkeypatch):
         params, k, n, r, modulus = _instance(family)
+        oracle = FAMILY_TABLE[family].oracle
+        expected_residues = oracle(params, k, r and (r,), [n], [modulus], ())
         reads = []
         for name in ("_u_term", "u_at", "_u_terms_mod"):
             real = getattr(congruences, name)
@@ -712,15 +722,27 @@ class TestOracleIndependence:
                 return real(params, j, *m)
 
             monkeypatch.setattr(congruences, name, reader)
-        FAMILY_TABLE[family].oracle(params, k, r and (r,), [n], [modulus], ())
-        # One call reads U_k alone of the exact terms, by the recurrence (u_at),
-        # and U_{kn+shift} by one _u_terms_mod.
-        assert {read for read in reads if read[0] != "_u_terms_mod"} <= {("u_at", k)}, (
-            family, reads,
-        )
-        shift = 0 if family in ("lemma1", "cor6", "main", "fib20", "fib21") else r or 1
-        expected = [] if family == "mersenne22" else [("_u_terms_mod", [k * n + shift])]
-        assert [read for read in reads if read[0] == "_u_terms_mod"] == expected, (family, reads)
+        # No prefix, one that stops short of index k, and one that holds it.
+        for stored in (0, k, 41):
+            terms = _u_prefix(params, stored - 1) if stored else ()
+            assert len(terms) == stored
+            reads.clear()
+            assert oracle(params, k, r and (r,), [n], [modulus], terms) == expected_residues
+            # One call reads U_k alone of the exact terms, by the recurrence:
+            # the prefix's term when it holds index k, else u_at's. It reads
+            # U_{kn+shift} by one _u_terms_mod.
+            assert {read for read in reads if read[0] != "_u_terms_mod"} <= {("u_at", k)}, (
+                family, reads,
+            )
+            context = [("u_at", k)] if oracle is congruences._ratio_oracle and k >= stored else []
+            assert [read for read in reads if read[0] != "_u_terms_mod"] == context, (
+                family, stored, reads,
+            )
+            shift = 0 if family in ("lemma1", "cor6", "main", "fib20", "fib21") else r or 1
+            expected = [] if family == "mersenne22" else [("_u_terms_mod", [k * n + shift])]
+            assert [read for read in reads if read[0] == "_u_terms_mod"] == expected, (
+                family, reads,
+            )
 
     @pytest.mark.parametrize("prefix", [False, True], ids=["empty", "prefix"])
     @pytest.mark.parametrize("family", FAMILY_TABLE)

@@ -26,7 +26,7 @@ from lucaskit import (
     v_at,
 )
 from lucaskit.sequences import (
-    _u_prefix, _u_term, _u_term_mod, _u_terms_mod, _u_walk_mod, _walk_plan,
+    _u_prefix, _u_term, _u_terms_mod, _u_walk_mod, _walk_plan,
 )
 
 PELL = make_params(2, -1)
@@ -442,8 +442,8 @@ class TestTermPrefix:
             start = _u_term.cache_info()
             walks.clear()
             for n in (0, 1, 29, 30, 31, 400):
-                assert _u_term_mod(params, n, m, terms) == u_at(params, n) % m, (n, m)
-                assert _u_term_mod(params, n, m, ()) == u_at(params, n) % m, (n, m)
+                assert _u_term(params, n, terms, m) == u_at(params, n) % m, (n, m)
+                assert _u_term(params, n, (), m) == u_at(params, n) % m, (n, m)
             info = _u_term.cache_info()
             assert (info.hits - start.hits, info.misses - start.misses) == (4, 8)
             assert walks == [(n, m) for n in (0, 1, 29, 30, 31, 31, 400, 400)]
@@ -452,7 +452,7 @@ class TestTermPrefix:
         start = _u_term.cache_info()
         for terms in ((), _u_prefix(FIBONACCI_PARAMS, 10)):
             with pytest.raises(ValueError):
-                _u_term_mod(FIBONACCI_PARAMS, -1, 7, terms)
+                _u_term(FIBONACCI_PARAMS, -1, terms, 7)
         assert _u_term.cache_info() == start
 
     def test_module_keeps_no_term(self):
