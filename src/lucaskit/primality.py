@@ -21,7 +21,7 @@ from .errors import (
     WrongResidueClass,
 )
 from .residues import ResidueClass, _int_text, exact_div
-from .sequences import FIBONACCI_PARAMS, LucasParams, _u_term, u_pair_mod
+from .sequences import FIBONACCI_PARAMS, LucasParams, _u_single, _u_term
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -328,9 +328,10 @@ def fibonacci_sum_residue_direct(n: int) -> ResidueClass:
     """Sum over 1 <= k < n of F_{kn}/F_k, mod F_n, without full-width terms.
 
     alpha^k and beta^k are the roots of x^2 - L_k*x + (-1)^k, so
-    F_{kn}/F_k = U_n(L_k, (-1)^k): each term is one index-n doubling walk
-    mod F_n, with no quotient to take. The Lucas numbers L_k come from their
-    own recurrence, walked mod F_n alongside k.
+    F_{kn}/F_k = U_n(L_k, (-1)^k): each term is one single-term read of
+    index n mod F_n (_u_single, from the plain pair), with no quotient to
+    take. The Lucas numbers L_k come from their own recurrence, walked mod
+    F_n alongside k.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3 so the modulus F_n exceeds 1, got {n}")
@@ -338,8 +339,7 @@ def fibonacci_sum_residue_direct(n: int) -> ResidueClass:
     total = 0
     lucas, lucas_next = 1, 3 % f_n  # L_k and L_{k+1} mod F_n, from k = 1
     for k in range(1, n):
-        term, _ = u_pair_mod(LucasParams(lucas, -1 if k & 1 else 1), n, f_n)
-        total += term
+        total += _u_single(lucas, -1 if k & 1 else 1, n, f_n)
         lucas, lucas_next = lucas_next, (lucas + lucas_next) % f_n
     return ResidueClass(total % f_n, f_n)
 

@@ -79,32 +79,58 @@ def v_at(params: LucasParams, n: int) -> int:
     return a
 
 
-def _u_pair(params: LucasParams, n: int, m: int | None) -> tuple[int, int]:
-    """(U_n, U_{n+1}) by index doubling, reduced mod m at every step unless m is None.
+def _u_doubling(p: int, q: int, digits: str, m: int | None) -> tuple[int, int]:
+    """(U_j, U_{j+1}) by index doubling, for j = 1 followed by `digits` in binary.
 
-    The walk reads the binary digits of n from the top and keeps the window
-    (a, b) = (U_j, U_{j+1}). Each digit is one step, by U_2i = U_i*V_i at
-    i = j and i = j + 1, with V_j = 2*U_{j+1} - P*U_j and
-    V_{j+1} = P*U_{j+1} - 2*Q*U_j:
+    The walk starts after j's leading digit at (U_1, U_2) = (1, P), reduced
+    mod m unless m is None, and keeps the window (a, b) = (U_i, U_{i+1}).
+    Each digit is one step, by U_2i = U_i*V_i at i and i + 1, with
+    V_i = 2*U_{i+1} - P*U_i and V_{i+1} = P*U_{i+1} - 2*Q*U_i:
 
-        0-digit: (U_2j, U_2j+1)   = (a*(2b - P*a), b^2 - Q*a^2)
-        1-digit: (U_2j+1, U_2j+2) = (b^2 - Q*a^2, b*(P*b - 2*Q*a))
+        0-digit: (U_2i, U_2i+1)   = (a*(2b - P*a), b^2 - Q*a^2)
+        1-digit: (U_2i+1, U_2i+2) = (b^2 - Q*a^2, b*(P*b - 2*Q*a))
 
-    Each new term is reduced once, in the expression that builds it. A
-    0-digit costs 5 multiplications and a 1-digit 6. The exact and the
-    modular walk each have their own loop, so no digit tests m.
+    Q = 1 takes b^2 - a^2 as (b - a)*(b + a) and Q = -1 takes b^2 + a^2, so
+    a digit costs 3 multiplications at Q = 1 and 4 at Q = -1; any other Q
+    costs 5 for a 0-digit and 6 for a 1-digit. Each new term is reduced
+    once, in the expression that builds it. Every Q class has an exact and a
+    modular loop of its own, so no digit tests q or m. This is the only
+    doubling loop: the pair read and the single-term read both walk it.
     """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    p, q = params.p_coeff, params.q_coeff
-    a, b = 0, 1
-    digits = bin(n)[2:] if n else ""  # bin(0) is "0b0": n = 0 takes no step
     if m is None:
+        a, b = 1, p
+        if q == 1:
+            for bit in digits:
+                if bit == "1":
+                    a, b = (b - a) * (b + a), b * (p * b - 2 * a)
+                else:
+                    a, b = a * (2 * b - p * a), (b - a) * (b + a)
+        elif q == -1:
+            for bit in digits:
+                if bit == "1":
+                    a, b = b * b + a * a, b * (p * b + 2 * a)
+                else:
+                    a, b = a * (2 * b - p * a), b * b + a * a
+        else:
+            for bit in digits:
+                if bit == "1":
+                    a, b = b * b - q * a * a, b * (p * b - 2 * q * a)
+                else:
+                    a, b = a * (2 * b - p * a), b * b - q * a * a
+        return a, b
+    a, b = 1 % m, p % m
+    if q == 1:
         for bit in digits:
             if bit == "1":
-                a, b = b * b - q * a * a, b * (p * b - 2 * q * a)
+                a, b = (b - a) * (b + a) % m, b * (p * b - 2 * a) % m
             else:
-                a, b = a * (2 * b - p * a), b * b - q * a * a
+                a, b = a * (2 * b - p * a) % m, (b - a) * (b + a) % m
+    elif q == -1:
+        for bit in digits:
+            if bit == "1":
+                a, b = (b * b + a * a) % m, b * (p * b + 2 * a) % m
+            else:
+                a, b = a * (2 * b - p * a) % m, (b * b + a * a) % m
     else:
         for bit in digits:
             if bit == "1":
@@ -114,17 +140,53 @@ def _u_pair(params: LucasParams, n: int, m: int | None) -> tuple[int, int]:
     return a, b
 
 
+def _u_pair(params: LucasParams, n: int, m: int | None) -> tuple[int, int]:
+    """(U_n, U_{n+1}) by index doubling, reduced mod m at every step unless m is None."""
+    if n < 1:
+        if n < 0:
+            raise ValueError(f"index must be nonnegative, got {n}")
+        return 0, 1
+    return _u_doubling(params.p_coeff, params.q_coeff, bin(n)[3:], m)
+
+
+def _u_single(p: int, q: int, n: int, m: int | None = None) -> int:
+    """U_n(P, Q), or U_n mod m for m >= 1, by index doubling from plain coefficients.
+
+    _u_doubling walks the digits of n between its leading and its last one,
+    to (a, b) = (U_j, U_{j+1}) with j = n >> 1. The last digit then builds
+    U_n alone: a*(2b - P*a) for a 0-digit, b^2 - Q*a^2 for a 1-digit, with
+    Q = 1 and Q = -1 folded in as in the walk. No U_{n+1} is built. P and Q
+    are not validated; only a negative index raises ValueError.
+    """
+    if n < 2:
+        if n < 0:
+            raise ValueError(f"index must be nonnegative, got {n}")
+        return n if m is None else n % m
+    a, b = _u_doubling(p, q, bin(n)[3:-1], m)
+    if not n & 1:
+        term = a * (2 * b - p * a)
+    elif q == 1:
+        term = (b - a) * (b + a)
+    elif q == -1:
+        term = b * b + a * a
+    else:
+        term = b * b - q * a * a
+    return term if m is None else term % m
+
+
 def u_pair_mod(
     params: LucasParams, n: int, m: int, counter: OpCounter | None = None
 ) -> tuple[int, int]:
     """(U_n mod m, U_{n+1} mod m) by index doubling, O(log n) modular multiplications.
 
-    The walk's multiplications (see _u_pair) are added to the counter once, up front.
+    The walk's multiplications (see _u_doubling) are added to the counter
+    once, up front: one step per digit of n after the leading one.
     """
     if m <= 1:
         raise BadModulus(f"modulus must exceed 1, got {m}")
-    if counter is not None:
-        counter.add(5 * n.bit_length() + n.bit_count())
+    if counter is not None and n > 0:
+        steps, ones, q = n.bit_length() - 1, n.bit_count() - 1, params.q_coeff
+        counter.add(3 * steps if q == 1 else 4 * steps if q == -1 else 5 * steps + ones)
     return _u_pair(params, n, m)
 
 
@@ -145,8 +207,8 @@ def u_pair_exact(params: LucasParams, n: int) -> tuple[int, int]:
 # _u_prefix and passes it to every read as `terms`; other callers pass ().
 # A prefix term is charged its bit length plus SLOT_BITS, the size of a small
 # int object and its list slot, so a prefix of tiny terms stays bounded too;
-# no prefix passes TABLE_BITS. Past the prefix, _u_term doubles and
-# _u_terms_mod walks (_u_walk_mod). No term is kept between calls.
+# no prefix passes TABLE_BITS. Past the prefix, _u_term doubles (_u_single)
+# and _u_terms_mod walks (_u_walk_mod). No term is kept between calls.
 TABLE_BITS = 1 << 21  # 256 KiB
 SLOT_BITS = 8 * 36
 
@@ -190,7 +252,7 @@ def _u_term(params: LucasParams, n: int, terms: Sequence[int], m: int | None = N
     if 0 <= n < len(terms):
         _hits += 1
         return terms[n] if m is None else terms[n] % m
-    term = _u_pair(params, n, m)[0]
+    term = _u_single(params.p_coeff, params.q_coeff, n, m)
     with _count_lock:
         _misses += 1
     return term

@@ -243,13 +243,13 @@ class TestGeneralShift:
             for r in shifts
             for n in (3, 4)
         ]
-        real = sequences._u_pair
+        real = sequences._u_single
 
-        def modular_only(params, n, m):
+        def modular_only(p, q, n, m=None):
             assert m is not None, "an exact term"
-            return real(params, n, m)
+            return real(p, q, n, m)
 
-        monkeypatch.setattr(sequences, "_u_pair", modular_only)
+        monkeypatch.setattr(sequences, "_u_single", modular_only)
         start = sequences._u_term.cache_info()
         r = shifts if entry.needs_r else None
         assert entry.closed_form(FIBONACCI_PARAMS, 5, r, [3, 4], [5, 5], ()) == expected
@@ -704,7 +704,10 @@ class TestOracleIndependence:
         shared = {
             f.__name__
             for f in reached
-            if f in CLOSED_FORMS or f is pow_signed_mod or "u_pair" in f.__name__
+            if f in CLOSED_FORMS
+            or f is pow_signed_mod
+            or f is sequences._u_doubling
+            or "u_pair" in f.__name__
         } | {code.co_qualname for code in codes & CLOSED_FORM_CODES}
         assert not shared, (family, oracle, shared)
 
@@ -770,7 +773,7 @@ class TestOracleIndependence:
             moduli.append(m)
             expected.append(value % m)
         terms = _u_prefix(params, 25) if prefix else ()
-        monkeypatch.setattr(sequences, "_u_pair", _no_doubling)
+        monkeypatch.setattr(sequences, "_u_doubling", _no_doubling)
         assert entry.oracle(params, k, r and (r,), ns, moduli, terms) == expected
 
     def test_exact_fibonacci_sum_never_doubles(self, monkeypatch):
@@ -782,14 +785,15 @@ class TestOracleIndependence:
                 for k in range(1, n)
             )
             expected[n] = ResidueClass(total % f_n, f_n)
-        monkeypatch.setattr(sequences, "_u_pair", _no_doubling)
+        monkeypatch.setattr(sequences, "_u_doubling", _no_doubling)
         for n, residue in expected.items():
             assert fibonacci_sum_residue_exact(n) == residue, n
 
     @pytest.mark.parametrize("direct", [mersenne_sum_residue_direct, fibonacci_sum_residue_direct])
     def test_direct_sum_residues_reach_no_divisor_classes(self, direct):
         reached = {f.__name__ for f in _reachable(direct)[0]}
-        assert "exact_div" in reached or "u_pair_mod" in reached
+        worker = "exact_div" if direct is mersenne_sum_residue_direct else "_u_single"
+        assert worker in reached  # exact quotients, or single-term reads
         assert not {
             name for name in reached if name == "_divisor_classes" or name.startswith("_repunit")
         }

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import lucaskit.primality as primality_module
+import lucaskit.sequences as sequences
 from lucaskit import (
     BitWidthProbe,
     CapExceeded,
@@ -360,11 +361,49 @@ class TestFibonacciSum:
             (12, ResidueClass(108, 144)),
             (15, ResidueClass(0, 610)),
             (18, ResidueClass(1976, 2584)),
+            # The single-term reads of n = 3, 5, 7 end on a 1-digit, of 4,
+            # 6 and 8 on a 0-digit; n = 3 walks no digit before its last.
+            (5, ResidueClass(0, 5)),
+            (7, ResidueClass(0, 13)),
+            (8, ResidueClass(7, 21)),
         ],
     )
     def test_direct_edges(self, n, residue):
         assert fibonacci_sum_residue_exact(n) == residue
         assert fibonacci_sum_residue_direct(n) == residue
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 21, 64])
+    def test_direct_reads_one_term_per_k_from_the_plain_pair(self, monkeypatch, n):
+        # The sum's cost: n - 1 single-term reads of index n mod F_n, one per
+        # k, from the plain pair (L_k mod F_n, (-1)^k). It builds no
+        # LucasParams and walks no pair, by u_pair_mod or otherwise.
+        built, reads = [], []
+        real_init, real_read = sequences.LucasParams.__init__, primality_module._u_single
+
+        def init(self, p, q):
+            built.append((p, q))
+            real_init(self, p, q)
+
+        def read(p, q, index, m=None):
+            reads.append((p, q, index, m))
+            return real_read(p, q, index, m)
+
+        def no_pair(*args, **kwargs):
+            raise AssertionError("the sum walked a pair")
+
+        monkeypatch.setattr(sequences.LucasParams, "__init__", init)
+        monkeypatch.setattr(primality_module, "_u_single", read)
+        monkeypatch.setattr(sequences, "_u_pair", no_pair)
+        for module in (sequences, primality_module):
+            monkeypatch.setattr(module, "u_pair_mod", no_pair, raising=False)
+        residue = fibonacci_sum_residue_direct(n)
+        assert residue == fibonacci_sum_residue_exact(n)
+        f_n = residue.modulus
+        lucas = [2, 1]
+        while len(lucas) < n:
+            lucas.append(lucas[-1] + lucas[-2])
+        assert built == []
+        assert reads == [(lucas[k] % f_n, (-1) ** k, n, f_n) for k in range(1, n)]
 
     def test_fast_examples(self):
         assert fibonacci_sum_residue_fast(5).value == 0

@@ -26,7 +26,7 @@ from lucaskit import (
     v_at,
 )
 from lucaskit.sequences import (
-    _u_prefix, _u_term, _u_terms_mod, _u_walk_mod, _walk_plan,
+    _u_prefix, _u_single, _u_term, _u_terms_mod, _u_walk_mod, _walk_plan,
 )
 
 PELL = make_params(2, -1)
@@ -63,14 +63,20 @@ def matrix_pair_mod(params, n, m):
 
 
 # Doubling-walk indices: the empty walk, one step, powers of two (a single
-# 1-digit), all-ones runs, and a 4096-bit index.
+# 1-digit), all-ones runs, a power of two plus one, and a 4096-bit index.
+# The walks start after the leading digit and a single-term read stops before
+# the last: 2 and 3 walk no digit, 4 and 5 one 0-digit, then end on each kind.
 DOUBLING_INDICES = [
     0,
     1,
-    *(1 << j for j in (1, 5, 12)),
+    *(1 << j for j in (1, 2, 5, 12)),
     *((1 << j) - 1 for j in (2, 5, 12)),
+    *((1 << j) + 1 for j in (2, 5, 12)),
     (1 << 4095) | 0x5DEECE66D << 2000 | 0xB,
 ]
+
+# Moduli of the single-term read: 1, the smallest, a 64-bit prime and a 1,000-bit one.
+DOUBLING_MODULI = (1, 2, 3, 2**64 - 59, (1 << 999) | 0x5DEECE66D)
 
 
 def doubling_id(n):
@@ -196,11 +202,14 @@ class TestPairMod:
     def test_agrees_with_direct_on_grid(self, param_grid):
         moduli = (2, 3, 10**6 + 3, 2**64 - 59)
         for params in param_grid:
+            p, q = params.p_coeff, params.q_coeff
             a, b = 0, 1
             for n in range(0, 201):
                 for m in moduli:
                     assert u_pair_mod(params, n, m) == (a % m, b % m), (params, n, m)
-                a, b = b, params.p_coeff * b - params.q_coeff * a
+                    assert _u_single(p, q, n, m) == a % m, (params, n, m)
+                assert _u_single(p, q, n) == a, (params, n)
+                a, b = b, p * b - q * a
 
     @settings(deadline=None, max_examples=200)
     @given(pq=coprime_pairs(), n=st.integers(0, 400), m=st.integers(2, 10**12))
@@ -217,13 +226,16 @@ class TestPairMod:
     )
     def test_wide_pairs_agree_with_the_matrix_power(self, pq, n, m):
         params = make_params(*pq)
-        assert u_pair_mod(params, n, m) == matrix_pair_mod(params, n, m)
+        pair = matrix_pair_mod(params, n, m)
+        assert u_pair_mod(params, n, m) == pair
+        assert _u_single(*pq, n, m) == pair[0]
 
     @settings(deadline=None, max_examples=100)
     @given(pq=wide_coprime_pairs, n=st.integers(0, 300))
     def test_wide_pairs_exact_agree_with_the_recurrence(self, pq, n):
         params = make_params(*pq)
         assert u_pair_exact(params, n) == (u_at(params, n), u_at(params, n + 1))
+        assert _u_single(*pq, n) == u_at(params, n)
 
 
 class TestIdentities:
@@ -305,23 +317,46 @@ class TestOperationCounts:
 
     @pytest.mark.parametrize("n", DOUBLING_INDICES, ids=doubling_id)
     def test_pair_mod_count_is_pinned(self, n):
-        # 5 multiplications per binary digit of n and 1 more per 1-digit
-        counter = OpCounter()
-        u_pair_mod(FIBONACCI_PARAMS, n, 10**9 + 7, counter)
-        assert counter.mults == 5 * n.bit_length() + bin(n).count("1")
-        u_pair_mod(PELL, n, 2**64 - 59, counter)
-        assert counter.mults == 2 * (5 * n.bit_length() + bin(n).count("1"))
+        # Per binary digit of n after the leading one: 3 multiplications at
+        # Q = 1, 4 at Q = -1, and otherwise 5 and 1 more per 1-digit.
+        steps, ones = max(n.bit_length() - 1, 0), max(bin(n).count("1") - 1, 0)
+        for params, per_call in (
+            (FIBONACCI_PARAMS, 4 * steps),
+            (PELL, 4 * steps),
+            (make_params(-5, 1), 3 * steps),
+            (MERSENNE_PARAMS, 5 * steps + ones),
+            (make_params(-3, 5), 5 * steps + ones),
+        ):
+            counter = OpCounter()
+            u_pair_mod(params, n, 10**9 + 7, counter)
+            u_pair_mod(params, n, 2**64 - 59, counter)
+            assert counter.mults == 2 * per_call, (params, n)
 
-    @pytest.mark.parametrize("params", [FIBONACCI_PARAMS, PELL, MERSENNE_PARAMS, make_params(-3, 5)])
+    # Each Q class of the doubling walk, Q = -1, Q = 1 and any other Q, with
+    # a negative P and a P beyond a machine word.
+    @pytest.mark.parametrize("params", [
+        FIBONACCI_PARAMS, PELL, MERSENNE_PARAMS, make_params(-3, 5), make_params(-5, -1),
+        make_params(3, 1), make_params(-5, 1), make_params(0, 1), make_params(-8, -9),
+        make_params(2**80 + 1, 3),
+    ])
     @pytest.mark.parametrize("n", DOUBLING_INDICES, ids=doubling_id)
     def test_pairs_agree_with_the_recurrence(self, params, n):
-        m = 2**64 - 59
-        pair = matrix_pair_mod(params, n, m)
+        # The pair read and the single-term read against the matrix power,
+        # at every modulus, and against the recurrence where u_at reaches n.
+        pq = params.p_coeff, params.q_coeff
+        exact = None
         if n.bit_length() <= 64:  # u_at cannot reach the 4096-bit index
             exact = u_at(params, n), u_at(params, n + 1)
             assert u_pair_exact(params, n) == exact
-            assert pair == (exact[0] % m, exact[1] % m)
-        assert u_pair_mod(params, n, m) == pair
+            assert _u_single(*pq, n) == exact[0]
+        for m in DOUBLING_MODULI:
+            pair = matrix_pair_mod(params, n, m)
+            pair = pair[0] % m, pair[1] % m  # the matrix power leaves n = 0 unreduced
+            if exact is not None:
+                assert pair == (exact[0] % m, exact[1] % m), m
+            if m > 1:
+                assert u_pair_mod(params, n, m) == pair, m
+            assert _u_single(*pq, n, m) == pair[0], m
 
 
 def prefix_bits(terms):
@@ -431,13 +466,14 @@ class TestTermPrefix:
         params = make_params(*pq)
         terms = _u_prefix(params, 30)
         assert len(terms) == 31
-        real, walks = sequences._u_pair, []
+        real, walks = sequences._u_single, []
 
-        def spy(params, n, m):
+        def spy(p, q, n, m=None):
+            assert (p, q) == pq
             walks.append((n, m))
-            return real(params, n, m)
+            return real(p, q, n, m)
 
-        monkeypatch.setattr(sequences, "_u_pair", spy)
+        monkeypatch.setattr(sequences, "_u_single", spy)
         for m in (1, 2, 5, 1 << 70, abs(u_at(params, 7)) or 3):
             start = _u_term.cache_info()
             walks.clear()
@@ -530,14 +566,21 @@ WALK_BLOCKS = (0, 1, 15, 16, 17, 20, 35, 64, 71)
 
 
 def spy_on_doubling(monkeypatch):
-    """Record the index of every _u_pair call from now on; returns the list."""
-    real, indices = sequences._u_pair, []
+    """Record the index of every _u_single call from now on; returns the list.
 
-    def spy(params, n, m):
+    Fails on any pair walk: a term read needs no U_{n+1}.
+    """
+    real, indices = sequences._u_single, []
+
+    def spy(p, q, n, m=None):
         indices.append(n)
-        return real(params, n, m)
+        return real(p, q, n, m)
 
-    monkeypatch.setattr(sequences, "_u_pair", spy)
+    def no_pair(*args):
+        raise AssertionError("a term read walked a pair")
+
+    monkeypatch.setattr(sequences, "_u_single", spy)
+    monkeypatch.setattr(sequences, "_u_pair", no_pair)
     return indices
 
 
