@@ -219,7 +219,7 @@ def _repunit(d: int, count: int, base: int = 1) -> int:
     return pattern
 
 
-def _repunit_sum(n: int, probe: BitWidthProbe | None) -> int:
+def _repunit_sum(n: int) -> int:
     """T = the sum of d*phi(n/d)*R_d over the divisor classes of n, unreduced.
 
     R_d = (2^n-1)/(2^d-1) is the repunit of n/d blocks of d bits. R_1 is
@@ -247,10 +247,7 @@ def _repunit_sum(n: int, probe: BitWidthProbe | None) -> int:
             raise InternalInvariantViolation(
                 f"(2^{d} - 1) times the repunit R_{d} is not 2^{n} - 1"
             )
-        weighted = d * phi * quotient
-        total += weighted
-        if probe is not None:
-            probe.observe(quotient, weighted, total)
+        total += d * phi * quotient
         for j in range(i):  # children by each prime below p, which n/d lacks
             q = primes[j]
             pending.append((d // q, phi * (q - 1), q, j, quotient))
@@ -265,12 +262,17 @@ def mersenne_sum_residue_fast(n: int, probe: BitWidthProbe | None = None) -> Res
     The k < n with gcd(n, k) = d all contribute the same residue, so the sum
     collapses to one term per proper divisor d, whose totient comes from one
     factorization of n. The terms are the repunit sum T, reduced mod 2^n - 1
-    once.
+    once. Every repunit, weighted term and partial sum is positive and no
+    larger than T, so T is the widest value the path builds, and the only
+    one the probe observes.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     modulus = (1 << n) - 1
-    return ResidueClass(_repunit_sum(n, probe) % modulus, modulus)
+    total = _repunit_sum(n)
+    if probe is not None:
+        probe.observe(total)
+    return ResidueClass(total % modulus, modulus)
 
 
 class PrimalityVerdict(NamedTuple):
@@ -315,7 +317,7 @@ def divisor_sum_breakdown(n: int) -> DivisorSumBreakdown:
     terms = tuple(
         DivisorSumTerm(d, phi, Fraction(d * phi, (1 << d) - 1)) for d, phi in _divisor_classes(n)
     )
-    total = Fraction(_repunit_sum(n, None), (1 << n) - 1)
+    total = Fraction(_repunit_sum(n), (1 << n) - 1)
     return DivisorSumBreakdown(n, terms, total, total.denominator == 1)
 
 

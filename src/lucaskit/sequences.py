@@ -90,33 +90,21 @@ def _u_doubling(p: int, q: int, digits: str, m: int | None) -> tuple[int, int]:
         0-digit: (U_2i, U_2i+1)   = (a*(2b - P*a), b^2 - Q*a^2)
         1-digit: (U_2i+1, U_2i+2) = (b^2 - Q*a^2, b*(P*b - 2*Q*a))
 
-    Q = 1 takes b^2 - a^2 as (b - a)*(b + a) and Q = -1 takes b^2 + a^2, so
-    a digit costs 3 multiplications at Q = 1 and 4 at Q = -1; any other Q
-    costs 5 for a 0-digit and 6 for a 1-digit. Each new term is reduced
-    once, in the expression that builds it. Every Q class has an exact and a
-    modular loop of its own, so no digit tests q or m. This is the only
+    An exact walk (m is None) takes these for every Q: 5 multiplications
+    for a 0-digit and 6 for a 1-digit. A modular walk has one loop per Q
+    class, so no digit tests q: Q = 1 takes b^2 - a^2 as (b - a)*(b + a)
+    and Q = -1 takes b^2 + a^2, so a digit costs 3 multiplications at Q = 1
+    and 4 at Q = -1, and any other Q costs 5 and 6 as above. Each new term
+    is reduced once, in the expression that builds it. This is the only
     doubling loop: the pair read and the single-term read both walk it.
     """
     if m is None:
         a, b = 1, p
-        if q == 1:
-            for bit in digits:
-                if bit == "1":
-                    a, b = (b - a) * (b + a), b * (p * b - 2 * a)
-                else:
-                    a, b = a * (2 * b - p * a), (b - a) * (b + a)
-        elif q == -1:
-            for bit in digits:
-                if bit == "1":
-                    a, b = b * b + a * a, b * (p * b + 2 * a)
-                else:
-                    a, b = a * (2 * b - p * a), b * b + a * a
-        else:
-            for bit in digits:
-                if bit == "1":
-                    a, b = b * b - q * a * a, b * (p * b - 2 * q * a)
-                else:
-                    a, b = a * (2 * b - p * a), b * b - q * a * a
+        for bit in digits:
+            if bit == "1":
+                a, b = b * b - q * a * a, b * (p * b - 2 * q * a)
+            else:
+                a, b = a * (2 * b - p * a), b * b - q * a * a
         return a, b
     a, b = 1 % m, p % m
     if q == 1:
@@ -155,8 +143,9 @@ def _u_single(p: int, q: int, n: int, m: int | None = None) -> int:
     _u_doubling walks the digits of n between its leading and its last one,
     to (a, b) = (U_j, U_{j+1}) with j = n >> 1. The last digit then builds
     U_n alone: a*(2b - P*a) for a 0-digit, b^2 - Q*a^2 for a 1-digit, with
-    Q = 1 and Q = -1 folded in as in the walk. No U_{n+1} is built. P and Q
-    are not validated; only a negative index raises ValueError.
+    Q = 1 and Q = -1 folded in as in the modular walk, exact or mod m. No
+    U_{n+1} is built. P and Q are not validated; only a negative index
+    raises ValueError.
     """
     if n < 2:
         if n < 0:

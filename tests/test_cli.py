@@ -277,7 +277,7 @@ class TestPrimetest:
         repunit_sum = primality_module._repunit_sum
         monkeypatch.setattr(
             primality_module, "_repunit_sum",
-            lambda n, probe: 3 * 31 if n == 5 else repunit_sum(n, probe),  # T over 2^5 - 1 = 31
+            lambda n: 3 * 31 if n == 5 else repunit_sum(n),  # T over 2^5 - 1 = 31
         )
         assert run_cli(
             capsys, "primetest", "--method", "divisor-sum", "-n", "5", "--no-timing"

@@ -274,10 +274,20 @@ class TestMersenneSum:
         expected = sum(
             d * euler_phi(n // d) * (modulus // ((1 << d) - 1)) for d in proper_divisors(n)
         )
+        assert primality_module._repunit_sum(n) == expected
         probe = BitWidthProbe()
-        assert primality_module._repunit_sum(n, probe) == expected
+        assert mersenne_sum_residue_fast(n, probe) == ResidueClass(expected % modulus, modulus)
         assert probe.max_bits == expected.bit_length()
-        assert mersenne_sum_residue_fast(n) == ResidueClass(expected % modulus, modulus)
+
+    def test_a_shared_probe_reads_the_widest_sum(self):
+        # One probe over several n, in no order of width: after each call it
+        # reads the widest T shown so far, not the last one.
+        probe, widths = BitWidthProbe(), []
+        for n in (360, 12, 97, 5040, 2):
+            mersenne_sum_residue_fast(n, probe)
+            widths.append(primality_module._repunit_sum(n).bit_length())
+            assert probe.max_bits == max(widths), n
+        assert probe.max_bits == widths[3] > widths[0]
 
     def test_fast_path_keeps_one_chain_of_repunits(self):
         # Only the repunits of the classes still to be spread from stay alive:

@@ -358,6 +358,29 @@ class TestOperationCounts:
                 assert u_pair_mod(params, n, m) == pair, m
             assert _u_single(*pq, n, m) == pair[0], m
 
+    @pytest.mark.parametrize("n", [2**16 + 1, 10**5])
+    def test_exact_reads_at_width_obey_two_identities(self, n):
+        # The exact walk past u_at's reach, in each Q class, where its terms
+        # are 45,000 to 140,000 bits wide. U_n(3, 1) = F_2n, as (3 + sqrt 5)/2
+        # is the golden ratio squared, and U_n(-P, Q) = (-1)^(n+1) U_n(P, Q).
+        # Three primes tie every read to the matrix power as well.
+        primes = (10**9 + 7, 2**61 - 1, 2**64 - 59)
+        f_2n, f_next = u_pair_exact(FIBONACCI_PARAMS, 2 * n)
+        fib = f_2n, f_2n + f_next  # F_2n and F_2n+2
+        assert _u_single(3, 1, n) == fib[0]
+        assert u_pair_exact(make_params(3, 1), n) == fib
+        for m in primes:
+            assert matrix_pair_mod(FIBONACCI_PARAMS, 2 * n, m) == (f_2n % m, f_next % m), m
+        sign = 1 if n & 1 else -1
+        for p, q in ((3, 1), (1, -1), (3, 5)):
+            plus, minus = make_params(p, q), make_params(-p, q)
+            pair = u_pair_exact(plus, n)
+            assert u_pair_exact(minus, n) == (sign * pair[0], -sign * pair[1]), (p, q)
+            assert _u_single(p, q, n) == pair[0] and _u_single(-p, q, n) == sign * pair[0]
+            for m in primes:
+                assert matrix_pair_mod(plus, n, m) == (pair[0] % m, pair[1] % m), (p, q, m)
+                assert matrix_pair_mod(minus, n, m) == (sign * pair[0] % m, -sign * pair[1] % m)
+
 
 def prefix_bits(terms):
     # What a prefix is charged: each term's bit length plus SLOT_BITS.
