@@ -378,7 +378,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it unchanged, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="lucaskit",
         description="Lucas sequence evaluation, congruence verification, and "
@@ -447,12 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     return parser
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process; parse_args leaves it unchanged, so calls share it."""
-    return build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -118,25 +118,25 @@ def _sign_pow(exponent: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_k_positive(k: int, n: int, r: Optional[int] = None) -> None:
+def _check_k_positive(k: int, n: int, r: Optional[int]) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
 
 
-def _check_nonnegative(k: int, n: int, r: Optional[int] = None) -> None:
+def _check_nonnegative(k: int, n: int, r: Optional[int]) -> None:
     if r is not None and r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
     if k < 0 or n < 0:
         raise ValueError(f"indices must be nonnegative, got k = {k}, n = {n}")
 
 
-def _check_four_case(k: int, n: int, r: Optional[int] = None) -> CaseTag:
+def _check_four_case(k: int, n: int, r: Optional[int]) -> CaseTag:
     return classify_case(n, k)
 
 
-def _check_mersenne(k: int, n: int, r: Optional[int] = None) -> None:
+def _check_mersenne(k: int, n: int, r: Optional[int]) -> None:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if k < 1:

@@ -198,7 +198,7 @@ def mersenne_sum_residue_direct(n: int, probe: BitWidthProbe | None = None) -> R
     return ResidueClass(total % modulus, modulus)
 
 
-def _repunit(d: int, count: int, base: int = 1) -> int:
+def _repunit(d: int, count: int, base: int) -> int:
     """The sum of base << (i*d) over i < count, for a base whose copies share no bit.
 
     With base 1 it is the repunit (2^{count*d} - 1)/(2^d - 1), count d-bit

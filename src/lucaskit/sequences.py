@@ -46,23 +46,21 @@ def make_params(p: int, q: int) -> LucasParams:
 
 
 class OpCounter:
-    """Mutable tally of big-int multiplications, for complexity assertions in tests."""
+    """Mutable tally of the modular multiplications u_pair_mod makes."""
 
     __slots__ = ("mults",)
 
     def __init__(self) -> None:
         self.mults = 0
 
-    def add(self, k: int = 1) -> None:
+    def add(self, k: int) -> None:
         self.mults += k
 
 
-def u_at(params: LucasParams, n: int, counter: OpCounter | None = None) -> int:
+def u_at(params: LucasParams, n: int) -> int:
     """U_n by direct recurrence from (U_0, U_1) = (0, 1); exact, O(n) multiplications."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    if counter is not None:
-        counter.add(2 * n)
     a, b = 0, 1
     for _ in range(n):
         a, b = b, params.p_coeff * b - params.q_coeff * a
@@ -137,7 +135,7 @@ def _u_pair(params: LucasParams, n: int, m: int | None) -> tuple[int, int]:
     return _u_doubling(params.p_coeff, params.q_coeff, bin(n)[3:], m)
 
 
-def _u_single(p: int, q: int, n: int, m: int | None = None) -> int:
+def _u_single(p: int, q: int, n: int, m: int | None) -> int:
     """U_n(P, Q), or U_n mod m for m >= 1, by index doubling from plain coefficients.
 
     _u_doubling walks the digits of n between its leading and its last one,
@@ -268,7 +266,7 @@ class WalkPlan(NamedTuple):
     singles: int
 
 
-def _walk_plan(steps: int, block: int, weight: int = 1) -> WalkPlan:
+def _walk_plan(steps: int, block: int, weight: int) -> WalkPlan:
     """How _u_walk_mod walks `steps` recurrence steps with blocks of `block` steps.
 
     `weight` is what one giant step costs, counted in block steps: a giant

@@ -3,7 +3,8 @@
 The names `lucaskit` exports are part of the fixed contract. Library result
 values carry no wall-clock time, so one input always gives one result; only
 the CLI reads a clock, for its `elapsed` and `wall_time` fields. The CLI
-imports no private name of the library.
+imports no private name of the library. The benchmark's tracer reads three
+surfaces of `lucaskit.sequences`, pinned here as it looks them up.
 """
 
 import ast
@@ -105,3 +106,27 @@ def test_scan_report_does_not_depend_on_workers():
     parallel = run_scan("remark", 3, 60, 2)
     assert parallel["workers"] == 2
     assert {**parallel, "workers": 1} == serial
+
+
+def test_tracer_surfaces():
+    # perfbench/tracer.py finds these by name, so a change that loses one
+    # only shows in a traced benchmark run: it builds sequences.OpCounter,
+    # hands it to u_pair_mod as `counter=` when the signature has one, and
+    # reads cache_info() from every callable in vars(sequences) that has it.
+    sequences = lucaskit.sequences
+    assert hasattr(sequences, "OpCounter")
+    assert "counter" in inspect.signature(sequences.u_pair_mod).parameters
+    counter = sequences.OpCounter()
+    params = sequences.make_params(1, -1)
+    sequences.u_pair_mod(params, 1000, 10**9 + 7, counter=counter)
+    once = counter.mults
+    sequences.u_pair_mod(params, 1000, 10**9 + 7, counter=counter)
+    assert once > 0 and counter.mults == 2 * once
+    infos = [
+        obj.cache_info()
+        for obj in vars(sequences).values()
+        if callable(getattr(obj, "cache_info", None))
+    ]
+    assert infos
+    for info in infos:
+        assert all(type(getattr(info, field)) is int for field in ("hits", "misses", "currsize"))

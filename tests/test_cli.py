@@ -557,14 +557,16 @@ class TestOutputContract:
             assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
 
     def test_import_loads_no_process_pool(self):
-        # Only a scan with more than one worker forks, and it needs neither.
-        # No record is a dataclass (which loads inspect), and only
-        # divisor_sum_breakdown loads fractions (and with it decimal).
+        # Only a scan with more than one worker forks, and it needs no pool:
+        # it loads pickle and signal itself, when it starts. No record is a
+        # dataclass (which loads inspect), and only divisor_sum_breakdown
+        # loads fractions (and with it decimal).
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         code = (
             "import lucaskit.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('concurrent', 'multiprocessing', 'dataclasses', 'inspect', 'fractions', 'decimal')))"
+            "('concurrent', 'multiprocessing', 'pickle', 'signal', "
+            "'dataclasses', 'inspect', 'fractions', 'decimal')))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -219,7 +219,7 @@ class TestMersenneSum:
         for d in range(1, 71):
             for count in range(1, 41):
                 expected = sum(1 << (i * d) for i in range(count))
-                assert primality_module._repunit(d, count) == expected, (d, count)
+                assert primality_module._repunit(d, count, 1) == expected, (d, count)
 
     def test_repunit_spreads_a_base(self):
         # Copies of a base whose copies share no bit, summed one by one: the
@@ -227,7 +227,7 @@ class TestMersenneSum:
         # for the repunit of count*d-bit blocks.
         for d in range(1, 25):
             for count in range(1, 20):
-                for base in ((1 << d) - 1, 5 % (1 << d), primality_module._repunit(count * d, 3)):
+                for base in ((1 << d) - 1, 5 % (1 << d), primality_module._repunit(count * d, 3, 1)):
                     expected = sum(base << (i * d) for i in range(count))
                     assert primality_module._repunit(d, count, base) == expected, (d, count, base)
 

@@ -62,6 +62,32 @@ def matrix_pair_mod(params, n, m):
     return power[1][0], power[0][0]
 
 
+class CountedInt(int):
+    """An int that counts its products with other CountedInts in `CountedInt.products`.
+
+    Every sum, difference, product and residue it takes part in is a
+    CountedInt too, so a walk started from CountedInts counts each of its
+    multiplications. A product with a plain int, such as a literal 2, is
+    not counted, whatever the value of the CountedInt.
+    """
+
+    products = 0
+
+    def __mul__(self, other):
+        if isinstance(other, CountedInt):
+            CountedInt.products += 1
+        return CountedInt(int(self) * int(other))
+
+    __rmul__ = __mul__  # reached only from a plain int on the left
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mod__", "__rmod__"):
+    setattr(
+        CountedInt, _name,
+        lambda self, other, op=getattr(int, _name): CountedInt(op(int(self), int(other))),
+    )
+
+
 # Doubling-walk indices: the empty walk, one step, powers of two (a single
 # 1-digit), all-ones runs, a power of two plus one, and a 4096-bit index.
 # The walks start after the leading digit and a single-term read stops before
@@ -208,7 +234,7 @@ class TestPairMod:
                 for m in moduli:
                     assert u_pair_mod(params, n, m) == (a % m, b % m), (params, n, m)
                     assert _u_single(p, q, n, m) == a % m, (params, n, m)
-                assert _u_single(p, q, n) == a, (params, n)
+                assert _u_single(p, q, n, None) == a, (params, n)
                 a, b = b, p * b - q * a
 
     @settings(deadline=None, max_examples=200)
@@ -235,7 +261,7 @@ class TestPairMod:
     def test_wide_pairs_exact_agree_with_the_recurrence(self, pq, n):
         params = make_params(*pq)
         assert u_pair_exact(params, n) == (u_at(params, n), u_at(params, n + 1))
-        assert _u_single(*pq, n) == u_at(params, n)
+        assert _u_single(*pq, n, None) == u_at(params, n)
 
 
 class TestIdentities:
@@ -297,11 +323,6 @@ class TestIdentities:
 
 
 class TestOperationCounts:
-    def test_u_at_is_linear(self):
-        counter = OpCounter()
-        u_at(FIBONACCI_PARAMS, 500, counter)
-        assert counter.mults == 1000  # two multiplications per step
-
     def test_pair_mod_is_logarithmic(self):
         counter = OpCounter()
         u_pair_mod(FIBONACCI_PARAMS, 10**6, 10**9 + 7, counter)
@@ -332,6 +353,24 @@ class TestOperationCounts:
             u_pair_mod(params, n, 2**64 - 59, counter)
             assert counter.mults == 2 * per_call, (params, n)
 
+    # Q = -1, Q = 1 and other Q; P = 2 and Q = 2 equal the walk's literal 2.
+    @pytest.mark.parametrize("pq", [
+        (1, -1), (2, -1), (-5, 1), (2, 1), (3, 2), (2, 3), (-3, 5), (2**80 + 1, 3),
+    ], ids=str)
+    def test_pair_mod_count_is_the_walks_products(self, pq):
+        # The walk itself, run on ints that count their products, makes the
+        # multiplications u_pair_mod adds to its counter, over indices with
+        # 0-digits, 1-digits and both.
+        params = make_params(*pq)
+        p, q = (CountedInt(c) for c in pq)
+        for n in DOUBLING_INDICES[1:]:
+            for m in (10**9 + 7, 2**64 - 59):
+                counter = OpCounter()
+                pair = u_pair_mod(params, n, m, counter)
+                CountedInt.products = 0
+                assert sequences._u_doubling(p, q, bin(n)[3:], CountedInt(m)) == pair, (n, m)
+                assert CountedInt.products == counter.mults, (pq, n, m)
+
     # Each Q class of the doubling walk, Q = -1, Q = 1 and any other Q, with
     # a negative P and a P beyond a machine word.
     @pytest.mark.parametrize("params", [
@@ -348,7 +387,7 @@ class TestOperationCounts:
         if n.bit_length() <= 64:  # u_at cannot reach the 4096-bit index
             exact = u_at(params, n), u_at(params, n + 1)
             assert u_pair_exact(params, n) == exact
-            assert _u_single(*pq, n) == exact[0]
+            assert _u_single(*pq, n, None) == exact[0]
         for m in DOUBLING_MODULI:
             pair = matrix_pair_mod(params, n, m)
             pair = pair[0] % m, pair[1] % m  # the matrix power leaves n = 0 unreduced
@@ -367,7 +406,7 @@ class TestOperationCounts:
         primes = (10**9 + 7, 2**61 - 1, 2**64 - 59)
         f_2n, f_next = u_pair_exact(FIBONACCI_PARAMS, 2 * n)
         fib = f_2n, f_2n + f_next  # F_2n and F_2n+2
-        assert _u_single(3, 1, n) == fib[0]
+        assert _u_single(3, 1, n, None) == fib[0]
         assert u_pair_exact(make_params(3, 1), n) == fib
         for m in primes:
             assert matrix_pair_mod(FIBONACCI_PARAMS, 2 * n, m) == (f_2n % m, f_next % m), m
@@ -376,7 +415,8 @@ class TestOperationCounts:
             plus, minus = make_params(p, q), make_params(-p, q)
             pair = u_pair_exact(plus, n)
             assert u_pair_exact(minus, n) == (sign * pair[0], -sign * pair[1]), (p, q)
-            assert _u_single(p, q, n) == pair[0] and _u_single(-p, q, n) == sign * pair[0]
+            assert _u_single(p, q, n, None) == pair[0]
+            assert _u_single(-p, q, n, None) == sign * pair[0]
             for m in primes:
                 assert matrix_pair_mod(plus, n, m) == (pair[0] % m, pair[1] % m), (p, q, m)
                 assert matrix_pair_mod(minus, n, m) == (sign * pair[0] % m, -sign * pair[1] % m)
@@ -748,7 +788,7 @@ class TestWalkPlan:
     @pytest.mark.parametrize("whole", WALK_BLOCKS)
     def test_giant_steps_start_at_16_blocks(self, block, whole):
         for singles in (0, block - 1):
-            plan = _walk_plan(whole * block + singles, block)
+            plan = _walk_plan(whole * block + singles, block, 1)
             assert plan.singles == singles
             assert plan.giant == (isqrt(whole) if whole >= 16 else 0)
             assert plan.giant * plan.giants + plan.blocks == whole
@@ -760,7 +800,7 @@ class TestWalkPlan:
         # steps, the block steps and the single steps, for N up to 10^9.
         for i in range(37):
             steps = round(10 ** (i / 4))
-            plan = _walk_plan(steps, block)
+            plan = _walk_plan(steps, block, 1)
             assert (plan.giant * plan.giants + plan.blocks) * block + plan.singles == steps
             assert sum(plan) <= 4 * sqrt(steps / block) + block + 2, (steps, plan)
 
