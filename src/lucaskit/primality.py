@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
+from .congruences import _ODD_QUOTIENTS, _case
 from .errors import (
     CapExceeded,
     InternalInvariantViolation,
@@ -147,14 +148,15 @@ def proper_divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _divisor_classes(n: int) -> list[tuple[int, int]]:
+def _divisor_classes(n: int, factors: Optional[dict[int, int]] = None) -> list[tuple[int, int]]:
     """(d, phi(n/d)) for every proper divisor d of n >= 2, ascending in d.
 
-    One factorization of n yields every cofactor e = n/d together with its
-    totient, so no divisor is found or factored again.
+    One factorization of n, `factors` when the caller has it, yields every
+    cofactor e = n/d together with its totient, so no divisor is found or
+    factored again.
     """
     classes = [(n, 1)]  # (n/e, phi(e)) for the divisors e of n found so far, from e = 1
-    for p, exponent in _factorize(n).items():
+    for p, exponent in (factors or _factorize(n)).items():
         for d, phi in classes[:]:
             for i in range(exponent):
                 d, phi = d // p, phi * (p if i else p - 1)
@@ -366,25 +368,82 @@ def fibonacci_sum_residue_exact(n: int) -> ResidueClass:
     return ResidueClass(total % low[n], low[n])
 
 
+def _fib_class_counts(n: int) -> list[tuple[int, int, int]]:
+    """(d, c_d, c'_d) for every proper divisor d of n >= 3, ascending in d.
+
+    The k < n with gcd(n, k) = d are k = d*j, j < m = n/d coprime to m. By
+    the main theorem (fib21: the cases and signs of congruences._fib_main),
+    F_{kn}/F_k is d*(F_n/F_d) mod F_n times a sign, and times F_{d+1} when
+    both quotients are odd: c'_d counts those j with their signs, c_d the
+    rest. Case and sign depend on j mod 4 alone, so the counts come from
+    the tallies of j mod 4, each a Moebius sum over the squarefree e | m,
+    or from phi(m) when all four agree; no j is visited. One factorization
+    of n gives every d, phi(m) and the primes of m.
+    """
+    factors = _factorize(n)
+    classes = []
+    for d, phi in _divisor_classes(n, factors):
+        m = n // d
+        period = []  # (both quotients odd, sign) of the j = r mod 4, for r = 0..3
+        for r in range(4):
+            k = d * (r + 4)  # each k = d*j with j = r mod 4 has this k's case and sign
+            odd_quotients = _case(n, k) is _ODD_QUOTIENTS
+            doubled_exponent = k * n - k - n + (0 if odd_quotients else d)
+            period.append((odd_quotients, -1 if doubled_exponent & 2 else 1))
+        if period.count(period[0]) == 4:  # all phi(m) of the j count alike
+            tally = [phi, 0, 0, 0]
+        else:
+            squarefree = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of m
+            for p in factors:
+                if m % p == 0:
+                    squarefree += [(e * p, -mu) for e, mu in squarefree]
+            tally = [0, 0, 0, 0]  # how many j <= m coprime to m are r mod 4, for r = 0..3
+            for e, mu in squarefree:
+                for t in range(1, 5):  # the multiples j = e*t' <= m with t' = t mod 4
+                    tally[e * t % 4] += mu * ((m // e - t) // 4 + 1)
+        counts = [0, 0]  # c_d, c'_d
+        for (odd_quotients, sign), tallied in zip(period, tally):
+            counts[odd_quotients] += sign * tallied
+        classes.append((d, *counts))
+    return classes
+
+
+def _fib_sum_classes(n: int) -> ResidueClass:
+    """The Fibonacci sum mod F_n for any n >= 3, one term per divisor class.
+
+    The class of d adds d*(F_n/F_d)*(c_d + c'_d*F_{d+1}), with the signed
+    counts of _fib_class_counts; a class whose counts are both 0 costs no
+    division. Such is every class at n = 3 mod 4: n and d are odd, so no j
+    has both quotients odd, and j <-> m - j pairs off the j coprime to the
+    odd m, none with itself. That is k <-> n - k, whose doubled sign
+    exponents add up to n(n - 3) + 2d = 2 mod 4, so the two signs are
+    opposite and the class count is 0. At n = 1 mod 4 that exponent sum is
+    0 mod 4, the signs agree, and each class count is +-phi(n/d).
+    """
+    if n < 3:
+        raise ValueError(f"n must be >= 3 so the modulus F_n exceeds 1, got {n}")
+    f_n = _u_term(FIBONACCI_PARAMS, n, ())
+    total = 0
+    for d, count, odd_count in _fib_class_counts(n):
+        if odd_count:
+            count += odd_count * _u_term(FIBONACCI_PARAMS, d + 1, ())
+        if count:
+            total += d * exact_div(f_n, _u_term(FIBONACCI_PARAMS, d, ())) * count
+    return ResidueClass(total % f_n, f_n)
+
+
 def fibonacci_sum_residue_fast(n: int) -> ResidueClass:
     """Divisor-class form of the Fibonacci sum for n = 1 mod 4.
 
-    In that residue class the sign (-1)^{(kn-k-n+d)/2} collapses to
-    (-1)^{(n-d)/2}, constant across each gcd class, so the sum becomes
-    phi(n/d)*d*(F_n/F_d) with that sign, one term per proper divisor.
+    The signed divisor classes of _fib_sum_classes, where the sign
+    (-1)^{(kn-k-n+d)/2} collapses to (-1)^{(n-d)/2}, constant across each
+    gcd class: each class is phi(n/d)*d*(F_n/F_d) with that sign.
     """
     if n % 4 != 1:
         raise WrongResidueClass(f"n = {n} is not congruent to 1 mod 4")
     if n < 5:
         raise ValueError(f"n must be >= 5, got {n}")
-    f_n = _u_term(FIBONACCI_PARAMS, n, ())
-    total = 0
-    for d, phi in _divisor_classes(n):
-        term = d * exact_div(f_n, _u_term(FIBONACCI_PARAMS, d, ())) % f_n
-        if ((n - d) // 2) & 1:
-            term = -term % f_n
-        total = (total + phi * term) % f_n
-    return ResidueClass(total, f_n)
+    return _fib_sum_classes(n)
 
 
 def fibonacci_criterion_applies(n: int) -> bool:
@@ -408,11 +467,12 @@ def remark_check(n: int) -> bool:
     """True iff the Fibonacci sum vanishes mod F_n, for n = 3 mod 4.
 
     In that residue class the sum should vanish whether or not n is prime, so
-    any False here is a mismatch worth reporting.
+    any False here is a mismatch worth reporting. Every signed divisor class
+    (_fib_sum_classes) vanishes there, so the check builds F_n and no term.
     """
     if not remark_applies(n):
         raise _remark_refusal(n)
-    return fibonacci_sum_residue_direct(n).value == 0
+    return _fib_sum_classes(n).value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +521,31 @@ _FIBONACCI = dict(
         "the Fibonacci sum criterion requires n = 1 mod 4, n >= 5, n not in {9, 25}; "
         f"got {n}"
     ),
-    # The residue alone, for any n >= 3 (outside the hypotheses too), with no verdict.
-    diagnostic=Criterion(
-        fibonacci_sum_residue_direct,
-        lambda r, oracle, agree: {"diagnostic": True, **_residue(r), "oracle_says_prime": oracle},
-    ),
 )
+
+
+def _fib_diagnostic(r: ResidueClass, oracle: bool, agree: bool) -> dict[str, Any]:
+    """The --diagnostic record of either path: the residue alone, for any n >= 3, no verdict."""
+    return {"diagnostic": True, **_residue(r), "oracle_says_prime": oracle}
+
+
 _MERSENNE = dict(_ZERO_IFF_PRIME, **_FROM_TWO)
 
 CRITERION_TABLE: dict[str, Criterion] = {
     # Each residue criterion's fast path, then its direct path.
     "mersenne-sum": Criterion(mersenne_sum_residue_fast, scan=True, **_MERSENNE),
     "mersenne-sum-direct": Criterion(mersenne_sum_residue_direct, **_MERSENNE),
-    "fib-sum": Criterion(fibonacci_sum_residue_fast, scan=True, **_FIBONACCI),
-    "fib-sum-direct": Criterion(fibonacci_sum_residue_direct, **_FIBONACCI),
+    "fib-sum": Criterion(
+        fibonacci_sum_residue_fast,
+        diagnostic=Criterion(_fib_sum_classes, _fib_diagnostic),
+        scan=True,
+        **_FIBONACCI,
+    ),
+    "fib-sum-direct": Criterion(
+        fibonacci_sum_residue_direct,
+        diagnostic=Criterion(fibonacci_sum_residue_direct, _fib_diagnostic),
+        **_FIBONACCI,
+    ),
     # The sum vanishes whether or not n is prime.
     "remark": Criterion(
         remark_check,

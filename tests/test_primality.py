@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -38,7 +39,15 @@ from lucaskit import (
     remark_check,
     u_pair_mod,
 )
-from lucaskit.primality import CRITERION_TABLE, _divisor_classes, _factorize, run_criterion
+from lucaskit.congruences import CaseTag, classify_case
+from lucaskit.primality import (
+    CRITERION_TABLE,
+    _divisor_classes,
+    _factorize,
+    _fib_class_counts,
+    _fib_sum_classes,
+    run_criterion,
+)
 
 
 def sieve(limit):
@@ -436,6 +445,60 @@ class TestFibonacciSum:
         assert fibonacci_sum_residue_direct(25) == ResidueClass(0, 75025)
 
 
+class TestFibonacciSumClasses:
+    def test_matches_direct_in_every_residue_class(self):
+        for n in range(3, 301):
+            assert _fib_sum_classes(n) == fibonacci_sum_residue_direct(n), n
+
+    def test_matches_exact(self):
+        for n in range(3, 61):
+            assert _fib_sum_classes(n) == fibonacci_sum_residue_exact(n), n
+
+    def test_every_class_counts_its_totient_once_at_1_mod_4(self):
+        for n in range(5, 501, 4):
+            for d, count, odd_count in _fib_class_counts(n):
+                assert abs(count) + abs(odd_count) == euler_phi(n // d), (n, d)
+
+    def test_counts_match_a_loop_over_j(self):
+        # The Moebius tallies against the per-j count they stand for: every
+        # k = d*j < n with gcd(j, n/d) = 1, its case and its sign.
+        for n in range(3, 200):
+            expected = []
+            for d in proper_divisors(n):
+                counts = [0, 0]
+                for j in range(1, n // d):
+                    if gcd(j, n // d) == 1:
+                        k = d * j
+                        odd = classify_case(n, k) is CaseTag.BOTH_EVEN_ODD_QUOTIENTS
+                        counts[odd] += (-1) ** ((k * n - k - n + (0 if odd else d)) // 2)
+                expected.append((d, *counts))
+            assert _fib_class_counts(n) == expected, n
+
+    @pytest.mark.parametrize(
+        "evaluate, ns",
+        [
+            (remark_check, range(3, 400, 4)),
+            (fibonacci_sum_residue_fast, range(5, 400, 4)),
+            (CRITERION_TABLE["fib-sum"].diagnostic.evaluate, range(3, 200)),
+        ],
+        ids=["remark", "fib-sum", "fib-sum --diagnostic"],
+    )
+    def test_reads_no_term_of_the_direct_sum(self, monkeypatch, evaluate, ns):
+        # These read signed divisor classes: a return to the direct path's
+        # n - 1 single-term reads, about n^2.9 in all, fails here.
+        def no_read(*args):
+            raise AssertionError("a single-term read of the direct sum")
+
+        monkeypatch.setattr(primality_module, "_u_single", no_read)
+        for n in ns:
+            evaluate(n)
+
+    def test_each_diagnostic_reports_its_own_path(self):
+        assert CRITERION_TABLE["fib-sum"].diagnostic.evaluate is _fib_sum_classes
+        direct = CRITERION_TABLE["fib-sum-direct"].diagnostic.evaluate
+        assert direct is fibonacci_sum_residue_direct
+
+
 class TestFibonacciCriterion:
     def test_prime(self):
         v = fibonacci_primality_test(13)
@@ -620,6 +683,14 @@ class TestCriterionSweeps:
     def test_mersenne_criterion_over_the_benchmark_range(self):
         for n in range(2, 20001):
             assert mersenne_primality_test(n).agree, n
+
+    def test_fibonacci_classes_match_direct_up_to_2000(self):
+        for n in range(3, 2001):
+            assert _fib_sum_classes(n) == fibonacci_sum_residue_direct(n), n
+
+    def test_every_class_vanishes_at_3_mod_4_up_to_10000(self):
+        for n in range(3, 10001, 4):
+            assert all(counts == [0, 0] for _, *counts in _fib_class_counts(n)), n
 
     def test_fibonacci_criterion_up_to_4000(self):
         for n in range(5, 4001):
